@@ -119,7 +119,7 @@ func CompileCtx(ctx context.Context, c *circuit.Circuit, gen pulse.Generator, op
 	eSpan.End()
 
 	wall := time.Since(start)
-	return &Result{
+	res := &Result{
 		Blocks:       bc,
 		Latency:      bc.CriticalPath(),
 		TotalLatency: bc.TotalLatency(),
@@ -127,7 +127,9 @@ func CompileCtx(ctx context.Context, c *circuit.Circuit, gen pulse.Generator, op
 		CompileCost:  cost + wall.Seconds(),
 		WallTime:     wall,
 		NumBlocks:    len(bc.Blocks),
-	}, nil
+	}
+	bc.ReleaseDAG()
+	return res, nil
 }
 
 // Partition greedily groups consecutive gates into fixed-size subcircuits:
@@ -232,9 +234,9 @@ func Partition(c *circuit.Circuit, maxQubits, depth int) [][]int {
 func blocksFromGroups(c *circuit.Circuit, groups [][]int) *critical.BlockCircuit {
 	bc := &critical.BlockCircuit{NumQubits: c.NumQubits}
 	for _, grp := range groups {
-		var gates []circuit.Gate
-		for _, gi := range grp {
-			gates = append(gates, c.Gates[gi].Clone())
+		gates := make([]circuit.Gate, len(grp))
+		for i, gi := range grp {
+			gates[i] = c.Gates[gi]
 		}
 		cg := pulse.NewCustomGate(gates)
 		bc.Blocks = append(bc.Blocks, &critical.Block{

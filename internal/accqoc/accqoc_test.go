@@ -3,6 +3,7 @@ package accqoc
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"paqoc/internal/circuit"
@@ -204,6 +205,24 @@ func BenchmarkCompileN3D3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := CompileCtx(context.Background(), c, latency.NewModel(), N3D3()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func TestCompileLeavesInputUntouched(t *testing.T) {
+	// Blocks share gate slices with the input circuit (critical.Block),
+	// so a compile must never edit a gate in place.
+	c := randomCircuit(3, 4, 30)
+	c.AddParam("rz", []float64{0.3}, 1)
+	c.AddParam("u3", []float64{0.1, 0.2, 0.3}, 2)
+	before := c.Clone()
+	for _, opts := range []Options{N3D3(), N3D5()} {
+		opts.Workers = 2
+		if _, err := CompileCtx(context.Background(), c, latency.NewModel(), opts); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(c, before) {
+			t.Fatalf("depth %d: compile modified its input circuit", opts.Depth)
 		}
 	}
 }

@@ -14,6 +14,11 @@ import (
 
 // Block is one node of the block circuit: a group of consecutive basis
 // gates scheduled as a single pulse.
+//
+// Gates share their Qubits and Params slices with the circuit the blocks
+// were built from (NewBlock and Merge copy gate headers, not their
+// slices). That is safe because no code edits a gate in place: every
+// rewrite of Qubits or Params works on a Gate.Clone.
 type Block struct {
 	Gates   []circuit.Gate
 	Qubits  []int   // sorted
@@ -26,7 +31,7 @@ type Block struct {
 // NewBlock wraps one gate as a block.
 func NewBlock(g circuit.Gate, lat float64) *Block {
 	return &Block{
-		Gates:   []circuit.Gate{g.Clone()},
+		Gates:   []circuit.Gate{g},
 		Qubits:  append([]int(nil), g.Qubits...),
 		Latency: lat,
 	}
@@ -41,12 +46,7 @@ func (b *Block) NumQubits() int { return len(b.Qubits) }
 // Merge concatenates a followed by b into a new block (latency unset).
 func Merge(a, b *Block) *Block {
 	gates := make([]circuit.Gate, 0, len(a.Gates)+len(b.Gates))
-	for _, g := range a.Gates {
-		gates = append(gates, g.Clone())
-	}
-	for _, g := range b.Gates {
-		gates = append(gates, g.Clone())
-	}
+	gates = append(append(gates, a.Gates...), b.Gates...)
 	set := map[int]bool{}
 	for _, q := range a.Qubits {
 		set[q] = true
@@ -92,6 +92,11 @@ func FromCircuit(c *circuit.Circuit, est func(*pulse.CustomGate) (float64, error
 	}
 	return bc, nil
 }
+
+// ReleaseDAG drops the cached dependence DAG; the next call that needs it
+// rebuilds it. Compilers call it on the block circuits they return, which
+// callers keep long after the search is over.
+func (bc *BlockCircuit) ReleaseDAG() { bc.dag, bc.dirty = nil, true }
 
 // DAG returns the block dependence DAG, rebuilding it after mutations.
 func (bc *BlockCircuit) DAG() *circuit.DAG {

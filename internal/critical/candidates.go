@@ -28,11 +28,12 @@ func (c MergeCase) String() string {
 
 // Candidate is a proposed two-block merge (the hierarchical search of
 // §V-A1 considers pairs; multi-gate groups emerge across iterations).
+// The merged block itself is built on demand with Merge: a search ranks
+// many candidates from cache and applies few.
 type Candidate struct {
-	I, J   int // block indices, J directly depends on I
-	Merged *Block
-	Case   MergeCase
-	Score  float64 // critical-path reduction; filled by the ranking step
+	I, J  int // block indices, J directly depends on I
+	Case  MergeCase
+	Score float64 // critical-path reduction; filled by the ranking step
 }
 
 // ValidMerge reports whether blocks i and j can be fused: j must directly
@@ -112,7 +113,7 @@ func (bc *BlockCircuit) Candidates(maxN int, pruneCaseIII bool) []Candidate {
 			if pruneCaseIII && mc == CaseIII {
 				continue
 			}
-			out = append(out, Candidate{I: i, J: j, Merged: Merge(bc.Blocks[i], bc.Blocks[j]), Case: mc})
+			out = append(out, Candidate{I: i, J: j, Case: mc})
 		}
 	}
 	return out
@@ -135,7 +136,7 @@ func (bc *BlockCircuit) PreprocessCandidates(maxN int) []Candidate {
 			jSub := subset(b.Qubits, a.Qubits) && len(dag.Preds[j]) == 1
 			iSub := subset(a.Qubits, b.Qubits) && len(dag.Succs[i]) == 1
 			if jSub || iSub {
-				out = append(out, Candidate{I: i, J: j, Merged: Merge(a, b), Case: CaseI})
+				out = append(out, Candidate{I: i, J: j, Case: CaseI})
 			}
 		}
 	}

@@ -235,7 +235,7 @@ func TestCPIfMergedMatchesReplaceMerge(t *testing.T) {
 		cand := cands[rng.Intn(len(cands))]
 		lab := 1 + rng.Float64()*20
 		predicted := bc.CPIfMerged(cand.I, cand.J, lab)
-		bc.ReplaceMerge(cand.I, cand.J, cand.Merged, lab, nil)
+		bc.ReplaceMerge(cand.I, cand.J, Merge(bc.Blocks[cand.I], bc.Blocks[cand.J]), lab, nil)
 		if got := bc.CriticalPath(); math.Abs(got-predicted) > 1e-9 {
 			t.Fatalf("trial %d: predicted CP %g, actual %g", trial, predicted, got)
 		}
@@ -273,7 +273,7 @@ func TestReplaceMergePreservesSemantics(t *testing.T) {
 				break
 			}
 			cand := cands[rng.Intn(len(cands))]
-			bc.ReplaceMerge(cand.I, cand.J, cand.Merged, 1, nil)
+			bc.ReplaceMerge(cand.I, cand.J, Merge(bc.Blocks[cand.I], bc.Blocks[cand.J]), 1, nil)
 		}
 		got, err := bc.Flatten().Unitary(4)
 		if err != nil {
@@ -295,7 +295,7 @@ func TestReplaceMergeKeepsLinearExtension(t *testing.T) {
 				break
 			}
 			cand := cands[rng.Intn(len(cands))]
-			bc.ReplaceMerge(cand.I, cand.J, cand.Merged, 1, nil)
+			bc.ReplaceMerge(cand.I, cand.J, Merge(bc.Blocks[cand.I], bc.Blocks[cand.J]), 1, nil)
 			// Every dependence edge must point forward in block order.
 			dag := bc.DAG()
 			for u, ss := range dag.Succs {
@@ -410,7 +410,7 @@ func TestTimelineMakespanEqualsCriticalPath(t *testing.T) {
 				break
 			}
 			c := cands[rng.Intn(len(cands))]
-			bc.ReplaceMerge(c.I, c.J, c.Merged, 1+rng.Float64()*9, nil)
+			bc.ReplaceMerge(c.I, c.J, Merge(bc.Blocks[c.I], bc.Blocks[c.J]), 1+rng.Float64()*9, nil)
 		}
 		tl, err := bc.Timeline()
 		if err != nil {

@@ -169,8 +169,8 @@ func Kernels() []KernelRecord {
 
 	// End-to-end compile seconds: the full 17-benchmark analytical sweep
 	// (the fig10/fig12 workload) with the specialized kernels disabled
-	// ("before") and enabled ("after"). The sweep's hot path is Weyl
-	// coordinates and unitary consolidation — 4- and 8-dim MulInto.
+	// ("before") and enabled ("after"). MulInto is a small share of this
+	// sweep's CPU, so the kernels move this row little.
 	specs := bench.All()
 	for _, fast := range []bool{false, true} {
 		name := "e2e.sweep17.generic"

@@ -3,83 +3,15 @@ package latency
 import (
 	"context"
 	"math"
-	"math/rand"
+	"sync"
 	"testing"
 
 	"paqoc/internal/circuit"
 	"paqoc/internal/pulse"
-	"paqoc/internal/quantum"
 	"paqoc/internal/topology"
 )
 
 const pi4 = math.Pi / 4
-
-func wantCoords(t *testing.T, name string, params []float64, want [3]float64) {
-	t.Helper()
-	u, err := quantum.GateUnitary(name, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := WeylCoordinates(u)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 0.01 {
-			t.Errorf("%s coords = %v, want ≈ %v", name, got, want)
-			return
-		}
-	}
-}
-
-func TestWeylKnownClasses(t *testing.T) {
-	wantCoords(t, "cx", nil, [3]float64{pi4, 0, 0})
-	wantCoords(t, "cz", nil, [3]float64{pi4, 0, 0})
-	wantCoords(t, "swap", nil, [3]float64{pi4, pi4, pi4})
-	wantCoords(t, "iswap", nil, [3]float64{pi4, pi4, 0})
-	wantCoords(t, "cp", []float64{math.Pi / 2}, [3]float64{math.Pi / 8, 0, 0})
-	wantCoords(t, "cp", []float64{math.Pi}, [3]float64{pi4, 0, 0}) // CP(π)=CZ
-}
-
-func TestWeylLocalGatesAreZero(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 10; i++ {
-		a := quantum.U3(rng.Float64()*math.Pi, rng.Float64(), rng.Float64())
-		b := quantum.U3(rng.Float64()*math.Pi, rng.Float64(), rng.Float64())
-		c, err := WeylCoordinates(a.Kron(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c[0] > 0.01 {
-			t.Errorf("local unitary got coords %v", c)
-		}
-	}
-}
-
-func TestWeylLocalInvariance(t *testing.T) {
-	// Conjugating CX by local gates must not change its class.
-	rng := rand.New(rand.NewSource(10))
-	for i := 0; i < 10; i++ {
-		k1 := quantum.U3(rng.Float64()*math.Pi, rng.Float64(), rng.Float64()).
-			Kron(quantum.U3(rng.Float64()*math.Pi, rng.Float64(), rng.Float64()))
-		k2 := quantum.U3(rng.Float64()*math.Pi, rng.Float64(), rng.Float64()).
-			Kron(quantum.U3(rng.Float64()*math.Pi, rng.Float64(), rng.Float64()))
-		u := k1.Mul(quantum.MatCX).Mul(k2)
-		c, err := WeylCoordinates(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(c[0]-pi4) > 0.01 || c[1] > 0.01 || c[2] > 0.01 {
-			t.Errorf("trial %d: locally-conjugated CX coords %v", i, c)
-		}
-	}
-}
-
-func TestWeylRejectsBadInput(t *testing.T) {
-	if _, err := WeylCoordinates(quantum.MatH); err == nil {
-		t.Error("2x2 input should be rejected")
-	}
-}
 
 func TestInteractionTimeFormula(t *testing.T) {
 	// CX and iSWAP both need π/2 coupling-time units; SWAP needs 3π/4.
@@ -269,16 +201,6 @@ func TestModelIdentityGroupNearFree(t *testing.T) {
 	}
 }
 
-func BenchmarkWeylCoordinatesCX(b *testing.B) {
-	u := quantum.MatCX
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := WeylCoordinates(u); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkModelGenerate(b *testing.B) {
 	g := mkGroup(
 		circuit.Gate{Name: "h", Qubits: []int{0}},
@@ -309,5 +231,68 @@ func TestModelPermutedHitLatencyIsGatePure(t *testing.T) {
 	if hit.Latency != fresh.Latency || hit.Error != fresh.Error {
 		t.Errorf("permuted hit echoed the stored twin: hit %v/%v, fresh %v/%v",
 			hit.Latency, hit.Error, fresh.Latency, fresh.Error)
+	}
+}
+
+func TestModelConcurrentGenerateMatchesSerial(t *testing.T) {
+	// Ranking probes share one Model (its Weyl cache and pulse DB) across
+	// the worker pool when paqoc.Config.Workers > 1.
+	var groups []*pulse.CustomGate
+	for i := 0; i < 12; i++ {
+		th := float64(i) * 0.37
+		groups = append(groups,
+			mkGroup(circuit.Gate{Name: "rz", Params: []float64{th}, Qubits: []int{0}}),
+			mkGroup(
+				circuit.Gate{Name: "cx", Qubits: []int{i % 2, 1 - i%2}},
+				circuit.Gate{Name: "rz", Params: []float64{th}, Qubits: []int{1}},
+				circuit.Gate{Name: "cx", Qubits: []int{0, 1}},
+			),
+			mkGroup(
+				circuit.Gate{Name: "cx", Qubits: []int{0, 1}},
+				circuit.Gate{Name: "ry", Params: []float64{th}, Qubits: []int{2}},
+				circuit.Gate{Name: "cx", Qubits: []int{1, 2}},
+				circuit.Gate{Name: "cx", Qubits: []int{0, 2}},
+			),
+		)
+	}
+	serial := make([]float64, len(groups))
+	ref := NewModel()
+	for i, g := range groups {
+		serial[i] = gen(t, ref, g).Latency
+	}
+
+	shared := NewModel()
+	const workers = 8
+	got := make([][]float64, workers)
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		got[w] = make([]float64, len(groups))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range groups {
+				i := (k + w*5) % len(groups) // different orders per goroutine
+				g, err := shared.GenerateCtx(context.Background(), groups[i], 0.999)
+				if err != nil {
+					errs <- err
+					return
+				}
+				got[w][i] = g.Latency
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for w := range got {
+		for i := range groups {
+			if got[w][i] != serial[i] {
+				t.Errorf("goroutine %d, %s: latency %v, serial %v", w, groups[i].Describe(), got[w][i], serial[i])
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@
 package latency
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -17,96 +18,106 @@ import (
 	"paqoc/internal/linalg"
 )
 
+// mat4 is a 4×4 complex matrix, row-major.
+type mat4 [4][4]complex128
+
 // magicBasis is the Bell ("magic") basis transform M: canonical two-qubit
 // gates are diagonal in this basis, so the spectrum of (M†UM)ᵀ(M†UM) is a
 // local-gate invariant that pins down the Weyl coordinates.
-var magicBasis = func() *linalg.Matrix {
+var magicBasis = func() mat4 {
 	s := complex(1/math.Sqrt2, 0)
 	i := complex(0, 1/math.Sqrt2)
-	return linalg.FromRows([][]complex128{
+	return mat4{
 		{s, 0, 0, i},
 		{0, i, s, 0},
 		{0, i, -s, 0},
 		{s, 0, 0, -i},
-	})
+	}
 }()
+
+// unitaryTol bounds the Frobenius norm ‖U†U − I‖ that WeylCoordinates
+// accepts. Products of exact gate matrices stay many orders of magnitude
+// below it; a matrix above it is not a unitary and has no Weyl class.
+const unitaryTol = 1e-8
+
+// chamberTol is how far outside the chamber π/2 ≥ c1 ≥ c2 ≥ c3 ≥ 0 a
+// spectrum-consistent image may fall, through eigenphase rounding and the
+// unitarity slack above, and still be clamped onto it.
+const chamberTol = 1e-6
+
+// coordQuantum is the grid WeylCoordinates rounds its result to. Rounding
+// noise in the eigenphases (~1e-15) would otherwise give locally
+// equivalent unitaries coordinates a few ulps apart, and break the exact
+// ties between equal merge scores in the compiler's ranking.
+const coordQuantum = 0x1p-32
+
+var (
+	// ErrNonFinite reports a NaN or infinite matrix entry.
+	ErrNonFinite = errors.New("latency: matrix has a non-finite entry")
+	// ErrNonUnitary reports a Frobenius norm ‖U†U − I‖ above 1e-8.
+	ErrNonUnitary = errors.New("latency: matrix is not unitary")
+)
 
 // WeylCoordinates returns the canonical-class coordinates (c1 ≥ c2 ≥ c3,
 // each in [0, π/2]) of a 4×4 unitary: u is locally equivalent to
 // exp(-i(c1·XX + c2·YY + c3·ZZ)). Among spectrum-consistent chamber points
 // it returns the one with the smallest XY-interaction time, which is the
 // quantity the latency model consumes.
+//
+// The coordinates follow in closed form from the eigenphases θ of
+// m = (M†UM)ᵀ(M†UM) (Zhang, Vala, Sastry & Whaley, PRA 67, 042313, 2003):
+// the canonical gate has m-spectrum {exp(i(s − 2l_k))} with
+// l = (c1−c2+c3, −c1+c2+c3, c1+c2−c3, −c1−c2−c3), s ∈ {0, π} the sign
+// left open by the SU(4) normalization. Every assignment of the phases to
+// l1..l3, every sign and every branch l_k = −(θ − s)/2 + n_k·π gives one
+// image c = ((l1+l3)/2, (l2+l3)/2, (l1+l2)/2), the fourth phase following
+// from det m = 1. Images inside the chamber are kept; the least
+// interaction time 2·c1 + c3 wins, ties going to the smaller c1 − c2, then
+// to the lexicographically smaller point. Mirror images are not folded.
+// The result is rounded to multiples of 2⁻³² rad.
+//
+// Inputs with a non-finite entry or ‖U†U − I‖ > 1e-8 are rejected
+// with ErrNonFinite or ErrNonUnitary.
 func WeylCoordinates(u *linalg.Matrix) ([3]float64, error) {
-	if u.Rows != 4 || u.Cols != 4 {
-		return [3]float64{}, fmt.Errorf("latency: WeylCoordinates wants a 4x4 unitary, got %dx%d", u.Rows, u.Cols)
-	}
-	// Normalize to SU(4).
-	det := det4(u)
-	if cmplx.Abs(det) < 1e-9 {
-		return [3]float64{}, fmt.Errorf("latency: matrix is singular")
-	}
-	su := u.Scale(1 / phaseRoot4(det))
-
-	ub := magicBasis.Dagger().Mul(su).Mul(magicBasis)
-	m := ub.Transpose().Mul(ub)
-	eig, err := eigenvalues4(m)
+	theta, err := magicPhases(u)
 	if err != nil {
 		return [3]float64{}, err
 	}
-	want := sortedPhases(eig)
-
-	// Search the Weyl chamber for coordinates whose canonical spectrum
-	// {exp(-2iλ_k(c))} matches, where the λ's are the Bell-state
-	// eigenvalues of c1·XX + c2·YY + c3·ZZ.
-	best := [3]float64{}
-	bestScore := math.Inf(1)
-	bestTime := math.Inf(1)
-	evaluate := func(c [3]float64) {
-		score := spectrumDistance(c, want)
-		t := 2*c[0] + c[2] // interaction-time objective, c sorted desc
-		const tol = 1e-4
-		if score < bestScore-tol || (score < bestScore+tol && t < bestTime) {
-			if score < bestScore {
-				bestScore = score
+	var best [3]float64
+	found := false
+	for _, s := range [2]float64{0, math.Pi} {
+		for _, p := range phaseAssignments {
+			var base [3]float64
+			for k := range base {
+				base[k] = -(theta[p[k]] - s) / 2
 			}
-			best, bestTime = c, t
-		}
-	}
-
-	const steps = 24
-	for i := 0; i <= steps; i++ {
-		for j := 0; j <= i; j++ {
-			for k := 0; k <= j; k++ {
-				c := [3]float64{
-					float64(i) * math.Pi / 2 / steps,
-					float64(j) * math.Pi / 2 / steps,
-					float64(k) * math.Pi / 2 / steps,
-				}
-				evaluate(c)
-			}
-		}
-	}
-	// Two refinement sweeps around the incumbent.
-	span := math.Pi / 2 / steps
-	for pass := 0; pass < 3; pass++ {
-		base := best
-		for di := -4; di <= 4; di++ {
-			for dj := -4; dj <= 4; dj++ {
-				for dk := -4; dk <= 4; dk++ {
-					c := [3]float64{
-						clampChamber(base[0] + float64(di)*span/4),
-						clampChamber(base[1] + float64(dj)*span/4),
-						clampChamber(base[2] + float64(dk)*span/4),
+			// base ∈ [−π/2, π], and a chamber point has l1 ∈ [0, π/2],
+			// l2 ∈ [−π/2, π/2], l3 ∈ [0, π]: branches −1..1 reach them.
+			for n1 := -1; n1 <= 1; n1++ {
+				l1 := base[0] + float64(n1)*math.Pi
+				for n2 := -1; n2 <= 1; n2++ {
+					l2 := base[1] + float64(n2)*math.Pi
+					for n3 := -1; n3 <= 1; n3++ {
+						l3 := base[2] + float64(n3)*math.Pi
+						c := [3]float64{(l1 + l3) / 2, (l2 + l3) / 2, (l1 + l2) / 2}
+						if c[0] > math.Pi/2+chamberTol || c[1] > c[0]+chamberTol ||
+							c[2] > c[1]+chamberTol || c[2] < -chamberTol {
+							continue
+						}
+						c = clampChamber(c)
+						if !found || lessImage(c, best) {
+							best, found = c, true
+						}
 					}
-					sort.Sort(sort.Reverse(sort.Float64Slice(c[:])))
-					evaluate(c)
 				}
 			}
 		}
-		span /= 4
 	}
-	if bestScore > 0.05 {
-		return best, fmt.Errorf("latency: Weyl search residual %.4f too large (non-unitary input?)", bestScore)
+	if !found {
+		return [3]float64{}, fmt.Errorf("latency: no Weyl-chamber point matches the spectrum %v", theta)
+	}
+	for k, v := range best {
+		best[k] = math.Min(math.Round(v/coordQuantum)*coordQuantum, math.Pi/2)
 	}
 	return best, nil
 }
@@ -120,77 +131,239 @@ func InteractionTime(c [3]float64) float64 { return 2*c[0] + c[2] }
 // local rotations (CX does, iSWAP does not).
 func LocalContent(c [3]float64) float64 { return c[0] - c[1] }
 
-func clampChamber(v float64) float64 {
-	if v < 0 {
-		return 0
+// magicPhases validates u and returns the sorted eigenphases of
+// m = (M†ŨM)ᵀ(M†ŨM), Ũ = u normalized to SU(4).
+func magicPhases(u *linalg.Matrix) ([4]float64, error) {
+	if u.Rows != 4 || u.Cols != 4 {
+		return [4]float64{}, fmt.Errorf("latency: WeylCoordinates wants a 4x4 unitary, got %dx%d", u.Rows, u.Cols)
 	}
-	if v > math.Pi/2 {
-		return math.Pi / 2
+	var a mat4
+	for r := range a {
+		for c := range a[r] {
+			v := u.At(r, c)
+			if math.IsNaN(real(v)) || math.IsNaN(imag(v)) || math.IsInf(real(v), 0) || math.IsInf(imag(v), 0) {
+				return [4]float64{}, ErrNonFinite
+			}
+			a[r][c] = v
+		}
+	}
+	// Written so that a NaN defect (overflowing entries) is rejected too.
+	if d := unitarityDefect(&a); !(d <= unitaryTol) {
+		return [4]float64{}, fmt.Errorf("%w: ‖U†U − I‖ = %.3g > %g", ErrNonUnitary, d, unitaryTol)
+	}
+	root := phaseRoot4(det4(u))
+	for r := range a {
+		for c := range a[r] {
+			a[r][c] /= root
+		}
+	}
+	ub := mul4(mul4(transpose4(magicBasis, true), a), magicBasis)
+	theta, err := symmetricUnitaryPhases(mul4(transpose4(ub, false), ub))
+	if err != nil {
+		return [4]float64{}, err
+	}
+	sort.Float64s(theta[:])
+	return theta, nil
+}
+
+// lessImage orders chamber images: least interaction time, then least
+// local content, then lexicographically. Differences within rounding of
+// equal values count as ties.
+func lessImage(a, b [3]float64) bool {
+	const tie = 1e-12
+	if ta, tb := InteractionTime(a), InteractionTime(b); math.Abs(ta-tb) > tie {
+		return ta < tb
+	}
+	if la, lb := LocalContent(a), LocalContent(b); math.Abs(la-lb) > tie {
+		return la < lb
+	}
+	for k := range a {
+		if a[k] != b[k] {
+			return a[k] < b[k]
+		}
+	}
+	return false
+}
+
+// clampChamber moves a point within chamberTol of the chamber onto it.
+func clampChamber(c [3]float64) [3]float64 {
+	for k, v := range c {
+		c[k] = math.Min(math.Max(v, 0), math.Pi/2)
+	}
+	// Restore c1 ≥ c2 ≥ c3 after clamping.
+	for _, k := range [3]int{0, 1, 0} {
+		if c[k] < c[k+1] {
+			c[k], c[k+1] = c[k+1], c[k]
+		}
+	}
+	return c
+}
+
+// phaseAssignments lists the 24 ordered choices of three of the four
+// eigenphases for l1, l2, l3.
+var phaseAssignments = func() [][3]int {
+	var out [][3]int
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			for k := 0; k < 4; k++ {
+				if i != j && i != k && j != k {
+					out = append(out, [3]int{i, j, k})
+				}
+			}
+		}
+	}
+	return out
+}()
+
+func mul4(a, b mat4) mat4 {
+	var out mat4
+	for r := range out {
+		for c := range out[r] {
+			var s complex128
+			for k := 0; k < 4; k++ {
+				s += a[r][k] * b[k][c]
+			}
+			out[r][c] = s
+		}
+	}
+	return out
+}
+
+// transpose4 returns mᵀ, or m† when conj is set.
+func transpose4(m mat4, conj bool) mat4 {
+	var out mat4
+	for r := range out {
+		for c := range out[r] {
+			out[r][c] = m[c][r]
+			if conj {
+				out[r][c] = cmplx.Conj(out[r][c])
+			}
+		}
+	}
+	return out
+}
+
+// unitarityDefect returns the Frobenius norm ‖A†A − I‖.
+func unitarityDefect(a *mat4) float64 {
+	var sum float64
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			var g complex128
+			for k := 0; k < 4; k++ {
+				g += cmplx.Conj(a[k][i]) * a[k][j]
+			}
+			if i == j {
+				g--
+			}
+			sum += real(g)*real(g) + imag(g)*imag(g)
+		}
+	}
+	return math.Sqrt(sum)
+}
+
+// pencilWeights are the μ tried by symmetricUnitaryPhases, irrational so
+// that no structured spectrum collides in Re m + μ·Im m.
+var pencilWeights = [...]float64{(math.Sqrt(5) - 1) / 2, math.E - 2, math.Pi - 3}
+
+// symmetricUnitaryPhases returns the eigenphases of a symmetric unitary m.
+// Its real and imaginary parts are commuting real symmetric matrices, so
+// one real orthogonal V diagonalizes both: V comes from Jacobi rotations
+// on Re m + μ·Im m, and the phases are those of diag(VᵀmV). Unlike
+// polynomial root-finding this stays accurate to rounding at repeated
+// eigenvalues (CX, SWAP, local gates). A μ under which two distinct
+// eigenvalues of m collide leaves VᵀmV visibly off-diagonal; the next μ
+// is tried then.
+func symmetricUnitaryPhases(m mat4) ([4]float64, error) {
+	for _, mu := range pencilWeights {
+		var p [4][4]float64
+		for r := range p {
+			for c := range p[r] {
+				// Symmetrize against rounding in the product ubᵀ·ub.
+				v := (m[r][c] + m[c][r]) / 2
+				p[r][c] = real(v) + mu*imag(v)
+			}
+		}
+		v := jacobiEigenvectors(p)
+		var d mat4
+		for r := range d {
+			for c := range d[r] {
+				var s complex128
+				for i := 0; i < 4; i++ {
+					for j := 0; j < 4; j++ {
+						s += complex(v[i][r]*v[j][c], 0) * m[i][j]
+					}
+				}
+				d[r][c] = s
+			}
+		}
+		var off float64
+		for r := range d {
+			for c := range d[r] {
+				if r != c {
+					off = math.Max(off, cmplx.Abs(d[r][c]))
+				}
+			}
+		}
+		if off > 1e-6 {
+			continue
+		}
+		var theta [4]float64
+		for k := range theta {
+			theta[k] = cmplx.Phase(d[k][k])
+		}
+		return theta, nil
+	}
+	return [4]float64{}, fmt.Errorf("latency: eigendecomposition of the magic-basis invariant failed")
+}
+
+// jacobiEigenvectors returns an orthogonal V with VᵀpV diagonal for a real
+// symmetric p, by cyclic Jacobi rotations (quadratically convergent; a
+// 4×4 needs a handful of sweeps).
+func jacobiEigenvectors(p [4][4]float64) [4][4]float64 {
+	var v [4][4]float64
+	for i := range v {
+		v[i][i] = 1
+	}
+	for sweep := 0; sweep < 32; sweep++ {
+		var off, diag float64
+		for i := 0; i < 4; i++ {
+			diag += p[i][i] * p[i][i]
+			for j := i + 1; j < 4; j++ {
+				off += p[i][j] * p[i][j]
+			}
+		}
+		if off <= 1e-32*diag || off == 0 {
+			break
+		}
+		for i := 0; i < 3; i++ {
+			for j := i + 1; j < 4; j++ {
+				if p[i][j] == 0 {
+					continue
+				}
+				// Rotation zeroing p[i][j] (Rutishauser's stable form).
+				h := (p[j][j] - p[i][i]) / (2 * p[i][j])
+				t := 1 / (math.Abs(h) + math.Sqrt(h*h+1))
+				if h < 0 {
+					t = -t
+				}
+				c := 1 / math.Sqrt(t*t+1)
+				s := t * c
+				for k := 0; k < 4; k++ {
+					pki, pkj := p[k][i], p[k][j]
+					p[k][i], p[k][j] = c*pki-s*pkj, s*pki+c*pkj
+				}
+				for k := 0; k < 4; k++ {
+					pik, pjk := p[i][k], p[j][k]
+					p[i][k], p[j][k] = c*pik-s*pjk, s*pik+c*pjk
+				}
+				for k := 0; k < 4; k++ {
+					vki, vkj := v[k][i], v[k][j]
+					v[k][i], v[k][j] = c*vki-s*vkj, s*vki+c*vkj
+				}
+			}
+		}
 	}
 	return v
-}
-
-// spectrumDistance compares the canonical spectrum of c against the target
-// phases, minimizing over the four global-phase rotations i^k.
-func spectrumDistance(c [3]float64, want []float64) float64 {
-	l1 := c[0] - c[1] + c[2]
-	l2 := -c[0] + c[1] + c[2]
-	l3 := c[0] + c[1] - c[2]
-	l4 := -(c[0] + c[1] + c[2])
-	base := []float64{-2 * l1, -2 * l2, -2 * l3, -2 * l4}
-	bestD := math.Inf(1)
-	// The SU(4) representative is fixed up to a factor i^k, so m is fixed
-	// up to (i^k)² = ±1: allow only the two sign rotations (allowing all
-	// four would conflate e.g. SWAP with the identity class).
-	for k := 0; k < 2; k++ {
-		shift := float64(k) * math.Pi
-		got := make([]float64, 4)
-		for i, p := range base {
-			got[i] = normAngle(p + shift)
-		}
-		sort.Float64s(got)
-		if d := phaseSetDistance(got, want); d < bestD {
-			bestD = d
-		}
-	}
-	return bestD
-}
-
-// phaseSetDistance sums squared chord distances between two sorted phase
-// multisets, minimizing over cyclic alignment (phases wrap at ±π).
-func phaseSetDistance(a, b []float64) float64 {
-	best := math.Inf(1)
-	n := len(a)
-	for off := 0; off < n; off++ {
-		var s float64
-		for i := 0; i < n; i++ {
-			d := 2 * math.Sin(normAngle(a[(i+off)%n]-b[i])/2)
-			s += d * d
-		}
-		if s < best {
-			best = s
-		}
-	}
-	return best
-}
-
-func normAngle(a float64) float64 {
-	for a > math.Pi {
-		a -= 2 * math.Pi
-	}
-	for a <= -math.Pi {
-		a += 2 * math.Pi
-	}
-	return a
-}
-
-func sortedPhases(eig []complex128) []float64 {
-	out := make([]float64, len(eig))
-	for i, v := range eig {
-		out[i] = cmplx.Phase(v)
-	}
-	sort.Float64s(out)
-	return out
 }
 
 // phaseRoot4 returns a fourth root of z with |z| folded in, used for SU(4)
@@ -212,61 +385,4 @@ func det4(m *linalg.Matrix) complex128 {
 		at(0, 1)*det3(1, 2, 3, 0, 2, 3) +
 		at(0, 2)*det3(1, 2, 3, 0, 1, 3) -
 		at(0, 3)*det3(1, 2, 3, 0, 1, 2)
-}
-
-// eigenvalues4 finds the eigenvalues of a 4×4 complex matrix via its
-// characteristic polynomial (Faddeev–LeVerrier) and Durand–Kerner root
-// iteration. Adequate for the unitary inputs used here.
-func eigenvalues4(m *linalg.Matrix) ([]complex128, error) {
-	// Faddeev–LeVerrier: p(x) = x⁴ + c3x³ + c2x² + c1x + c0.
-	i4 := linalg.Identity(4)
-	m1 := m.Clone()
-	c3 := -m1.Trace()
-	m2 := m.Mul(m1.Add(i4.Scale(c3)))
-	c2 := -m2.Trace() / 2
-	m3 := m.Mul(m2.Add(i4.Scale(c2)))
-	c1 := -m3.Trace() / 3
-	m4 := m.Mul(m3.Add(i4.Scale(c1)))
-	c0 := -m4.Trace() / 4
-
-	p := func(x complex128) complex128 {
-		return (((x+c3)*x+c2)*x+c1)*x + c0
-	}
-	// Durand–Kerner with the standard (0.4+0.9i)^k seeds.
-	roots := make([]complex128, 4)
-	seed := complex(0.4, 0.9)
-	roots[0] = seed
-	for i := 1; i < 4; i++ {
-		roots[i] = roots[i-1] * seed
-	}
-	for iter := 0; iter < 200; iter++ {
-		maxStep := 0.0
-		for i := range roots {
-			den := complex(1, 0)
-			for j := range roots {
-				if j != i {
-					den *= roots[i] - roots[j]
-				}
-			}
-			if cmplx.Abs(den) < 1e-18 {
-				roots[i] += complex(1e-6, 1e-6)
-				continue
-			}
-			step := p(roots[i]) / den
-			roots[i] -= step
-			if s := cmplx.Abs(step); s > maxStep {
-				maxStep = s
-			}
-		}
-		if maxStep < 1e-13 {
-			return roots, nil
-		}
-	}
-	// Verify residuals rather than failing on slow convergence.
-	for _, r := range roots {
-		if cmplx.Abs(p(r)) > 1e-6 {
-			return nil, fmt.Errorf("latency: eigenvalue iteration did not converge")
-		}
-	}
-	return roots, nil
 }

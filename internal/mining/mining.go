@@ -8,10 +8,12 @@
 package mining
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"paqoc/internal/circuit"
 	"paqoc/internal/obs"
@@ -97,12 +99,21 @@ func MineCtx(ctx context.Context, c *circuit.Circuit, opts Options) ([]Pattern, 
 	reg := obs.MetricsFrom(ctx)
 	bySig := enumerateBySig(ctx, c, opts)
 
-	var out []Pattern
-	for sig, embeds := range bySig {
-		if len(embeds) < opts.MinSupport {
+	n := 0
+	for _, l := range bySig {
+		if l.count() >= opts.MinSupport {
+			n++
+		}
+	}
+	out := make([]Pattern, 0, n)
+	for sig, l := range bySig {
+		// Drop each slab once read, so the slabs and the embeddings
+		// materialized from them are never all live at once.
+		delete(bySig, sig)
+		if l.count() < opts.MinSupport {
 			continue
 		}
-		sortEmbeddings(embeds)
+		embeds := l.sorted()
 		disjoint := greedyDisjoint(embeds)
 		if len(disjoint) < opts.MinSupport {
 			continue
@@ -136,17 +147,24 @@ func MineCtx(ctx context.Context, c *circuit.Circuit, opts Options) ([]Pattern, 
 // shared by MineCtx, MineCorpus, and the incremental Table, so all three
 // agree on signatures by construction. opts must already be validated and
 // filled.
-func enumerateBySig(ctx context.Context, c *circuit.Circuit, opts Options) map[string][][]int {
+func enumerateBySig(ctx context.Context, c *circuit.Circuit, opts Options) map[string]*embedList {
 	reg := obs.MetricsFrom(ctx)
 	enum := newEnumerator(c, opts)
 	enum.enumerated = reg.Counter("mining.subcircuits_enumerated")
 	enum.pruned = reg.Counter("mining.pruned_qubit_cap")
 
 	_, span := obs.StartSpan(ctx, "mining.enumerate")
-	bySig := make(map[string][][]int)
+	bySig := make(map[string]*embedList)
 	enum.run(func(set []int) {
 		sig := enum.signature(set)
-		bySig[sig] = append(bySig[sig], append([]int(nil), set...))
+		l := bySig[string(sig)] // no allocation for the lookup
+		if l == nil {
+			l = &embedList{stride: len(set)}
+			bySig[string(sig)] = l
+		}
+		for _, gi := range set {
+			l.flat = append(l.flat, int32(gi))
+		}
 	})
 	span.SetAttr("signatures", len(bySig))
 	span.SetAttr("overflow", enum.overflow)
@@ -157,13 +175,44 @@ func enumerateBySig(ctx context.Context, c *circuit.Circuit, opts Options) map[s
 	return bySig
 }
 
+// embedList holds one signature's embeddings back to back. Every
+// embedding of a signature has the same gate count (stride), so the
+// enumeration table keeps one int32 slab per signature rather than one
+// slice per embedding; callers materialize the embeddings they need.
+type embedList struct {
+	stride int
+	flat   []int32
+}
+
+// count returns the number of embeddings.
+func (l *embedList) count() int { return len(l.flat) / l.stride }
+
+// sorted materializes the embeddings in lexicographic order, as capped
+// sub-slices of one backing array.
+func (l *embedList) sorted() [][]int {
+	backing := make([]int, len(l.flat))
+	for i, gi := range l.flat {
+		backing[i] = int(gi)
+	}
+	out := make([][]int, l.count())
+	for k := range out {
+		out[k] = backing[k*l.stride : (k+1)*l.stride : (k+1)*l.stride]
+	}
+	sortEmbeddings(out)
+	return out
+}
+
 // enumerator walks connected gate sets.
 type enumerator struct {
 	c        *circuit.Circuit
 	opts     Options
-	adj      [][]int // undirected wire adjacency (immediate neighbours)
+	adj      [][]int  // undirected wire adjacency (immediate neighbours)
+	labels   []string // Gate.Label per gate, computed once
 	budget   int
 	overflow bool
+	emitBuf  []int // the sorted set handed to emit
+	qubits   []int // qubitsWith scratch
+	sig      sigScratch
 
 	enumerated *obs.Counter // connected sets emitted (nil-safe)
 	pruned     *obs.Counter // extensions rejected by the qubit cap
@@ -172,16 +221,19 @@ type enumerator struct {
 func newEnumerator(c *circuit.Circuit, opts Options) *enumerator {
 	dag := circuit.BuildDAG(c)
 	adj := make([][]int, len(c.Gates))
+	labels := make([]string, len(c.Gates))
 	for i := range adj {
 		adj[i] = append(append([]int(nil), dag.Preds[i]...), dag.Succs[i]...)
 		sort.Ints(adj[i])
+		labels[i] = c.Gates[i].Label()
 	}
-	return &enumerator{c: c, opts: opts, adj: adj, budget: opts.EnumLimit}
+	return &enumerator{c: c, opts: opts, adj: adj, labels: labels, budget: opts.EnumLimit}
 }
 
 // run invokes emit for every connected gate set with 2..MaxGates gates and
 // at most MaxQubits qubits, each set exactly once (standard connected-
-// subgraph enumeration anchored at the minimum element).
+// subgraph enumeration anchored at the minimum element). The set is
+// sorted ascending and only valid during the call.
 func (e *enumerator) run(emit func([]int)) {
 	n := len(e.c.Gates)
 	for s := 0; s < n && !e.overflow; s++ {
@@ -205,17 +257,13 @@ func (e *enumerator) grow(sub, cand []int, anchor int, emit func([]int)) {
 			e.overflow = true
 			return
 		}
-		sorted := append([]int(nil), sub...)
-		sort.Ints(sorted)
+		e.emitBuf = append(e.emitBuf[:0], sub...)
+		sort.Ints(e.emitBuf)
 		e.enumerated.Inc()
-		emit(sorted)
+		emit(e.emitBuf)
 	}
 	if len(sub) >= e.opts.MaxGates {
 		return
-	}
-	inSub := make(map[int]bool, len(sub))
-	for _, v := range sub {
-		inSub[v] = true
 	}
 	for i, v := range cand {
 		if e.qubitsWith(sub, v) > e.opts.MaxQubits {
@@ -225,17 +273,11 @@ func (e *enumerator) grow(sub, cand []int, anchor int, emit func([]int)) {
 		// New candidate list: remaining candidates plus v's unseen
 		// neighbours above the anchor.
 		next := append([]int(nil), cand[i+1:]...)
-		seen := make(map[int]bool, len(next))
-		for _, x := range next {
-			seen[x] = true
-		}
-		for _, x := range cand[:i+1] {
-			seen[x] = true
-		}
 		for _, nb := range e.adj[v] {
-			if nb > anchor && !inSub[nb] && !seen[nb] {
+			// Skip members, candidates already listed, and neighbours
+			// added above (sets are small: linear scans).
+			if nb > anchor && !slices.Contains(sub, nb) && !slices.Contains(cand, nb) && !slices.Contains(next[len(cand)-i-1:], nb) {
 				next = append(next, nb)
-				seen[nb] = true
 			}
 		}
 		child := make([]int, len(sub)+1)
@@ -245,96 +287,132 @@ func (e *enumerator) grow(sub, cand []int, anchor int, emit func([]int)) {
 	}
 }
 
+// qubitsWith counts the distinct qubits of sub plus gate extra.
 func (e *enumerator) qubitsWith(sub []int, extra int) int {
-	qs := map[int]bool{}
-	for _, gi := range sub {
+	qs := e.qubits[:0]
+	add := func(gi int) {
 		for _, q := range e.c.Gates[gi].Qubits {
-			qs[q] = true
+			if !slices.Contains(qs, q) {
+				qs = append(qs, q)
+			}
 		}
 	}
-	for _, q := range e.c.Gates[extra].Qubits {
-		qs[q] = true
+	for _, gi := range sub {
+		add(gi)
 	}
+	add(extra)
+	e.qubits = qs
 	return len(qs)
 }
 
 // signature canonicalizes a gate set: a deterministic topological order of
 // the induced wire structure with local qubit renaming by first
 // appearance. Each entry records the gate label and its operand wires, so
-// control/target roles (the paper's edge labels) are captured exactly.
-func (e *enumerator) signature(set []int) string {
-	// Induced per-qubit gate order.
-	inSet := make(map[int]bool, len(set))
-	for _, gi := range set {
-		inSet[gi] = true
+// control/target roles (the paper's edge labels) are captured exactly:
+// "label:w,w|label:w|…". The result lives in the enumerator's scratch and
+// is only valid until the next call. Sets are tiny (≤ MaxGates gates), so
+// the induced DAG is kept in slices indexed by set position.
+func (e *enumerator) signature(set []int) []byte {
+	s := &e.sig
+	k := len(set)
+	s.preds = append(s.preds[:0], make([]int, k)...)
+	for len(s.succs) < k {
+		s.succs = append(s.succs, nil)
 	}
-	perQubit := map[int][]int{}
-	for _, gi := range set { // set sorted ascending = program order
+	// Induced dependence edges: consecutive set gates on each wire.
+	s.wires = s.wires[:0]
+	for p, gi := range set { // set sorted ascending = program order
+		s.succs[p] = s.succs[p][:0]
 		for _, q := range e.c.Gates[gi].Qubits {
-			perQubit[q] = append(perQubit[q], gi)
-		}
-	}
-	// Induced dependence counts.
-	preds := make(map[int]int, len(set))
-	succs := make(map[int][]int, len(set))
-	for _, chain := range perQubit {
-		for k := 0; k+1 < len(chain); k++ {
-			u, v := chain[k], chain[k+1]
-			preds[v]++
-			succs[u] = append(succs[u], v)
+			if i := slices.IndexFunc(s.wires, func(w wire) bool { return w.q == q }); i >= 0 {
+				u := s.wires[i].last
+				s.preds[p]++
+				s.succs[u] = append(s.succs[u], p)
+				s.wires[i].last = p
+			} else {
+				s.wires = append(s.wires, wire{q, p})
+			}
 		}
 	}
 
-	ready := make([]int, 0, len(set))
-	for _, gi := range set {
-		if preds[gi] == 0 {
-			ready = append(ready, gi)
+	s.ready = s.ready[:0]
+	for p := range set {
+		if s.preds[p] == 0 {
+			s.ready = append(s.ready, p)
 		}
 	}
-	localQ := map[int]int{}
-	nextQ := 0
-	var parts []string
-	key := func(gi int) string {
-		g := e.c.Gates[gi]
-		ids := make([]string, len(g.Qubits))
-		for i, q := range g.Qubits {
-			if id, ok := localQ[q]; ok {
-				ids[i] = fmt.Sprint(id)
-			} else {
-				ids[i] = "?" // not yet named: compares equal across embeddings
-			}
-		}
-		return g.Label() + ":" + strings.Join(ids, ",")
-	}
-	for len(ready) > 0 {
+	s.local = s.local[:0]
+	s.out = s.out[:0]
+	for len(s.ready) > 0 {
 		// Deterministic choice: minimal canonical key, ties by index.
 		best := 0
-		bestKey := key(ready[0])
-		for i := 1; i < len(ready); i++ {
-			if k := key(ready[i]); k < bestKey || (k == bestKey && ready[i] < ready[best]) {
-				best, bestKey = i, k
+		s.best = e.appendKey(s.best[:0], set[s.ready[0]])
+		for i := 1; i < len(s.ready); i++ {
+			s.key = e.appendKey(s.key[:0], set[s.ready[i]])
+			if c := bytes.Compare(s.key, s.best); c < 0 || (c == 0 && s.ready[i] < s.ready[best]) {
+				best = i
+				s.key, s.best = s.best, s.key
 			}
 		}
-		gi := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		g := e.c.Gates[gi]
-		ids := make([]string, len(g.Qubits))
-		for i, q := range g.Qubits {
-			if _, ok := localQ[q]; !ok {
-				localQ[q] = nextQ
-				nextQ++
-			}
-			ids[i] = fmt.Sprint(localQ[q])
+		p := s.ready[best]
+		s.ready = append(s.ready[:best], s.ready[best+1:]...)
+		gi := set[p]
+		if len(s.out) > 0 {
+			s.out = append(s.out, '|')
 		}
-		parts = append(parts, g.Label()+":"+strings.Join(ids, ","))
-		for _, s := range succs[gi] {
-			preds[s]--
-			if preds[s] == 0 {
-				ready = append(ready, s)
+		s.out = append(s.out, e.labels[gi]...)
+		s.out = append(s.out, ':')
+		for i, q := range e.c.Gates[gi].Qubits {
+			id := slices.Index(s.local, q)
+			if id < 0 {
+				id = len(s.local)
+				s.local = append(s.local, q)
+			}
+			if i > 0 {
+				s.out = append(s.out, ',')
+			}
+			s.out = strconv.AppendInt(s.out, int64(id), 10)
+		}
+		for _, c := range s.succs[p] {
+			s.preds[c]--
+			if s.preds[c] == 0 {
+				s.ready = append(s.ready, c)
 			}
 		}
 	}
-	return strings.Join(parts, "|")
+	return s.out
+}
+
+// appendKey appends gate gi's ordering key: its label and operand wires,
+// "?" for a wire not yet named (compares equal across embeddings).
+func (e *enumerator) appendKey(b []byte, gi int) []byte {
+	b = append(b, e.labels[gi]...)
+	b = append(b, ':')
+	for i, q := range e.c.Gates[gi].Qubits {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if id := slices.Index(e.sig.local, q); id >= 0 {
+			b = strconv.AppendInt(b, int64(id), 10)
+		} else {
+			b = append(b, '?')
+		}
+	}
+	return b
+}
+
+// wire is a physical qubit and the last set position on it.
+type wire struct{ q, last int }
+
+// sigScratch is signature's reusable state.
+type sigScratch struct {
+	preds     []int   // per set position: unplaced in-set predecessors
+	succs     [][]int // per set position: in-set successor positions
+	wires     []wire  // qubits of the set
+	local     []int   // qubits in order of first appearance: index = local id
+	ready     []int
+	key, best []byte
+	out       []byte
 }
 
 func sortEmbeddings(embeds [][]int) {

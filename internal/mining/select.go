@@ -29,19 +29,24 @@ func Select(c *circuit.Circuit, patterns []Pattern, m int, minSupport int) []Sel
 	covered := make([]bool, len(c.Gates))
 	var out []Selection
 
+	// Every round re-scores every remaining pattern. The trial commits
+	// share one scratch state and two buffers, swapped when a trial wins;
+	// only the round's winner is copied out.
+	used := make([]bool, len(c.Gates))
+	var chosen, bestChosen [][]int
 	remaining := append([]Pattern(nil), patterns...)
 	for m < 0 || len(out) < m {
 		bestIdx := -1
-		var bestChosen [][]int
 		bestGain := 0
 		for pi, p := range remaining {
-			chosen := commitEmbeddings(c, dag, p.Embeddings, covered)
+			chosen = commitEmbeddings(dag, p.Embeddings, covered, used, chosen[:0])
 			if len(chosen) < minSupport {
 				continue
 			}
 			gain := len(chosen) * p.GateCount
 			if gain > bestGain || (gain == bestGain && bestIdx >= 0 && p.Signature < remaining[bestIdx].Signature) {
-				bestIdx, bestChosen, bestGain = pi, chosen, gain
+				bestIdx, bestGain = pi, gain
+				chosen, bestChosen = bestChosen, chosen
 			}
 		}
 		if bestIdx < 0 {
@@ -52,7 +57,7 @@ func Select(c *circuit.Circuit, patterns []Pattern, m int, minSupport int) []Sel
 				covered[gi] = true
 			}
 		}
-		out = append(out, Selection{Pattern: remaining[bestIdx], Chosen: bestChosen})
+		out = append(out, Selection{Pattern: remaining[bestIdx], Chosen: append([][]int(nil), bestChosen...)})
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
 	return out
@@ -74,10 +79,9 @@ func TunedM(c *circuit.Circuit, patterns []Pattern, minSupport int) int {
 }
 
 // commitEmbeddings greedily picks pairwise-disjoint, convex embeddings
-// avoiding already-covered gates.
-func commitEmbeddings(c *circuit.Circuit, dag *circuit.DAG, embeds [][]int, covered []bool) [][]int {
-	used := map[int]bool{}
-	var out [][]int
+// avoiding already-covered gates, appending them to out. used is scratch
+// of one flag per gate, all false on entry and on return.
+func commitEmbeddings(dag *circuit.DAG, embeds [][]int, covered, used []bool, out [][]int) [][]int {
 	for _, emb := range embeds {
 		ok := true
 		for _, gi := range emb {
@@ -94,6 +98,11 @@ func commitEmbeddings(c *circuit.Circuit, dag *circuit.DAG, embeds [][]int, cove
 		}
 		out = append(out, emb)
 	}
+	for _, emb := range out {
+		for _, gi := range emb {
+			used[gi] = false
+		}
+	}
 	return out
 }
 
@@ -103,30 +112,32 @@ func Convex(dag *circuit.DAG, emb []int) bool {
 	if len(emb) == 0 {
 		return true
 	}
-	inSet := map[int]bool{}
-	for _, gi := range emb {
-		inSet[gi] = true
-	}
 	lo, hi := emb[0], emb[len(emb)-1]
+	// One mark per gate in [lo, hi]: in the set, or an outside gate
+	// reachable from it (tainted).
+	const inSet, tainted = 1, 2
+	mark := make([]byte, hi-lo+1)
+	for _, gi := range emb {
+		mark[gi-lo] = inSet
+	}
 	// Forward-mark outside gates in (lo, hi) reachable from the set; if any
 	// marked outside gate feeds back into the set, the set is not convex.
-	tainted := map[int]bool{}
 	for v := lo; v <= hi; v++ {
-		src := inSet[v] || tainted[v]
-		if !src {
+		mv := mark[v-lo]
+		if mv == 0 {
 			continue
 		}
 		for _, s := range dag.Succs[v] {
 			if s > hi {
 				continue
 			}
-			if inSet[v] && !inSet[s] {
-				tainted[s] = true
-			} else if tainted[v] {
-				if inSet[s] {
+			if mv == inSet && mark[s-lo] != inSet {
+				mark[s-lo] = tainted
+			} else if mv == tainted {
+				if mark[s-lo] == inSet {
 					return false
 				}
-				tainted[s] = true
+				mark[s-lo] = tainted
 			}
 		}
 	}

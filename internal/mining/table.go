@@ -51,8 +51,9 @@ type sigStat struct {
 func mineStats(ctx context.Context, c *circuit.Circuit, opts Options) map[string]sigStat {
 	bySig := enumerateBySig(ctx, c, opts)
 	out := make(map[string]sigStat, len(bySig))
-	for sig, embeds := range bySig {
-		sortEmbeddings(embeds)
+	for sig, l := range bySig {
+		delete(bySig, sig) // release each slab once read
+		embeds := l.sorted()
 		disjoint := greedyDisjoint(embeds)
 		out[sig] = sigStat{
 			gateCount:  len(embeds[0]),

@@ -87,7 +87,7 @@ func (cp *Compiler) optimize(ctx context.Context, bc *critical.BlockCircuit) (in
 			for _, ci := range uncached {
 				ci := ci
 				g.Go(func(ctx context.Context) error {
-					lab, err := cp.candidateLatency(ctx, &cands[ci])
+					lab, err := cp.candidateLatency(ctx, bc, &cands[ci])
 					labs[ci] = lab
 					return err
 				})
@@ -199,11 +199,12 @@ func (cp *Compiler) preprocess(ctx context.Context, bc *critical.BlockCircuit) e
 			// Structural conditions should guarantee validity; fail safe.
 			return nil
 		}
-		lat, err := cp.rank(ctx, cand.Merged)
+		m := critical.Merge(bc.Blocks[cand.I], bc.Blocks[cand.J])
+		lat, err := cp.rank(ctx, m)
 		if err != nil {
 			return err
 		}
-		bc.ReplaceMerge(cand.I, cand.J, cand.Merged, lat, nil)
+		bc.ReplaceMerge(cand.I, cand.J, m, lat, nil)
 		preCtr.Inc()
 	}
 }
@@ -211,8 +212,8 @@ func (cp *Compiler) preprocess(ctx context.Context, bc *critical.BlockCircuit) e
 // candidateLatency estimates the merged latency for ranking, always via
 // the analytical model — the observations of §III-B exist precisely so
 // the search can rank without generating pulses.
-func (cp *Compiler) candidateLatency(ctx context.Context, cand *critical.Candidate) (float64, error) {
-	return cp.rank(ctx, cand.Merged)
+func (cp *Compiler) candidateLatency(ctx context.Context, bc *critical.BlockCircuit, cand *critical.Candidate) (float64, error) {
+	return cp.rank(ctx, critical.Merge(bc.Blocks[cand.I], bc.Blocks[cand.J]))
 }
 
 // applyLatency supplies the latency used when a merge is actually applied.

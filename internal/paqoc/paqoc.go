@@ -359,6 +359,7 @@ func (cp *Compiler) CompileCtx(ctx context.Context, phys *circuit.Circuit) (*Res
 	// §VI-B) plus the measured search/mining time.
 	res.CompileCost = cost + res.WallTime.Seconds()
 	res.NumBlocks = len(bc.Blocks)
+	bc.ReleaseDAG()
 	return res, nil
 }
 

@@ -3,6 +3,7 @@ package paqoc
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"paqoc/internal/circuit"
@@ -371,5 +372,26 @@ func TestWorkersDefaultSerialMatchesZero(t *testing.T) {
 	r1 := compile(t, c, cfg1)
 	if r0.Latency != r1.Latency || r0.NumBlocks != r1.NumBlocks || r0.Iterations != r1.Iterations {
 		t.Errorf("workers=0 vs 1 diverged: %+v vs %+v", r0, r1)
+	}
+}
+
+func TestCompileLeavesInputUntouched(t *testing.T) {
+	// Blocks share gate slices with the input circuit (critical.Block),
+	// so a compile must never edit a gate in place.
+	rng := rand.New(rand.NewSource(7))
+	c := swapHeavy(4, 2)
+	for i := 0; i < 12; i++ {
+		c.AddParam("rz", []float64{rng.Float64()}, rng.Intn(4))
+		c.Add("cx", i%3, i%3+1)
+	}
+	before := c.Clone()
+	for _, m := range []int{0, MInf} {
+		cfg := DefaultConfig()
+		cfg.M = m
+		cfg.Workers = 2
+		compile(t, c, cfg)
+		if !reflect.DeepEqual(c, before) {
+			t.Fatalf("M=%d: compile modified its input circuit", m)
+		}
 	}
 }

@@ -8,10 +8,10 @@ package pulse
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/cmplx"
 	"sort"
+	"strconv"
 	"strings"
 
 	"paqoc/internal/circuit"
@@ -199,8 +199,10 @@ func CanonicalKey(u *linalg.Matrix) string {
 			break
 		}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d:", u.Rows)
+	// Rows, then "re,im;" per entry, each number in its shortest 'g' form.
+	b := make([]byte, 0, 8+16*len(u.Data))
+	b = strconv.AppendInt(b, int64(u.Rows), 10)
+	b = append(b, ':')
 	for _, v := range u.Data {
 		w := v * phase
 		// Quantize to 5 decimals; fold -0 into +0.
@@ -212,7 +214,10 @@ func CanonicalKey(u *linalg.Matrix) string {
 		if im == 0 {
 			im = 0
 		}
-		fmt.Fprintf(&b, "%g,%g;", re, im)
+		b = strconv.AppendFloat(b, re, 'g', -1, 64)
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, im, 'g', -1, 64)
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }

@@ -2,7 +2,10 @@ package pulse
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/cmplx"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -104,6 +107,58 @@ func TestCanonicalKeyQuantization(t *testing.T) {
 	v.Data[0] += 1e-9 // below quantization
 	if CanonicalKey(u) != CanonicalKey(v) {
 		t.Error("tiny perturbation changed key")
+	}
+}
+
+// canonicalKeyFmt is CanonicalKey as first written with fmt, kept as the
+// oracle for the byte-identical strconv version.
+func canonicalKeyFmt(u *linalg.Matrix) string {
+	phase := complex(1, 0)
+	for _, v := range u.Data {
+		if cmplx.Abs(v) > 1e-7 {
+			phase = cmplx.Conj(v / complex(cmplx.Abs(v), 0))
+			break
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d:", u.Rows)
+	for _, v := range u.Data {
+		w := v * phase
+		re := math.Round(real(w)*1e5) / 1e5
+		im := math.Round(imag(w)*1e5) / 1e5
+		if re == 0 {
+			re = 0
+		}
+		if im == 0 {
+			im = 0
+		}
+		fmt.Fprintf(&b, "%g,%g;", re, im)
+	}
+	return b.String()
+}
+
+func TestCanonicalKeyMatchesFmtOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	specials := []float64{0, math.Copysign(0, -1), 1e-300, -1e-300, 4e-6, -6e-6, 1e300, -1e300, 1e21, 123456.789, math.Inf(1)}
+	entry := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return specials[rng.Intn(len(specials))]
+		case 1:
+			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+		default:
+			return rng.NormFloat64()
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		n := 2 << rng.Intn(3)
+		u := linalg.New(n, n)
+		for k := range u.Data {
+			u.Data[k] = complex(entry(), entry())
+		}
+		if got, want := CanonicalKey(u), canonicalKeyFmt(u); got != want {
+			t.Fatalf("key %q, fmt oracle %q", got, want)
+		}
 	}
 }
 
