@@ -198,6 +198,29 @@ func (bc *BlockCircuit) ReplaceMerge(i, j int, m *Block, lat float64, gen *pulse
 	bc.dirty = true
 }
 
+// Split replaces block i with one block per gate, in gate order, and
+// returns the new blocks. A block's gates are consecutive in program
+// order, so the list stays a linear extension of the rebuilt DAG. The new
+// blocks carry no latency or pulse, are not APA blocks, and keep their
+// gate's Origin index when the block's Origin tags line up with its gates.
+func (bc *BlockCircuit) Split(i int) []*Block {
+	b := bc.Blocks[i]
+	parts := make([]*Block, len(b.Gates))
+	for k, g := range b.Gates {
+		parts[k] = NewBlock(g, 0)
+		if len(b.Origin) == len(b.Gates) {
+			parts[k].Origin = []int{b.Origin[k]}
+		}
+	}
+	rebuilt := make([]*Block, 0, len(bc.Blocks)+len(parts)-1)
+	rebuilt = append(rebuilt, bc.Blocks[:i]...)
+	rebuilt = append(rebuilt, parts...)
+	rebuilt = append(rebuilt, bc.Blocks[i+1:]...)
+	bc.Blocks = rebuilt
+	bc.dirty = true
+	return parts
+}
+
 // Clone deep-copies the block circuit (generated pulses are shared).
 func (bc *BlockCircuit) Clone() *BlockCircuit {
 	out := &BlockCircuit{NumQubits: bc.NumQubits, dirty: true}

@@ -424,3 +424,42 @@ func TestTimelineMakespanEqualsCriticalPath(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitRestoresGateBlocks: splitting a merged block puts its gates
+// back as single-gate blocks in its place. The flattened circuit is
+// unchanged, Origin tags follow their gates, and the rebuilt DAG gives
+// the critical path of the split blocks.
+func TestSplitRestoresGateBlocks(t *testing.T) {
+	bc := fromGates(t, 3, func(c *circuit.Circuit) {
+		c.Add("h", 0)     // 0
+		c.Add("cx", 0, 1) // 1
+		c.Add("x", 2)     // 2
+		c.Add("cx", 1, 2) // 3
+		c.Add("h", 1)     // 4
+	})
+	want := bc.Flatten()
+	m := Merge(bc.Blocks[0], bc.Blocks[1])
+	bc.ReplaceMerge(0, 1, m, 1, nil)
+	if got := bc.CriticalPath(); got != 3 {
+		t.Fatalf("merged CP = %g, want 3", got)
+	}
+	parts := bc.Split(0)
+	if len(parts) != 2 || len(bc.Blocks) != 5 {
+		t.Fatalf("split gave %d parts and %d blocks, want 2 and 5", len(parts), len(bc.Blocks))
+	}
+	for k, b := range parts {
+		if bc.Blocks[k] != b || len(b.Gates) != 1 || b.APA || b.Gen != nil || len(b.Origin) != 1 || b.Origin[0] != k {
+			t.Fatalf("part %d: %+v not a fresh single-gate block in place", k, b)
+		}
+		b.Latency = 1
+	}
+	got := bc.Flatten()
+	for i := range want.Gates {
+		if got.Gates[i].String() != want.Gates[i].String() {
+			t.Fatalf("gate %d after split: %s, want %s", i, got.Gates[i], want.Gates[i])
+		}
+	}
+	if got := bc.CriticalPath(); got != 4 {
+		t.Errorf("CP after split = %g, want 4 (the DAG must be rebuilt)", got)
+	}
+}

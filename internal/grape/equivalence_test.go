@@ -2,6 +2,7 @@ package grape
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"paqoc/internal/hamiltonian"
@@ -122,5 +123,41 @@ func TestOptimizeIterationAllocs(t *testing.T) {
 	if refPerIter < 5*(arenaPerIter+1) {
 		t.Errorf("allocation win too small: reference %.1f/iter vs arena %.2f/iter (need ≥5×)",
 			refPerIter, arenaPerIter)
+	}
+}
+
+// TestTraceListsIndexedOncePerArena gates the sparse gradient traces'
+// allocation contract: a duration probe on an arena that has already
+// indexed the system allocates strictly less than one that must index it,
+// so a minimum-time search builds the lists once, not once per probe. It
+// also pins the sparse traces to the dense traceProduct bit for bit.
+func TestTraceListsIndexedOncePerArena(t *testing.T) {
+	sys := hamiltonian.XYTransmon(3, hamiltonian.LinearChain(3))
+	target := quantum.MatCCX
+	opts := Options{MaxIter: 2, Seed: 1, TargetFidelity: 2} // unreachable: full run
+	ctx := context.Background()
+	ar := newArena()
+	optimize(ctx, sys, target, 8, opts, ar)
+
+	warm := testing.AllocsPerRun(5, func() { optimize(ctx, sys, target, 8, opts, ar) })
+	reindexed := testing.AllocsPerRun(5, func() {
+		ar.traceSys = nil
+		optimize(ctx, sys, target, 8, opts, ar)
+	})
+	t.Logf("allocs per probe: warm %v, re-indexing %v", warm, reindexed)
+	if warm >= reindexed {
+		t.Errorf("warm probe allocates %v, re-indexing probe %v: the trace lists are rebuilt per probe", warm, reindexed)
+	}
+
+	a := linalg.New(sys.Dim, sys.Dim)
+	for i := range a.Data {
+		a.Data[i] = complex(float64(i%7)-3.25, float64(i%5)*0.5-1)
+	}
+	for k, c := range sys.Controls {
+		got, want := sparseTrace(a, ar.traces[k]), traceProduct(a, c.H)
+		if math.Float64bits(real(got)) != math.Float64bits(real(want)) ||
+			math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
+			t.Errorf("control %s: sparse trace %v, dense %v", c.Name, got, want)
+		}
 	}
 }

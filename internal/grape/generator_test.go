@@ -2,9 +2,11 @@ package grape
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"paqoc/internal/circuit"
+	"paqoc/internal/device"
 	"paqoc/internal/hamiltonian"
 	"paqoc/internal/obs"
 	"paqoc/internal/pulse"
@@ -120,5 +122,36 @@ func TestPermutedHitMissingChannelRegenerates(t *testing.T) {
 	}
 	if n := reg.Counter("grape.generated").Value(); n != 1 {
 		t.Errorf("grape.generated = %d after exact hit, want still 1", n)
+	}
+}
+
+// TestUnreachableMergedBlockReturnsSentinel: a SWAP-class merged block
+// that the analytical model accepts but GRAPE cannot realize at 0.99
+// within MaxSlices on xy-grid-2x2 (the failing request of the
+// serve_replay benchmark) returns pulse.ErrFidelityUnreachable, so the
+// paqoc emitter can split it instead of failing the compile.
+func TestUnreachableMergedBlockReturnsSentinel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full minimum-time search")
+	}
+	prof, err := device.Lookup("xy-grid-2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := NewGenerator(DefaultOptions())
+	gen.Topo = prof.Topology()
+	gen.System = prof.SystemBuilder()
+	c := circuit.New(2)
+	c.Add("sx", 1)
+	c.AddParam("rz", []float64{2.17891}, 1)
+	c.Add("sx", 1)
+	c.AddParam("rz", []float64{3.75931}, 1)
+	c.AddParam("rz", []float64{2.41579}, 1)
+	c.Add("cx", 0, 1)
+	c.Add("cx", 1, 0)
+	c.Add("cx", 0, 1)
+	_, err = gen.GenerateCtx(context.Background(), pulse.NewCustomGate(c.Gates), 0.99)
+	if !errors.Is(err, pulse.ErrFidelityUnreachable) {
+		t.Fatalf("error %v, want pulse.ErrFidelityUnreachable in its chain", err)
 	}
 }

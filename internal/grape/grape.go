@@ -147,6 +147,19 @@ type arena struct {
 	seedN       int
 	seedProps   bool
 	propsAlt    []*linalg.Matrix
+
+	// traces[k] lists control k's nonzero generator entries for the
+	// gradient traces (sparseTrace), indexed once per system: every
+	// probe of a minimum-time search shares traceSys.
+	traceSys *hamiltonian.System
+	traces   [][]traceEntry
+}
+
+// traceEntry is one nonzero entry v = H[r][c] of a control generator and
+// the index at = c·n+r of the X_j·C_j entry it multiplies in tr(X_j·C_j·H).
+type traceEntry struct {
+	at int32
+	v  complex128
 }
 
 // workerState is one parallel worker's private scratch.
@@ -204,6 +217,51 @@ func (ar *arena) ensure(dim, nc, slices, workers int) {
 			st.sliceAmps = st.sliceAmps[:nc]
 		}
 	}
+}
+
+// indexTraces lists each control generator's nonzero entries in
+// traceProduct's (i, k) order, unless the arena already holds sys's lists.
+// One slab holds every list, so indexing a system allocates twice.
+func (ar *arena) indexTraces(sys *hamiltonian.System) {
+	if ar.traceSys == sys {
+		return
+	}
+	n := sys.Dim
+	count := 0
+	for _, c := range sys.Controls {
+		for _, v := range c.H.Data {
+			if v != 0 {
+				count++
+			}
+		}
+	}
+	slab := make([]traceEntry, 0, count)
+	ar.traces = make([][]traceEntry, len(sys.Controls))
+	for k, c := range sys.Controls {
+		start := len(slab)
+		for i := 0; i < n; i++ {
+			for r := 0; r < n; r++ {
+				if v := c.H.Data[r*n+i]; v != 0 {
+					slab = append(slab, traceEntry{at: int32(i*n + r), v: v})
+				}
+			}
+		}
+		ar.traces[k] = slab[start:len(slab):len(slab)]
+	}
+	ar.traceSys = sys
+}
+
+// sparseTrace returns tr(A·H) for the generator H listed in h: the terms
+// of traceProduct(A, H) whose H entry is nonzero, in the same order. The
+// result is bit-identical to traceProduct's for finite A, because every
+// skipped term is a product with zero and the running sum, starting at
+// +0, never holds −0.
+func sparseTrace(a *linalg.Matrix, h []traceEntry) complex128 {
+	var t complex128
+	for _, e := range h {
+		t += a.Data[e.at] * e.v
+	}
+	return t
 }
 
 func growRows(rows [][]float64, nc, slices int) [][]float64 {
@@ -264,6 +322,8 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 		prevProps = ar.propsAlt
 	}
 	ar.ensure(sys.Dim, nc, slices, workers)
+	ar.indexTraces(sys)
+	traces := ar.traces
 
 	amps := ar.amps
 	for k := range amps {
@@ -420,7 +480,7 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 				for j := lo; j < hi; j++ {
 					linalg.MulInto(st.d, fwd[j+1], bwd[j])
 					for k := 0; k < nc; k++ {
-						t := traceProduct(st.d, sys.Controls[k].H)
+						t := sparseTrace(st.d, traces[k])
 						val := complex(0, -dt) * t
 						grads[k][j] = 2 / (dim * dim) * (real(overlap)*real(val) + imag(overlap)*imag(val))
 					}
@@ -438,7 +498,7 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 			for j := slices - 1; j >= 0; j-- {
 				linalg.MulInto(ar.d, fwd[j+1], c) // X_j · C_j
 				for k := 0; k < nc; k++ {
-					t := traceProduct(ar.d, sys.Controls[k].H)
+					t := sparseTrace(ar.d, traces[k])
 					val := complex(0, -dt) * t
 					g := 2 / (dim * dim) * (real(overlap)*real(val) + imag(overlap)*imag(val))
 					grads[k][j] = g
@@ -535,18 +595,6 @@ func alignGuess(sys *hamiltonian.System, sched *pulse.Schedule) [][]float64 {
 	return out
 }
 
-// traceProduct returns tr(A·B) without forming the product.
-func traceProduct(a, b *linalg.Matrix) complex128 {
-	var t complex128
-	n := a.Rows
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			t += a.Data[i*n+k] * b.Data[k*n+i]
-		}
-	}
-	return t
-}
-
 func cloneAmps(a [][]float64) [][]float64 {
 	out := make([][]float64, len(a))
 	for k := range a {
@@ -627,8 +675,8 @@ func MinimumTimeCtx(ctx context.Context, sys *hamiltonian.System, target *linalg
 			break
 		}
 		if hi >= opts.MaxSlices {
-			return nil, 0, 0, fmt.Errorf("grape: fidelity %.6f below target %.6f at max duration %d slices",
-				hiRes.Fidelity, opts.TargetFidelity, hi)
+			return nil, 0, 0, fmt.Errorf("grape: fidelity %.6f below target %.6f at max duration %d slices: %w",
+				hiRes.Fidelity, opts.TargetFidelity, hi, pulse.ErrFidelityUnreachable)
 		}
 		lo = hi + 1
 		hi *= 2

@@ -115,3 +115,16 @@ func OptimizeReference(sys *hamiltonian.System, target *linalg.Matrix, slices in
 	}
 	return best
 }
+
+// traceProduct returns tr(A·B) without forming the product: the dense
+// gradient trace that sparseTrace reproduces bit for bit.
+func traceProduct(a, b *linalg.Matrix) complex128 {
+	var t complex128
+	n := a.Rows
+	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			t += a.Data[i*n+k] * b.Data[k*n+i]
+		}
+	}
+	return t
+}

@@ -73,11 +73,34 @@ func (p Params) DriveBound() float64 {
 // Params fall back to DefaultParams).
 func (p Params) IsZero() bool { return p == Params{} }
 
-// Control is one controllable term α_k(t)·H_k.
+// Control is one controllable term α_k(t)·H_k. Controls are built by the
+// System constructors, which index H's nonzero entries for
+// HamiltonianInto; H must not be modified afterwards.
 type Control struct {
 	Name  string
 	H     *linalg.Matrix // Hermitian generator on the full system space
 	Bound float64        // |α_k| ≤ Bound, in rad/dt
+
+	nz []int32 // indices into H.Data of its nonzero entries, ascending
+}
+
+// newControl builds a control and indexes its generator's nonzero
+// entries. The index is non-nil even for an all-zero H, so
+// HamiltonianInto can tell a control built here from a bare literal.
+func newControl(name string, h *linalg.Matrix, bound float64) Control {
+	count := 0
+	for _, v := range h.Data {
+		if v != 0 {
+			count++
+		}
+	}
+	nz := make([]int32, 0, count)
+	for i, v := range h.Data {
+		if v != 0 {
+			nz = append(nz, int32(i))
+		}
+	}
+	return Control{Name: name, H: h, Bound: bound, nz: nz}
 }
 
 // System is a concrete instance of Eq. (1) for a (sub)set of qubits.
@@ -110,16 +133,9 @@ func XYTransmonWith(params Params, n int, pairs [][2]int) *System {
 
 	half := complex(0.5, 0)
 	for q := 0; q < n; q++ {
-		sys.Controls = append(sys.Controls, Control{
-			Name:  fmt.Sprintf("d%d.x", q),
-			H:     quantum.Embed(quantum.MatX.Scale(half), []int{q}, n),
-			Bound: driveBound,
-		})
-		sys.Controls = append(sys.Controls, Control{
-			Name:  fmt.Sprintf("d%d.y", q),
-			H:     quantum.Embed(quantum.MatY.Scale(half), []int{q}, n),
-			Bound: driveBound,
-		})
+		sys.Controls = append(sys.Controls,
+			newControl(fmt.Sprintf("d%d.x", q), quantum.Embed(quantum.MatX.Scale(half), []int{q}, n), driveBound),
+			newControl(fmt.Sprintf("d%d.y", q), quantum.Embed(quantum.MatY.Scale(half), []int{q}, n), driveBound))
 	}
 	for _, p := range pairs {
 		if p[0] == p[1] || p[0] < 0 || p[1] < 0 || p[0] >= n || p[1] >= n {
@@ -128,11 +144,8 @@ func XYTransmonWith(params Params, n int, pairs [][2]int) *System {
 		xx := quantum.MatX.Kron(quantum.MatX)
 		yy := quantum.MatY.Kron(quantum.MatY)
 		gen := xx.Add(yy).Scale(half)
-		sys.Controls = append(sys.Controls, Control{
-			Name:  fmt.Sprintf("c%d.%d.xy", p[0], p[1]),
-			H:     quantum.Embed(gen, []int{p[0], p[1]}, n),
-			Bound: couplingBound,
-		})
+		sys.Controls = append(sys.Controls,
+			newControl(fmt.Sprintf("c%d.%d.xy", p[0], p[1]), quantum.Embed(gen, []int{p[0], p[1]}, n), couplingBound))
 	}
 	return sys
 }
@@ -168,16 +181,29 @@ func (s *System) Hamiltonian(amps []float64) *linalg.Matrix {
 }
 
 // HamiltonianInto assembles H(t) into dst (Dim×Dim), without allocating.
+// Each control adds a·H_k over H_k's indexed nonzero entries only, scaling
+// both parts by the real amplitude a: the embedded Pauli generators are
+// 1/8 to 1/16 nonzero. Against the dense complex accumulate
+// dst += (a+0i)·H_k this can change only the sign of a zero entry, which
+// no propagator reads (DESIGN.md, "Fused Taylor step").
 func (s *System) HamiltonianInto(dst *linalg.Matrix, amps []float64) {
 	if len(amps) != len(s.Controls) {
 		panic(fmt.Sprintf("hamiltonian: %d amps for %d controls", len(amps), len(s.Controls)))
 	}
 	dst.CopyFrom(s.Drift)
 	for k, c := range s.Controls {
-		if amps[k] == 0 {
+		if c.nz == nil {
+			panic(fmt.Sprintf("hamiltonian: control %q was not built by a System constructor", c.Name))
+		}
+		a := amps[k]
+		if a == 0 {
 			continue
 		}
-		dst.AddInPlace(c.H, complex(amps[k], 0))
+		h := c.H.Data[:len(dst.Data)]
+		for _, i := range c.nz {
+			v := h[i]
+			dst.Data[i] += complex(a*real(v), a*imag(v))
+		}
 	}
 }
 

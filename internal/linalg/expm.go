@@ -96,13 +96,14 @@ func ExpmInto(dst, m *Matrix, ws *Workspace) {
 	ScaleInto(scaled, m, complex(math.Ldexp(1, -squarings), 0))
 
 	// Taylor series: I + A + A²/2! + …; with ‖A‖ ≤ 0.5 convergence is fast.
+	// Each step is one product and one fused pass (taylorStep); the
+	// product lands in tmp, which then becomes the next term.
 	IdentityInto(dst)
 	IdentityInto(term)
 	for k := 1; k <= 24; k++ {
 		MulInto(tmp, term, scaled)
-		ScaleInto(term, tmp, complex(1/float64(k), 0))
-		dst.AddInPlace(term, 1)
-		if term.MaxAbs() < 1e-18 {
+		term, tmp = tmp, term
+		if taylorStep(dst.Data, term.Data, 1/float64(k)) {
 			break
 		}
 	}
@@ -110,6 +111,37 @@ func ExpmInto(dst, m *Matrix, ws *Workspace) {
 		MulInto(tmp, dst, dst)
 		copy(dst.Data, tmp.Data)
 	}
+}
+
+// taylorStep scales the series term t in place by the real r, adds it into
+// dst, and reports whether every scaled entry has modulus below 1e-18 —
+// the stopping rule of a separate ScaleInto(·, complex(r, 0)), AddInPlace
+// and MaxAbs, in one pass and bit for bit (DESIGN.md, "Fused Taylor step"):
+//
+//   - A real scale differs from the complex product by (r, 0) only in the
+//     sign of zero parts, and neither dst (an identity plus sums) nor a
+//     MulInto result ever holds −0, so sums and products come out equal.
+//   - |v| = hypot(re, im) lies in [m, 1.415·m] for m = max(|re|, |im|),
+//     so m ≥ 1e-18 fails the rule and m < 0.5e-18 passes it; only the
+//     entries in between pay for cmplx.Abs.
+func taylorStep(dst, t []complex128, r float64) bool {
+	converged := true
+	dst = dst[:len(t)]
+	for i, v := range t {
+		v = complex(real(v)*r, imag(v)*r)
+		t[i] = v
+		dst[i] += v
+		if converged {
+			m := math.Abs(real(v))
+			if a := math.Abs(imag(v)); a > m {
+				m = a
+			}
+			if m >= 1e-18 || m >= 0.5e-18 && cmplx.Abs(v) >= 1e-18 {
+				converged = false
+			}
+		}
+	}
+	return converged
 }
 
 // ExpmHermitian returns e^(-i·H·t) for Hermitian H: the unitary propagator

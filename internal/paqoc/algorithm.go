@@ -2,11 +2,13 @@ package paqoc
 
 import (
 	"context"
+	"errors"
 	"sort"
 
 	"paqoc/internal/critical"
 	"paqoc/internal/engine"
 	"paqoc/internal/obs"
+	"paqoc/internal/pulse"
 )
 
 // optimize runs Algorithm 1: iteratively rank two-block merge candidates by
@@ -163,6 +165,10 @@ func (cp *Compiler) optimize(ctx context.Context, bc *critical.BlockCircuit) (in
 			}
 			m := critical.Merge(bc.Blocks[i], bc.Blocks[j])
 			lab, err := cp.applyLatency(ctx, m)
+			if errors.Is(err, pulse.ErrFidelityUnreachable) {
+				rejectedCtr.Inc()
+				continue // the Case II probe cannot realize this merge
+			}
 			if err != nil {
 				return iters, err
 			}

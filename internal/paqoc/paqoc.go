@@ -7,7 +7,9 @@ package paqoc
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"paqoc/internal/circuit"
@@ -297,9 +299,27 @@ func (cp *Compiler) CompileCtx(ctx context.Context, phys *circuit.Circuit) (*Res
 	if p, ok := cp.Gen.(pulse.DBProvider); ok {
 		pulseDB = p.PulseDB()
 	}
+	// A merged block the generator cannot realize at the fidelity target
+	// within its duration budget (the analytical model accepted a merge
+	// GRAPE cannot reach) is not a failed compile: it is recorded here and
+	// emitted as its gates after the parallel phases. Context errors and
+	// single-gate failures still fail the job.
+	var (
+		unreachableMu sync.Mutex
+		unreachable   map[*critical.Block]bool
+	)
 	emit := func(ctx context.Context, b *critical.Block) error {
 		gen, err := cp.Gen.GenerateCtx(ctx, b.Custom(), cp.Cfg.FidelityTarget)
 		if err != nil {
+			if len(b.Gates) > 1 && errors.Is(err, pulse.ErrFidelityUnreachable) {
+				unreachableMu.Lock()
+				if unreachable == nil {
+					unreachable = map[*critical.Block]bool{}
+				}
+				unreachable[b] = true
+				unreachableMu.Unlock()
+				return nil
+			}
 			// %w: callers classify deadline/cancel from the error chain.
 			return fmt.Errorf("paqoc: generating pulses for %s: %w", b.Custom().Describe(), err)
 		}
@@ -313,9 +333,9 @@ func (cp *Compiler) CompileCtx(ctx context.Context, phys *circuit.Circuit) (*Res
 		b.Latency = gen.Latency
 		return nil
 	}
-	emitPhase := func(apa bool) error {
+	emitPhase := func(blocks []*critical.Block, apa bool) error {
 		g, _ := engine.WithContext(ectx, cp.workers())
-		for _, b := range bc.Blocks {
+		for _, b := range blocks {
 			if b.APA == apa {
 				b := b
 				g.Go(func(ctx context.Context) error { return emit(ctx, b) })
@@ -324,7 +344,25 @@ func (cp *Compiler) CompileCtx(ctx context.Context, phys *circuit.Circuit) (*Res
 		return g.Wait()
 	}
 	for _, apa := range []bool{true, false} {
-		if err := emitPhase(apa); err != nil {
+		if err := emitPhase(bc.Blocks, apa); err != nil {
+			emitSpan.End()
+			return nil, err
+		}
+	}
+	if len(unreachable) > 0 {
+		// Split in block order, so the fallback is deterministic for any
+		// worker count.
+		var parts []*critical.Block
+		for i := 0; i < len(bc.Blocks); i++ {
+			if unreachable[bc.Blocks[i]] {
+				split := bc.Split(i)
+				parts = append(parts, split...)
+				i += len(split) - 1
+			}
+		}
+		obs.MetricsFrom(ctx).Counter("paqoc.emit.split_fallbacks").Add(int64(len(unreachable)))
+		emitSpan.SetAttr("split_fallbacks", len(unreachable))
+		if err := emitPhase(parts, false); err != nil {
 			emitSpan.End()
 			return nil, err
 		}

@@ -8,6 +8,7 @@ package pulse
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/cmplx"
 	"sort"
@@ -141,6 +142,13 @@ func (cg *CustomGate) Describe() string {
 type Generator interface {
 	GenerateCtx(ctx context.Context, cg *CustomGate, fidelityTarget float64) (*Generated, error)
 }
+
+// ErrFidelityUnreachable is wrapped (%w) by a Generator that could not
+// realize a customized gate at the fidelity target within its duration
+// budget. It is a property of the gate group, not a transient fault: the
+// paqoc emitter answers it by emitting a multi-gate group's gates one by
+// one.
+var ErrFidelityUnreachable = errors.New("fidelity target unreachable within the duration budget")
 
 // DBProvider is implemented by generators backed by a pulse database
 // (grape.Generator, latency.Model). The paqoc emitter uses it to reach

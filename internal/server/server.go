@@ -710,7 +710,7 @@ func preregisterMetrics(r *obs.Registry) {
 		"server.jobs_panicked", "server.db_snapshots",
 		"paqoc.merge.rounds", "paqoc.merge.candidates", "paqoc.merge.cache_hits",
 		"paqoc.merge.applied", "paqoc.merge.rejected", "paqoc.merge.preprocessed",
-		"paqoc.emit.blocks",
+		"paqoc.emit.blocks", "paqoc.emit.split_fallbacks",
 		"grape.iterations", "grape.binsearch.probes", "grape.generated",
 		"grape.db_hits", "grape.db_permuted_hits", "grape.warm_starts", "grape.expm",
 		"grape.probe_prop_reuse",
