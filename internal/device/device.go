@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"paqoc/internal/hamiltonian"
-	"paqoc/internal/noise"
 	"paqoc/internal/topology"
 )
 
@@ -47,6 +46,8 @@ type Profile struct {
 
 	// T1Dt and T2Dt are per-qubit coherence times in dt units (amplitude
 	// damping and total dephasing); 0 disables the corresponding channel.
+	// They are the only source of coherence times for the Table II
+	// fidelity models.
 	T1Dt float64
 	T2Dt float64
 
@@ -69,11 +70,6 @@ func (p *Profile) Params() hamiltonian.Params {
 		MuMaxGHz:          p.MuMaxGHz,
 		SingleQubitFactor: p.SingleQubitFactor,
 	}
-}
-
-// Noise returns the per-qubit coherence parameters of this backend.
-func (p *Profile) Noise() noise.Params {
-	return noise.Params{T1: p.T1Dt, T2: p.T2Dt}
 }
 
 // System builds the Eq. (1) Hamiltonian for an n-qubit block with the
@@ -100,10 +96,12 @@ func (p *Profile) SystemBuilder() func(n int, pairs [][2]int) *hamiltonian.Syste
 
 // Fingerprint is a stable short hash over every physical parameter that
 // affects generated pulses: qubit count, the sorted coupling edges, dt,
-// control bounds, crosstalk, and coherence times. Two profiles with the
-// same physics share a fingerprint regardless of name; any physical
-// difference changes it. The pulse DB namespaces warm entries by this
-// value so pulses calibrated for one device are never replayed on another.
+// control bounds, and crosstalk. Two profiles with the same physics share
+// a fingerprint regardless of name; any physical difference changes it.
+// The pulse DB namespaces warm entries by this value so pulses calibrated
+// for one device are never replayed on another. The hash also covers the
+// coherence times, which pulses do not depend on: dropping them would
+// change every fingerprint and make saved snapshots refuse to load.
 func (p *Profile) Fingerprint() string {
 	p.fpOnce.Do(func() {
 		t := p.Topology()

@@ -15,8 +15,8 @@ import (
 
 // KernelRecord is one measured kernel variant in the destination-passing
 // benchmark suite (BENCH_003.json): the value-returning ("before") and
-// Into ("after") form of each hot operation, plus whole-GRAPE-iteration
-// figures for the reference and arena paths. BENCH_010.json extends the
+// Into ("after") form of each hot operation, plus the whole-GRAPE-iteration
+// figure of the arena path. BENCH_010.json extends the
 // suite with the specialized matmul dispatch (mul.generic vs mul.blocked),
 // the parallel gradient pass (gradpass.*), and the end-to-end 17-benchmark
 // sweep with the specialized kernels off vs on (e2e.sweep17.*).
@@ -39,9 +39,9 @@ func record(name string, n int, r testing.BenchmarkResult) KernelRecord {
 }
 
 // Kernels benchmarks the destination-passing linalg kernels against their
-// value-returning wrappers, and the arena-based GRAPE iteration against
-// the pre-arena reference loop. testing.Benchmark self-calibrates the
-// iteration counts, so this runs in a few seconds.
+// value-returning wrappers, and the arena-based GRAPE iteration.
+// testing.Benchmark self-calibrates the iteration counts, so this runs in
+// a few seconds.
 func Kernels() []KernelRecord {
 	const n = 8 // 3-qubit dimension, the largest customized-gate space
 	a := randomKernelMatrix(n, 101)
@@ -126,26 +126,18 @@ func Kernels() []KernelRecord {
 		)
 	}
 
-	// Whole-iteration comparison on a CX problem: TargetFidelity 2 is
+	// Whole-iteration cost on a CX problem: TargetFidelity 2 is
 	// unreachable, so each Optimize call runs exactly MaxIter iterations
 	// and the per-op figures normalize to per-iteration cost.
 	sys2 := hamiltonian.XYTransmon(2, [][2]int{{0, 1}})
 	const iters, slices = 40, 12
 	opts := grape.Options{MaxIter: iters, Seed: 3, TargetFidelity: 2}
-	refRes := testing.Benchmark(func(bb *testing.B) {
-		for i := 0; i < bb.N; i++ {
-			grape.OptimizeReference(sys2, quantum.MatCX, slices, opts)
-		}
-	})
 	arenaRes := testing.Benchmark(func(bb *testing.B) {
 		for i := 0; i < bb.N; i++ {
 			grape.OptimizeCtx(context.Background(), sys2, quantum.MatCX, slices, opts)
 		}
 	})
-	out = append(out,
-		perIteration(record("grapeiter.reference", slices, refRes), iters),
-		perIteration(record("grapeiter.arena", slices, arenaRes), iters),
-	)
+	out = append(out, perIteration(record("grapeiter.arena", slices, arenaRes), iters))
 
 	// Parallel forward/gradient pass: per-iteration cost of the same
 	// optimization with the worker pool on. On a single-core host this

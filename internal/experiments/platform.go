@@ -16,12 +16,10 @@ import (
 	"paqoc/internal/circuit"
 	"paqoc/internal/device"
 	"paqoc/internal/engine"
-	"paqoc/internal/hamiltonian"
 	"paqoc/internal/latency"
 	"paqoc/internal/mining"
 	"paqoc/internal/obs"
 	"paqoc/internal/paqoc"
-	"paqoc/internal/pulse"
 	"paqoc/internal/route"
 	"paqoc/internal/topology"
 	"paqoc/internal/transpile"
@@ -33,9 +31,8 @@ type Platform struct {
 	Topo      *topology.Topology
 	RouteOpts route.Options
 	Fidelity  float64
-	// Profile identifies the device backend the platform targets. Nil
-	// (tests constructing a Platform by hand) behaves as the paper's
-	// platform on whatever Topo is set.
+	// Profile is the device backend the platform targets: its control
+	// bounds, Hamiltonian, and coherence times. PlatformFor always sets it.
 	Profile *device.Profile
 	// Obs optionally threads observability (internal/obs) through every
 	// compiled method; nil keeps the sweeps uninstrumented.
@@ -67,15 +64,6 @@ func PlatformFor(prof *device.Profile) *Platform {
 		Fidelity:  0.99,
 		Profile:   prof,
 	}
-}
-
-// params returns the profile's control parameters, or the zero value (the
-// paper's defaults) for profile-less platforms.
-func (p *Platform) params() hamiltonian.Params {
-	if p.Profile == nil {
-		return hamiltonian.Params{}
-	}
-	return p.Profile.Params()
 }
 
 // Physical lowers a logical benchmark onto the platform: decompose to the
@@ -112,7 +100,7 @@ func (p *Platform) RunMethods(phys *circuit.Circuit) ([]MethodResult, error) {
 	for _, depth := range []int{3, 5} {
 		gen := latency.NewModel()
 		gen.Topo = p.Topo
-		gen.Params = p.params()
+		gen.Params = p.Profile.Params()
 		// Permuted-qubit pulse reuse is a PAQOC contribution (§V-B); the
 		// AccQOC baseline relies on exact and similarity matches only.
 		gen.DB.DetectPermutations = false
@@ -156,7 +144,7 @@ func (p *Platform) RunMethods(phys *circuit.Circuit) ([]MethodResult, error) {
 			cfg.M = paqoc.MInf
 			name = "paqoc_minf"
 		}
-		comp := p.newCompiler(nil, cfg)
+		comp := paqoc.NewForProfile(nil, p.Profile, cfg)
 		res, err := comp.CompileCtx(ctx, phys)
 		if err != nil {
 			return nil, err
@@ -175,14 +163,6 @@ func (p *Platform) RunMethods(phys *circuit.Circuit) ([]MethodResult, error) {
 }
 
 const mTunedSentinel = -2
-
-// newCompiler builds a paqoc compiler aimed at the platform's backend.
-func (p *Platform) newCompiler(gen pulse.Generator, cfg paqoc.Config) *paqoc.Compiler {
-	if p.Profile != nil {
-		return paqoc.NewForProfile(gen, p.Profile, cfg)
-	}
-	return paqoc.New(gen, p.Topo, cfg)
-}
 
 // BenchRow pairs a benchmark with its per-method results.
 type BenchRow struct {

@@ -14,9 +14,8 @@ import (
 
 // PulseDBRecord is one measured operation in the pulse-store benchmark
 // suite (BENCH_005.json): warm-hit Lookup throughput serial vs parallel
-// on the sharded store, indexed Nearest vs the seed-era linear scan at
-// growing populations, and Store cost at capacity with ranked eviction
-// active.
+// on the sharded store, indexed Nearest at growing populations, and Store
+// cost at capacity with ranked eviction active.
 type PulseDBRecord struct {
 	Name        string  `json:"name"`
 	Entries     int     `json:"entries"`
@@ -66,12 +65,8 @@ func pulseDBPopulate(n int, rng *rand.Rand) (*pulse.DB, []*linalg.Matrix, []*lin
 	return db, stored, probes
 }
 
-// PulseDB benchmarks the sharded pulse store. The Nearest pair at each
-// population compares the norm-cached, triangle-inequality-pruned index
-// against NearestLinear, the retained seed-era full scan over
-// linalg.GlobalPhaseDistance — the same oracle the equivalence property
-// test pins the index to, so the speedup is between provably identical
-// results.
+// PulseDB benchmarks the sharded pulse store; Nearest runs on the
+// norm-cached, triangle-inequality-pruned index.
 func PulseDB() []PulseDBRecord {
 	rng := rand.New(rand.NewSource(42))
 	procs := runtime.GOMAXPROCS(0)
@@ -102,7 +97,7 @@ func PulseDB() []PulseDBRecord {
 		)
 	}
 
-	// Nearest: pruned index vs linear scan at growing populations.
+	// Nearest: pruned index at growing populations.
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		db, _, probes := pulseDBPopulate(n, rng)
 		out = append(out,
@@ -112,17 +107,6 @@ func PulseDB() []PulseDBRecord {
 				}
 			})),
 		)
-		// The linear oracle at 10⁵ entries allocates two matrices per
-		// candidate; cap it at 10⁴ to keep the suite under a minute.
-		if n <= 10_000 {
-			out = append(out,
-				pulseDBRecord("nearest.linear", n, 1, testing.Benchmark(func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						db.NearestLinear(probes[i%len(probes)], 10)
-					}
-				})),
-			)
-		}
 	}
 
 	// Store at capacity: the bound forces a ranked-eviction sweep every
@@ -143,24 +127,12 @@ func PulseDB() []PulseDBRecord {
 	return out
 }
 
-// PrintPulseDB renders the pulse-store records, pairing each indexed
-// Nearest figure with its linear baseline to show the speedup.
+// PrintPulseDB renders the pulse-store records.
 func PrintPulseDB(w io.Writer, recs []PulseDBRecord) {
-	fmt.Fprintln(w, "Sharded pulse-store benchmarks (warm-hit Lookup, indexed vs linear Nearest, bounded Store)")
+	fmt.Fprintln(w, "Sharded pulse-store benchmarks (warm-hit Lookup, indexed Nearest, bounded Store)")
 	fmt.Fprintf(w, "%-18s %8s %4s %14s %12s %12s\n", "op", "entries", "G", "ns/op", "allocs/op", "B/op")
-	linear := map[int]float64{}
-	for _, r := range recs {
-		if r.Name == "nearest.linear" {
-			linear[r.Entries] = r.NsPerOp
-		}
-	}
 	for _, r := range recs {
 		fmt.Fprintf(w, "%-18s %8d %4d %14.1f %12.2f %12.1f\n",
 			r.Name, r.Entries, r.Goroutines, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-		if r.Name == "nearest.indexed" {
-			if base, ok := linear[r.Entries]; ok && r.NsPerOp > 0 {
-				fmt.Fprintf(w, "%-18s %8d %4s %13.1fx\n", "  └ vs linear", r.Entries, "", base/r.NsPerOp)
-			}
-		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"paqoc/internal/bench"
 	"paqoc/internal/grape"
@@ -12,6 +11,7 @@ import (
 	"paqoc/internal/paqoc"
 	"paqoc/internal/pulse"
 	"paqoc/internal/pulsesim"
+	"paqoc/internal/statevec"
 )
 
 // TableIIFullRow is the full-simulation counterpart of TableIIRow: real
@@ -46,80 +46,58 @@ func TableIIFull(p *Platform, benches []string, maxUsedQubits int) ([]TableIIFul
 		}
 		gen := grape.NewGenerator(grape.DefaultOptions())
 		gen.Topo = p.Topo
-		if p.Profile != nil {
-			gen.System = p.Profile.SystemBuilder()
-		}
+		gen.System = p.Profile.SystemBuilder()
 		cfg := paqoc.DefaultConfig()
 		cfg.FidelityTarget = 0.999 // GRAPE-feasible target
 		cfg.ProbeCaseII = false
-		comp := p.newCompiler(gen, cfg)
+		comp := paqoc.NewForProfile(gen, p.Profile, cfg)
 		res, err := comp.CompileCtx(context.Background(), phys)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", name, err)
 		}
 
-		// Compact the used physical qubits into a dense register.
-		used := map[int]bool{}
-		for _, b := range res.Blocks.Blocks {
-			for _, q := range b.Qubits {
-				used[q] = true
-			}
-		}
-		remap := map[int]int{}
-		var order []int
-		for q := range used {
-			order = append(order, q)
-		}
-		sort.Ints(order)
-		for i, q := range order {
-			remap[q] = i
-		}
-		if len(order) > maxUsedQubits {
+		reg := compactRegister(res.Blocks)
+		if len(reg) > maxUsedQubits {
 			return nil, fmt.Errorf("%s: %d used qubits exceed the statevector budget %d",
-				name, len(order), maxUsedQubits)
+				name, len(reg), maxUsedQubits)
 		}
-
-		var ideal, realized []pulsesim.RealizedGate
+		ideal, err := statevec.NewState(len(reg))
+		if err != nil {
+			return nil, err
+		}
+		realized := ideal.Clone()
 		for _, b := range res.Blocks.Blocks {
 			cg := b.Custom()
-			wires := make([]int, len(cg.Qubits))
-			for i, q := range cg.Qubits {
-				wires[i] = remap[q]
-			}
+			wires := reg.wires(cg.Qubits)
 			want, err := cg.Unitary()
 			if err != nil {
 				return nil, err
 			}
-			sys := p.blockSystem(cg.NumQubits(), blockCouplings(p, cg))
+			sys := p.Profile.System(cg.NumQubits(), blockCouplings(p, cg))
 			got, err := pulsesim.EvolveCtx(context.Background(), sys, b.Gen.Schedule)
 			if err != nil {
 				return nil, fmt.Errorf("%s: block %s: %v", name, cg.Describe(), err)
 			}
-			ideal = append(ideal, pulsesim.RealizedGate{U: want, Wires: wires})
-			realized = append(realized, pulsesim.RealizedGate{U: got, Wires: wires})
+			if err := ideal.ApplyUnitary(want, wires); err != nil {
+				return nil, err
+			}
+			if err := realized.ApplyUnitary(got, wires); err != nil {
+				return nil, err
+			}
 		}
-		coherent, err := pulsesim.StateFidelity(len(order), ideal, realized)
+		coherent, err := statevec.Fidelity(ideal, realized)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, TableIIFullRow{
 			Bench:         name,
 			Coherent:      coherent,
-			WithDephasing: coherent * pulsesim.DecoherenceFactor(res.Latency, pulsesim.DefaultT2),
+			WithDephasing: coherent * pulsesim.DecoherenceFactor(res.Latency, p.Profile.T2Dt),
 			Latency:       res.Latency,
 			Blocks:        res.NumBlocks,
 		})
 	}
 	return rows, nil
-}
-
-// blockSystem builds a block Hamiltonian under the platform's backend (the
-// paper's platform when no profile is set).
-func (p *Platform) blockSystem(n int, pairs [][2]int) *hamiltonian.System {
-	if p.Profile != nil {
-		return p.Profile.System(n, pairs)
-	}
-	return hamiltonian.XYTransmon(n, pairs)
 }
 
 // blockCouplings mirrors grape.Generator's coupling selection.

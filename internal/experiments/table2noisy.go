@@ -13,7 +13,6 @@ import (
 	"paqoc/internal/critical"
 	"paqoc/internal/latency"
 	"paqoc/internal/mining"
-	"paqoc/internal/noise"
 	"paqoc/internal/paqoc"
 	"paqoc/internal/statevec"
 )
@@ -28,9 +27,10 @@ type TableIINoisyRow struct {
 
 // TableIINoisy is the noise-channel upgrade of TableII: instead of the
 // scalar exp(-latency/T2) factor it plays every customized gate through
-// the density-matrix simulator with amplitude-damping and dephasing scaled
-// by the gate's pulse duration. Fidelity is ⟨ψ_ideal|ρ|ψ_ideal⟩.
-func TableIINoisy(p *Platform, params noise.Params) ([]TableIINoisyRow, error) {
+// the density-matrix simulator with amplitude damping and dephasing scaled
+// by the gate's pulse duration, under the coherence times of the
+// platform's device profile. Fidelity is ⟨ψ_ideal|ρ|ψ_ideal⟩.
+func TableIINoisy(p *Platform) ([]TableIINoisyRow, error) {
 	var rows []TableIINoisyRow
 	for _, name := range TableIIBenches {
 		spec, ok := bench.ByName(name)
@@ -47,7 +47,7 @@ func TableIINoisy(p *Platform, params noise.Params) ([]TableIINoisyRow, error) {
 			return nil, fmt.Errorf("%s: %v", name, err)
 		}
 		for method, bc := range blocks {
-			f, err := noisyFidelity(bc, params)
+			f, err := noisyFidelity(bc, p.Profile.T1Dt, p.Profile.T2Dt)
 			if err != nil {
 				row.Fidelity[method] = math.NaN()
 				continue
@@ -66,7 +66,7 @@ func (p *Platform) methodBlocks(phys *circuit.Circuit) (map[string]*critical.Blo
 	for _, depth := range []int{3, 5} {
 		gen := latency.NewModel()
 		gen.Topo = p.Topo
-		gen.Params = p.params()
+		gen.Params = p.Profile.Params()
 		gen.DB.DetectPermutations = false
 		res, err := accqoc.CompileCtx(context.Background(), phys, gen, accqoc.Options{MaxQubits: 3, Depth: depth, FidelityTarget: p.Fidelity})
 		if err != nil {
@@ -94,7 +94,7 @@ func (p *Platform) methodBlocks(phys *circuit.Circuit) (map[string]*critical.Blo
 			cfg.M = paqoc.MInf
 			name = "paqoc_minf"
 		}
-		comp := p.newCompiler(nil, cfg)
+		comp := paqoc.NewForProfile(nil, p.Profile, cfg)
 		res, err := comp.CompileCtx(context.Background(), phys)
 		if err != nil {
 			return nil, err
@@ -106,54 +106,68 @@ func (p *Platform) methodBlocks(phys *circuit.Circuit) (map[string]*critical.Blo
 
 // noisyFidelity plays a block circuit through the density-matrix channel
 // model on the compacted register.
-func noisyFidelity(bc *critical.BlockCircuit, params noise.Params) (float64, error) {
-	used := map[int]bool{}
-	for _, b := range bc.Blocks {
-		for _, q := range b.Qubits {
-			used[q] = true
-		}
-	}
-	var order []int
-	for q := range used {
-		order = append(order, q)
-	}
-	sort.Ints(order)
-	if len(order) > noise.MaxQubits {
-		return 0, fmt.Errorf("register too wide: %d", len(order))
-	}
-	if len(order) == 0 {
+func noisyFidelity(bc *critical.BlockCircuit, t1, t2 float64) (float64, error) {
+	reg := compactRegister(bc)
+	if len(reg) == 0 {
 		return 1, nil
 	}
-	remap := map[int]int{}
-	for i, q := range order {
-		remap[q] = i
-	}
-
-	ideal, err := statevec.NewState(len(order))
+	rho, err := statevec.NewDensity(len(reg))
 	if err != nil {
 		return 0, err
 	}
-	var gates []noise.TimedGate
+	ideal, err := statevec.NewState(len(reg))
+	if err != nil {
+		return 0, err
+	}
 	for _, b := range bc.Blocks {
 		cg := b.Custom()
 		u, err := cg.Unitary()
 		if err != nil {
 			return 0, err
 		}
-		wires := make([]int, len(cg.Qubits))
-		for i, q := range cg.Qubits {
-			wires[i] = remap[q]
-		}
+		wires := reg.wires(cg.Qubits)
 		if err := ideal.ApplyUnitary(u, wires); err != nil {
 			return 0, err
 		}
-		gates = append(gates, noise.TimedGate{U: u, Wires: wires, Duration: b.Latency})
+		if err := rho.ApplyUnitary(u, wires); err != nil {
+			return 0, err
+		}
+		rho.Decay(b.Latency, t1, t2)
 	}
-	rho, err := noise.RunSequential(len(order), gates, params)
-	if err != nil {
-		return 0, err
+	return rho.Fidelity(ideal)
+}
+
+// register numbers the physical qubits a block circuit touches densely, in
+// ascending order, so a simulator holds only the working set.
+type register map[int]int
+
+// compactRegister builds the register of bc's working set.
+func compactRegister(bc *critical.BlockCircuit) register {
+	used := map[int]bool{}
+	for _, b := range bc.Blocks {
+		for _, q := range b.Qubits {
+			used[q] = true
+		}
 	}
-	return rho.StateFidelity(ideal.Amps)
+	order := make([]int, 0, len(used))
+	for q := range used {
+		order = append(order, q)
+	}
+	sort.Ints(order)
+	reg := register{}
+	for i, q := range order {
+		reg[q] = i
+	}
+	return reg
+}
+
+// wires maps physical qubits onto the register.
+func (r register) wires(qubits []int) []int {
+	out := make([]int, len(qubits))
+	for i, q := range qubits {
+		out[i] = r[q]
+	}
+	return out
 }
 
 // PrintTableIINoisy renders the noise-channel fidelity table.

@@ -86,7 +86,7 @@ func TableII(p *Platform) ([]TableIIRow, error) {
 		for _, m := range results {
 			// Coherent part: the per-gate pulse errors are already folded
 			// into ESP (Eq. 2); dephasing follows the critical-path latency.
-			row.Fidelity[m.Method] = m.ESP * pulsesim.DecoherenceFactor(m.Latency, pulsesim.DefaultT2)
+			row.Fidelity[m.Method] = m.ESP * pulsesim.DecoherenceFactor(m.Latency, p.Profile.T2Dt)
 		}
 		rows = append(rows, row)
 	}

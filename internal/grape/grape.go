@@ -8,8 +8,8 @@
 // The inner loop runs on the destination-passing linalg kernels: one
 // arena of propagator/gradient buffers is allocated per optimization
 // call (and shared across a minimum-time search's duration probes), so
-// ADAM iterations allocate nothing. OptimizeReference preserves the
-// value-returning formulation as the bit-identity oracle.
+// ADAM iterations allocate nothing. The value-returning formulation lives
+// on in the tests as the bit-identity oracle (OptimizeReference).
 package grape
 
 import (

@@ -11,11 +11,10 @@ import (
 
 // OptimizeReference is the pre-arena GRAPE loop, kept verbatim on the
 // value-returning (allocating) linalg kernels with no instrumentation.
-// It is the differential oracle for the zero-allocation path — for any
+// It is the differential oracle for the zero-allocation path: for any
 // fixed seed, optimize must reproduce its Fidelity, Iters, and Amps
-// bit-for-bit (TestOptimizeMatchesReference) — and the "before" baseline
-// for the kernel benchmarks (EXPERIMENTS.md, BENCH_003.json). Not for
-// production use: call OptimizeCtx.
+// bit-for-bit (TestOptimizeMatchesReference). Its figures as the "before"
+// baseline of the kernel benchmarks are on record in BENCH_003.json.
 func OptimizeReference(sys *hamiltonian.System, target *linalg.Matrix, slices int, opts Options) *Result {
 	opts.fill()
 	if target.Rows != sys.Dim {

@@ -448,3 +448,32 @@ func TestDBConcurrentHammerSharded(t *testing.T) {
 		t.Error("hammer snapshot is empty")
 	}
 }
+
+// NearestLinear is the seed-era reference: an unpruned linear scan with
+// linalg.GlobalPhaseDistance over every same-dimension entry, the oracle
+// for the Nearest equivalence property test. Its figures as the pulsedb
+// benchmark's baseline are on record in BENCH_005.json.
+func (db *DB) NearestLinear(u *linalg.Matrix, maxDist float64) (*Entry, float64, bool) {
+	v, ok := db.dims.Load(u.Rows)
+	if !ok {
+		return nil, 0, false
+	}
+	ix := v.(*dimIndex)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	var best *Entry
+	bestDist := maxDist
+	for _, it := range ix.items {
+		d := linalg.GlobalPhaseDistance(u, it.e.U)
+		switch {
+		case d < bestDist:
+			best, bestDist = it.e, d
+		case d == bestDist && best != nil && it.e.Key < best.Key:
+			best = it.e
+		}
+	}
+	if best == nil {
+		return nil, 0, false
+	}
+	return best, bestDist, true
+}

@@ -179,33 +179,3 @@ func (db *DB) Nearest(u *linalg.Matrix, maxDist float64) (*Entry, float64, bool)
 	best.uses.Add(1)
 	return best, bestDist, true
 }
-
-// NearestLinear is the seed-era reference: an unpruned linear scan with
-// linalg.GlobalPhaseDistance over every same-dimension entry. Retained as
-// the oracle for the Nearest equivalence property test and as the
-// baseline for the paqoc-bench pulsedb benchmark; production callers use
-// Nearest.
-func (db *DB) NearestLinear(u *linalg.Matrix, maxDist float64) (*Entry, float64, bool) {
-	v, ok := db.dims.Load(u.Rows)
-	if !ok {
-		return nil, 0, false
-	}
-	ix := v.(*dimIndex)
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var best *Entry
-	bestDist := maxDist
-	for _, it := range ix.items {
-		d := linalg.GlobalPhaseDistance(u, it.e.U)
-		switch {
-		case d < bestDist:
-			best, bestDist = it.e, d
-		case d == bestDist && best != nil && it.e.Key < best.Key:
-			best = it.e
-		}
-	}
-	if best == nil {
-		return nil, 0, false
-	}
-	return best, bestDist, true
-}

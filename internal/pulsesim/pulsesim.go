@@ -1,13 +1,13 @@
 // Package pulsesim is the QuTiP substitute (§II-C, Table II): it propagates
 // piecewise-constant control schedules through the device Hamiltonian to
-// obtain the realized unitary of each customized gate, accumulates those
-// into a whole-circuit unitary, and evaluates circuit fidelity and the
-// paper's ESP metric (Eq. 2).
+// obtain the realized unitary of each customized gate, and evaluates gate
+// fidelity, the paper's ESP metric (Eq. 2), and dephasing factors.
 //
 // Propagation is done on each customized gate's local Hilbert space (≤ 3
-// qubits) and then embedded into the circuit space — mathematically
-// identical to full-space integration because the pulse Hamiltonian acts
-// only on the group's qubits, and vastly cheaper.
+// qubits); internal/statevec then applies the realized unitaries to the
+// gates' wires of the circuit register — mathematically identical to
+// full-space integration because the pulse Hamiltonian acts only on the
+// group's qubits, and vastly cheaper.
 package pulsesim
 
 import (
@@ -20,13 +20,7 @@ import (
 	"paqoc/internal/linalg"
 	"paqoc/internal/obs"
 	"paqoc/internal/pulse"
-	"paqoc/internal/quantum"
 )
-
-// DefaultT2 is the effective coherence time, in dt, used by the
-// closed-system + exponential-dephasing fidelity model when schedules are
-// synthetic (model-generated). 20000 dt ≈ 4.4 µs, a NISQ-era figure.
-const DefaultT2 = 20000.0
 
 // EvolveCtx multiplies the slice propagators of a schedule on the system
 // it was generated for, returning the realized unitary. Observability: a
@@ -82,36 +76,6 @@ func GateFidelity(target, realized *linalg.Matrix) float64 {
 	return linalg.TraceFidelity(target, realized)
 }
 
-// CircuitSim accumulates realized gate unitaries into a whole-circuit
-// unitary over NumQubits qubits.
-type CircuitSim struct {
-	NumQubits int
-	u         *linalg.Matrix
-}
-
-// NewCircuitSim returns a simulator initialized to the identity. It caps
-// the register at 12 qubits (4096-dim dense matrices) — enough for every
-// Table II benchmark.
-func NewCircuitSim(n int) (*CircuitSim, error) {
-	if n <= 0 || n > 12 {
-		return nil, fmt.Errorf("pulsesim: %d qubits outside supported range 1..12", n)
-	}
-	return &CircuitSim{NumQubits: n, u: linalg.Identity(1 << n)}, nil
-}
-
-// Apply multiplies in a gate unitary acting on the given wires.
-func (s *CircuitSim) Apply(u *linalg.Matrix, wires []int) {
-	s.u = quantum.Embed(u, wires, s.NumQubits).Mul(s.u)
-}
-
-// Unitary returns the accumulated circuit unitary.
-func (s *CircuitSim) Unitary() *linalg.Matrix { return s.u }
-
-// Fidelity compares the accumulated unitary against the ideal one.
-func (s *CircuitSim) Fidelity(ideal *linalg.Matrix) float64 {
-	return linalg.TraceFidelity(ideal, s.u)
-}
-
 // ESPCtx is the estimated success probability of Eq. (2): the product
 // over customized gates of (1 - ε_i). Observability: counts
 // evaluations and the gates they cover on the context's metrics registry.
@@ -129,42 +93,24 @@ func ESPCtx(ctx context.Context, gens []*pulse.Generated) float64 {
 	return esp
 }
 
-// TotalLatency sums pulse durations; with sequential stitching this bounds
-// the circuit wall time, and it feeds the dephasing factor.
-func TotalLatency(gens []*pulse.Generated) float64 {
-	var t float64
-	for _, g := range gens {
-		t += g.Latency
-	}
-	return t
-}
-
 // DecoherenceFactor is the exponential dephasing survival for a circuit of
-// the given critical-path latency: exp(-latency/t2).
+// the given critical-path latency: exp(-latency/t2). A t2 ≤ 0 means no
+// dephasing (factor 1), as for device.Profile's coherence fields.
 func DecoherenceFactor(latencyDt, t2 float64) float64 {
 	if t2 <= 0 {
-		t2 = DefaultT2
+		return 1
 	}
 	return math.Exp(-latencyDt / t2)
-}
-
-// ModelFidelity is the quick-mode stand-in for a full pulse simulation
-// when schedules are synthetic: coherent ESP times the dephasing factor of
-// the circuit critical path. The heavier protocols are
-// experiments.TableIINoisy (Kraus channels) and experiments.TableIIFull
-// (real GRAPE schedules + Evolve).
-func ModelFidelity(gens []*pulse.Generated, criticalPathDt, t2 float64) float64 {
-	return ESPCtx(context.Background(), gens) * DecoherenceFactor(criticalPathDt, t2)
 }
 
 // IdleDephasing returns the survival factor for qubits idling between
 // their pulses: for each qubit, the time between its first and last
 // activity not covered by one of its own pulses counts as idle, and idle
 // time dephases at 1/t2. This refines the critical-path-only model with
-// the timeline's per-qubit gaps.
+// the timeline's per-qubit gaps. A t2 ≤ 0 means no dephasing (factor 1).
 func IdleDephasing(tl *pulse.Timeline, numQubits int, t2 float64) float64 {
 	if t2 <= 0 {
-		t2 = DefaultT2
+		return 1
 	}
 	first := make([]float64, numQubits)
 	last := make([]float64, numQubits)

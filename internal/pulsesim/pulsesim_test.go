@@ -10,6 +10,7 @@ import (
 	"paqoc/internal/linalg"
 	"paqoc/internal/pulse"
 	"paqoc/internal/quantum"
+	"paqoc/internal/statevec"
 )
 
 func TestEvolveZeroScheduleIsIdentity(t *testing.T) {
@@ -73,37 +74,6 @@ func TestGrapePulseSimulatesToTarget(t *testing.T) {
 	}
 }
 
-func TestCircuitSimBell(t *testing.T) {
-	sim, err := NewCircuitSim(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Apply(quantum.MatH, []int{0})
-	sim.Apply(quantum.MatCX, []int{0, 1})
-	ideal := quantum.MatCX.Mul(quantum.MatH.Kron(quantum.MatI))
-	if f := sim.Fidelity(ideal); math.Abs(f-1) > 1e-10 {
-		t.Errorf("perfect-gate circuit fidelity %g", f)
-	}
-}
-
-func TestCircuitSimImperfectGate(t *testing.T) {
-	sim, _ := NewCircuitSim(1)
-	sim.Apply(quantum.RX(math.Pi*0.98), []int{0}) // slightly short X
-	f := sim.Fidelity(quantum.MatX)
-	if f > 0.9999 || f < 0.99 {
-		t.Errorf("fidelity %g not in expected imperfect band", f)
-	}
-}
-
-func TestCircuitSimBounds(t *testing.T) {
-	if _, err := NewCircuitSim(0); err == nil {
-		t.Error("0 qubits should fail")
-	}
-	if _, err := NewCircuitSim(13); err == nil {
-		t.Error("13 qubits should fail")
-	}
-}
-
 func TestESPProduct(t *testing.T) {
 	gens := []*pulse.Generated{
 		{Error: 0.01},
@@ -118,13 +88,6 @@ func TestESPProduct(t *testing.T) {
 	}
 }
 
-func TestTotalLatency(t *testing.T) {
-	gens := []*pulse.Generated{{Latency: 10}, {Latency: 32}}
-	if TotalLatency(gens) != 42 {
-		t.Error("TotalLatency wrong")
-	}
-}
-
 func TestDecoherenceFactor(t *testing.T) {
 	if f := DecoherenceFactor(0, 1000); f != 1 {
 		t.Errorf("zero latency factor %g", f)
@@ -133,16 +96,19 @@ func TestDecoherenceFactor(t *testing.T) {
 	if math.Abs(f1-math.Exp(-1)) > 1e-12 {
 		t.Errorf("factor %g", f1)
 	}
-	// Default T2 kicks in for non-positive t2.
-	if DecoherenceFactor(100, 0) != DecoherenceFactor(100, DefaultT2) {
-		t.Error("default T2 not applied")
+	// A non-positive t2 disables dephasing.
+	if f := DecoherenceFactor(100, 0); f != 1 {
+		t.Errorf("t2 = 0 factor %g, want 1", f)
 	}
 }
 
+// The quick Table II model is coherent ESP times the dephasing factor of
+// the critical path.
 func TestModelFidelityMonotoneInLatency(t *testing.T) {
 	gens := []*pulse.Generated{{Error: 0.001}}
-	fShort := ModelFidelity(gens, 100, DefaultT2)
-	fLong := ModelFidelity(gens, 5000, DefaultT2)
+	esp := ESPCtx(context.Background(), gens)
+	fShort := esp * DecoherenceFactor(100, 20000)
+	fLong := esp * DecoherenceFactor(5000, 20000)
 	if fShort <= fLong {
 		t.Error("longer circuits must have lower modelled fidelity")
 	}
@@ -171,32 +137,6 @@ func BenchmarkEvolveCXSchedule(b *testing.B) {
 	}
 }
 
-func TestStateFidelityPerfectAndPerturbed(t *testing.T) {
-	ideal := []RealizedGate{
-		{U: quantum.MatH, Wires: []int{0}},
-		{U: quantum.MatCX, Wires: []int{0, 1}},
-		{U: quantum.MatCX, Wires: []int{1, 2}},
-	}
-	// Perfect realization.
-	f, err := StateFidelity(3, ideal, ideal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f-1) > 1e-12 {
-		t.Errorf("perfect fidelity %g", f)
-	}
-	// Slightly wrong realization of the first gate.
-	realized := append([]RealizedGate(nil), ideal...)
-	realized[0] = RealizedGate{U: quantum.RY(math.Pi/2 + 0.05), Wires: []int{0}}
-	f, err = StateFidelity(3, ideal, realized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f > 0.9999 || f < 0.9 {
-		t.Errorf("perturbed fidelity %g outside expected band", f)
-	}
-}
-
 func TestStateFidelityWithGRAPEPulse(t *testing.T) {
 	// The realized unitary of a simulated GRAPE CX must give state
 	// fidelity at or above the process fidelity target.
@@ -209,30 +149,27 @@ func TestStateFidelityWithGRAPEPulse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal := []RealizedGate{
-		{U: quantum.MatH, Wires: []int{0}},
-		{U: quantum.MatCX, Wires: []int{0, 1}},
+	// H then CX on a register larger than the gate.
+	ideal, err := statevec.NewState(4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	realized := []RealizedGate{
-		{U: quantum.MatH, Wires: []int{0}},
-		{U: realizedCX, Wires: []int{0, 1}},
+	if err := ideal.ApplyUnitary(quantum.MatH, []int{0}); err != nil {
+		t.Fatal(err)
 	}
-	f, err := StateFidelity(4, ideal, realized) // embedded in a larger register
+	realized := ideal.Clone()
+	if err := ideal.ApplyUnitary(quantum.MatCX, []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := realized.ApplyUnitary(realizedCX, []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := statevec.Fidelity(ideal, realized)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f < fid-0.01 {
 		t.Errorf("state fidelity %g far below process fidelity %g", f, fid)
-	}
-}
-
-func TestStateFidelityErrors(t *testing.T) {
-	if _, err := StateFidelity(2, []RealizedGate{{U: quantum.MatH, Wires: []int{0}}}, nil); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	bad := []RealizedGate{{U: quantum.MatCX, Wires: []int{0}}}
-	if _, err := StateFidelity(2, bad, bad); err == nil {
-		t.Error("wire/dim mismatch should fail")
 	}
 }
 
@@ -257,6 +194,9 @@ func TestIdleDephasingWithGap(t *testing.T) {
 	want := math.Exp(-100.0 / 1000)
 	if f := IdleDephasing(tl, 2, 1000); math.Abs(f-want) > 1e-12 {
 		t.Errorf("factor %g, want %g", f, want)
+	}
+	if f := IdleDephasing(tl, 2, 0); f != 1 {
+		t.Errorf("t2 = 0 factor %g, want 1", f)
 	}
 	// Untouched qubits contribute nothing.
 	if f := IdleDephasing(tl, 5, 1000); math.Abs(f-want) > 1e-12 {

@@ -59,7 +59,7 @@ func TestBackendPerJobSelection(t *testing.T) {
 // databases — a GRAPE schedule generated under one backend must not be
 // served to another.
 func TestBackendDBIsolation(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, GridRows: 1, GridCols: 2})
+	s, ts := newTestServer(t, Config{Workers: 2, Backend: "xy-grid-1x2"})
 	req := api.CompileRequest{Circuit: tinyCircuit, Grape: true, Mode: "sync", TimeoutMs: 120_000}
 
 	code, out := postCompile(t, ts, req)
@@ -96,7 +96,7 @@ func TestBackendDBIsolation(t *testing.T) {
 // refused when a server configured for a different backend starts on it.
 func TestBackendSnapshotRefusedOnMismatch(t *testing.T) {
 	dbPath := filepath.Join(t.TempDir(), "pulses.db")
-	cfg := Config{Workers: 2, GridRows: 1, GridCols: 2, DBPath: dbPath, Logger: quiet}
+	cfg := Config{Workers: 2, Backend: "xy-grid-1x2", DBPath: dbPath, Logger: quiet}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
-// Package statevec is a statevector simulator: it applies gates directly
+// Package statevec is the register simulator. State applies gates directly
 // to a 2^n amplitude vector without materializing circuit unitaries, which
-// extends exact whole-circuit checks and fidelity estimates well past the
-// dense-matrix limit of internal/pulsesim (n ≲ 12 → n ≲ 24), and supports
-// measurement sampling for end-to-end demos.
+// keeps exact whole-circuit checks and fidelity estimates cheap up to
+// MaxQubits, and supports measurement sampling for end-to-end demos.
+// Density is the mixed-state counterpart: a density matrix under T1/T2
+// decay, for the noisy Table II. Both apply gates with one sub-block kernel.
 package statevec
 
 import (
@@ -64,18 +65,41 @@ func (s *State) Norm() float64 {
 
 // ApplyUnitary applies a k-qubit unitary to the given wires in place.
 func (s *State) ApplyUnitary(u *linalg.Matrix, wires []int) error {
+	if err := checkWires(s.NumQubits, u, wires); err != nil {
+		return err
+	}
+	apply(s.Amps, s.NumQubits, u.Data, wires)
+	return nil
+}
+
+// checkWires validates a k-qubit unitary against k distinct wires of an
+// n-qubit register.
+func checkWires(n int, u *linalg.Matrix, wires []int) error {
 	k := len(wires)
 	if u.Rows != 1<<k || u.Cols != 1<<k {
 		return fmt.Errorf("statevec: unitary dim %d does not match %d wires", u.Rows, k)
 	}
 	seen := map[int]bool{}
-	shift := make([]int, k) // bit position (from LSB) of each wire
-	for i, w := range wires {
-		if w < 0 || w >= s.NumQubits || seen[w] {
+	for _, w := range wires {
+		if w < 0 || w >= n || seen[w] {
 			return fmt.Errorf("statevec: bad wire list %v", wires)
 		}
 		seen[w] = true
-		shift[i] = s.NumQubits - 1 - w
+	}
+	return nil
+}
+
+// apply multiplies the row-major 2^k×2^k matrix u into every 2^k-entry
+// sub-block of amps, a vector over numWires wires (wire 0 is the most
+// significant bit of the index), that the given wires address. Wires must
+// be valid (checkWires).
+func apply(amps []complex128, numWires int, u []complex128, wires []int) {
+	k := len(wires)
+	shift := make([]int, k) // bit position (from LSB) of each wire
+	wireMask := 0
+	for i, w := range wires {
+		shift[i] = numWires - 1 - w
+		wireMask |= 1 << shift[i]
 	}
 
 	dim := 1 << k
@@ -84,11 +108,7 @@ func (s *State) ApplyUnitary(u *linalg.Matrix, wires []int) error {
 
 	// Enumerate all assignments of the non-wire bits: iterate every basis
 	// index whose wire bits are all zero, then fan out the 2^k sub-block.
-	wireMask := 0
-	for _, sh := range shift {
-		wireMask |= 1 << sh
-	}
-	n := len(s.Amps)
+	n := len(amps)
 	for base := 0; base < n; base++ {
 		if base&wireMask != 0 {
 			continue
@@ -101,20 +121,19 @@ func (s *State) ApplyUnitary(u *linalg.Matrix, wires []int) error {
 				}
 			}
 			scratchIdx[sub] = idx
-			scratchAmp[sub] = s.Amps[idx]
+			scratchAmp[sub] = amps[idx]
 		}
 		for row := 0; row < dim; row++ {
 			var acc complex128
-			urow := u.Data[row*dim : (row+1)*dim]
+			urow := u[row*dim : (row+1)*dim]
 			for col, a := range scratchAmp {
 				if a != 0 {
 					acc += urow[col] * a
 				}
 			}
-			s.Amps[scratchIdx[row]] = acc
+			amps[scratchIdx[row]] = acc
 		}
 	}
-	return nil
 }
 
 // ApplyGate applies one circuit gate.
