@@ -4,7 +4,7 @@
 // Usage:
 //
 //	paqoc-bench -list
-//	paqoc-bench fig2|fig6|fig10|fig11|fig12|fig13|fig14|table1|table2|table3|kernels|pulsedb|all
+//	paqoc-bench fig2|fig6|fig10|fig11|fig12|fig13|fig14|table1|table2|table2noisy|table2full|table3|ablate|mining|backends|all
 //
 // The -benches flag restricts the Fig. 10–12/14 sweeps to a comma-separated
 // subset (the full 17-benchmark sweep takes a couple of minutes, dominated
@@ -13,7 +13,7 @@
 // -json <file> additionally writes machine-readable per-benchmark records
 // (benchmark, method, latency, compile wall time, fidelity/ESP) plus a
 // snapshot of the pipeline metrics registry, for the sweep-based
-// experiments (fig10/fig11/fig12/fig14/all).
+// experiments (fig10/fig11/fig12/all), or the replay records of mining.
 package main
 
 import (
@@ -48,7 +48,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("experiments: fig2 fig6 fig10 fig11 fig12 fig13 fig14 table1 table2 table2noisy table2full table3 ablate kernels pulsedb mining backends all")
+		fmt.Println("experiments: fig2 fig6 fig10 fig11 fig12 fig13 fig14 table1 table2 table2noisy table2full table3 ablate mining backends all")
 		fmt.Println("backends:")
 		for _, name := range device.Names() {
 			prof, _ := device.Lookup(name)
@@ -81,11 +81,9 @@ func main() {
 	out := os.Stdout
 
 	// jsonRows captures the per-benchmark sweep whenever one runs, feeding
-	// the -json export after the human-readable output. kernelRecs does the
-	// same for the kernels experiment (its own schema).
+	// the -json export after the human-readable output. miningRecs does the
+	// same for the mining experiment (its own schema).
 	var jsonRows []experiments.BenchRow
-	var kernelRecs []experiments.KernelRecord
-	var pulseDBRecs []experiments.PulseDBRecord
 	var miningRecs []experiments.MiningRecord
 
 	var run func(string)
@@ -149,12 +147,6 @@ func main() {
 			rows, err := experiments.TableIII(p)
 			check(err)
 			experiments.PrintTableIII(out, rows)
-		case "kernels":
-			kernelRecs = experiments.Kernels()
-			experiments.PrintKernels(out, kernelRecs)
-		case "pulsedb":
-			pulseDBRecs = experiments.PulseDB()
-			experiments.PrintPulseDB(out, pulseDBRecs)
 		case "mining":
 			var err error
 			miningRecs, err = experiments.MiningReplay(*mineRounds, *mineBudget)
@@ -200,78 +192,27 @@ func main() {
 	run(flag.Arg(0))
 
 	if *jsonOut != "" {
+		var doc any
 		switch {
-		case kernelRecs != nil:
-			if err := writeKernelJSON(*jsonOut, kernelRecs); err != nil {
-				fatal(err)
-			}
-		case pulseDBRecs != nil:
-			if err := writePulseDBJSON(*jsonOut, pulseDBRecs); err != nil {
-				fatal(err)
-			}
 		case miningRecs != nil:
-			if err := writeMiningJSON(*jsonOut, miningRecs); err != nil {
-				fatal(err)
-			}
+			// The offline-mining replay records (the BENCH_009.json artifact).
+			doc = struct {
+				Schema  string                     `json:"schema"`
+				Results []experiments.MiningRecord `json:"results"`
+			}{Schema: "paqoc-bench/mining/v1", Results: miningRecs}
 		case jsonRows != nil:
-			if err := writeBenchJSON(*jsonOut, jsonRows, p.Obs); err != nil {
-				fatal(err)
-			}
+			doc = benchDoc(jsonRows, p.Obs)
 		default:
-			fmt.Fprintf(os.Stderr, "paqoc-bench: -json applies to sweep experiments (fig10/fig11/fig12/all), kernels, pulsedb, and mining; nothing to write for %q\n", flag.Arg(0))
+			fmt.Fprintf(os.Stderr, "paqoc-bench: -json applies to sweep experiments (fig10/fig11/fig12/all) and mining; nothing to write for %q\n", flag.Arg(0))
 			return
 		}
+		check(writeJSON(*jsonOut, doc))
 		fmt.Printf("results written to %s\n", *jsonOut)
 	}
 }
 
-// writePulseDBJSON emits the sharded pulse-store benchmark records (the
-// BENCH_005.json artifact).
-func writePulseDBJSON(path string, recs []experiments.PulseDBRecord) error {
-	doc := struct {
-		Schema  string                      `json:"schema"`
-		Results []experiments.PulseDBRecord `json:"results"`
-	}{Schema: "paqoc-bench/pulsedb/v1", Results: recs}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	werr := enc.Encode(doc)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// writeMiningJSON emits the offline-mining replay records (the
-// BENCH_009.json artifact).
-func writeMiningJSON(path string, recs []experiments.MiningRecord) error {
-	doc := struct {
-		Schema  string                     `json:"schema"`
-		Results []experiments.MiningRecord `json:"results"`
-	}{Schema: "paqoc-bench/mining/v1", Results: recs}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	werr := enc.Encode(doc)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// writeKernelJSON emits the destination-passing kernel benchmark records
-// (the BENCH_003.json artifact).
-func writeKernelJSON(path string, recs []experiments.KernelRecord) error {
-	doc := struct {
-		Schema  string                     `json:"schema"`
-		Results []experiments.KernelRecord `json:"results"`
-	}{Schema: "paqoc-bench/kernels/v1", Results: recs}
+// writeJSON writes doc to path as indented JSON.
+func writeJSON(path string, doc any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -332,9 +273,10 @@ func collectStageQuantiles(snap *obs.Snapshot) []stageQuantiles {
 	return out
 }
 
-// writeBenchJSON emits the machine-readable sweep results alongside the
-// pipeline metrics snapshot accumulated across all compiled methods.
-func writeBenchJSON(path string, rows []experiments.BenchRow, o *obs.Obs) error {
+// benchDoc is the machine-readable sweep export: per-(benchmark, method)
+// results alongside the pipeline metrics snapshot accumulated across all
+// compiled methods.
+func benchDoc(rows []experiments.BenchRow, o *obs.Obs) any {
 	var records []benchRecord
 	for _, row := range rows {
 		for _, m := range row.Results {
@@ -360,17 +302,7 @@ func writeBenchJSON(path string, rows []experiments.BenchRow, o *obs.Obs) error 
 		doc.Metrics = o.Metrics.Snapshot()
 		doc.Stages = collectStageQuantiles(doc.Metrics)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	werr := enc.Encode(doc)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
+	return doc
 }
 
 // splitCSV trims a comma-separated flag value into its non-empty fields.

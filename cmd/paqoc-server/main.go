@@ -54,7 +54,6 @@ func run() error {
 		dbPath    = flag.String("db", "", "pulse-database file: loaded at startup, snapshotted periodically and on shutdown")
 		dbMax     = flag.Int("db-max-entries", 0, "bound the warm pulse DB to this many entries, evicting cold ones (0 = unbounded)")
 		workers   = flag.Int("workers", 0, "concurrent compilation jobs (default GOMAXPROCS)")
-		grapeWrk  = flag.Int("grape-workers", 1, "goroutines inside each GRAPE optimization's inner loop (bit-identical across counts; multiplies against -workers)")
 		queue     = flag.Int("queue", 64, "bounded job-queue depth; a full queue returns 429")
 		syncGates = flag.Int("sync-gates", 48, "auto-mode sync threshold in logical gates")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "default per-job deadline")
@@ -93,7 +92,6 @@ func run() error {
 	logger := obs.NewStderrLogger(obs.ParseLevel(*logLevel))
 	srv, err := server.New(server.Config{
 		Workers:           *workers,
-		GrapeWorkers:      *grapeWrk,
 		QueueDepth:        *queue,
 		SyncGateLimit:     *syncGates,
 		DefaultTimeout:    *timeout,

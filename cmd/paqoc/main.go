@@ -58,24 +58,23 @@ func main() {
 
 func run() error {
 	var (
-		benchName    = flag.String("bench", "", "compile a built-in Table I benchmark instead of a file")
-		mFlag        = flag.String("m", "0", "APA-basis gate budget: 0, inf, tuned, or a positive integer")
-		maxN         = flag.Int("maxn", 3, "maximum qubits per customized gate")
-		topK         = flag.Int("topk", 1, "merges applied per search iteration")
-		fidelity     = flag.Float64("fidelity", 0.99, "per-gate fidelity target")
-		useGrape     = flag.Bool("grape", false, "emit final pulses with the real GRAPE optimizer (slower)")
-		backend      = flag.String("backend", device.DefaultName, "device profile: a registered name (see internal/device) or a dynamic one like xy-grid-3x4, linear-chain-8, heavy-hex-2")
-		showGroups   = flag.Bool("groups", false, "print the final customized-gate grouping")
-		render       = flag.Bool("render", false, "draw the physical circuit as an ASCII wire diagram")
-		pulseJSON    = flag.String("pulse-json", "", "write per-block pulse schedules (requires -grape) to this file")
-		verify       = flag.Bool("verify", false, "statevector-check the compiled circuit against the physical circuit")
-		bidir        = flag.Int("bidir", 0, "SABRE forward-backward layout refinement passes (0 = off)")
-		dbPath       = flag.String("db", "", "pulse-database file: loaded if present, saved after compiling (with -grape)")
-		traceFile    = flag.String("trace", "", "write a Chrome trace-event JSON of pipeline spans to this file")
-		metricsFile  = flag.String("metrics", "", "write a JSON snapshot of pipeline metrics to this file")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) during the run")
-		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "pulse-generation worker pool size (1 = serial, bit-identical to the single-threaded pipeline)")
-		grapeWorkers = flag.Int("grape-workers", 1, "goroutines inside each GRAPE optimization's forward/gradient passes (requires -grape; results are bit-identical across worker counts)")
+		benchName   = flag.String("bench", "", "compile a built-in Table I benchmark instead of a file")
+		mFlag       = flag.String("m", "0", "APA-basis gate budget: 0, inf, tuned, or a positive integer")
+		maxN        = flag.Int("maxn", 3, "maximum qubits per customized gate")
+		topK        = flag.Int("topk", 1, "merges applied per search iteration")
+		fidelity    = flag.Float64("fidelity", 0.99, "per-gate fidelity target")
+		useGrape    = flag.Bool("grape", false, "emit final pulses with the real GRAPE optimizer (slower)")
+		backend     = flag.String("backend", device.DefaultName, "device profile: a registered name (see internal/device) or a dynamic one like xy-grid-3x4, linear-chain-8, heavy-hex-2")
+		showGroups  = flag.Bool("groups", false, "print the final customized-gate grouping")
+		render      = flag.Bool("render", false, "draw the physical circuit as an ASCII wire diagram")
+		pulseJSON   = flag.String("pulse-json", "", "write per-block pulse schedules (requires -grape) to this file")
+		verify      = flag.Bool("verify", false, "statevector-check the compiled circuit against the physical circuit")
+		bidir       = flag.Int("bidir", 0, "SABRE forward-backward layout refinement passes (0 = off)")
+		dbPath      = flag.String("db", "", "pulse-database file: loaded if present, saved after compiling (with -grape)")
+		traceFile   = flag.String("trace", "", "write a Chrome trace-event JSON of pipeline spans to this file")
+		metricsFile = flag.String("metrics", "", "write a JSON snapshot of pipeline metrics to this file")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) during the run")
+		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "pulse-generation worker pool size (1 = serial, bit-identical to the single-threaded pipeline)")
 	)
 	flag.Parse()
 
@@ -163,9 +162,7 @@ func run() error {
 	var gen pulse.Generator
 	var grapeGen *grape.Generator
 	if *useGrape {
-		gopts := grape.DefaultOptions()
-		gopts.Workers = *grapeWorkers
-		grapeGen = grape.NewGenerator(gopts)
+		grapeGen = grape.NewGenerator(grape.DefaultOptions())
 		grapeGen.Topo = topo
 		grapeGen.System = prof.SystemBuilder()
 		grapeGen.DB.SetFingerprint(prof.Fingerprint())

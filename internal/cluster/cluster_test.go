@@ -349,6 +349,27 @@ func TestHandlerErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestPutOverflowDimIsBadEntry: an entry whose declared dimension would
+// overflow the shape check (dim 2^32, empty unitary) is a 400 bad_entry,
+// not a handler panic.
+func TestPutOverflowDimIsBadEntry(t *testing.T) {
+	_, cB, _, _, _, _ := twoReplicas(t)
+	body := `{"dim":4294967296,"unitary":[],"latency_dt":1,"fidelity":0.999,"error":0.001}`
+	req, _ := http.NewRequest(http.MethodPut, baseURL(cB.Self())+"/internal/v1/pulse/fp/some-key", strings.NewReader(body))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er api.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatalf("error body is not the envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || er.Error.Code != api.CodeBadEntry {
+		t.Errorf("overflow entry: status %d code %q, want 400 %q", resp.StatusCode, er.Error.Code, api.CodeBadEntry)
+	}
+}
+
 func TestSnapshotMergeRPC(t *testing.T) {
 	cA, cB, dbA, dbB, _, _ := twoReplicas(t)
 	_ = cA

@@ -3,6 +3,7 @@ package grape
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"paqoc/internal/hamiltonian"
@@ -160,4 +161,74 @@ func TestTraceListsIndexedOncePerArena(t *testing.T) {
 			t.Errorf("control %s: sparse trace %v, dense %v", c.Name, got, want)
 		}
 	}
+}
+
+// TestParallelWorkersMatchSerial pins the deprecated Options.Workers as
+// inert: the inner loop is serial, and callers that still set the field
+// (the benchmark harness does) must get Workers=1's result bit for bit.
+func TestParallelWorkersMatchSerial(t *testing.T) {
+	for _, tc := range equivalenceCases() {
+		opts := Options{MaxIter: 60, Seed: 42, TargetFidelity: 0.9999}
+		serial := OptimizeCtx(context.Background(), tc.sys, tc.target, tc.slices, opts)
+		for _, workers := range []int{2, 4, 7} {
+			opts.Workers = workers
+			par := OptimizeCtx(context.Background(), tc.sys, tc.target, tc.slices, opts)
+			if par.Fidelity != serial.Fidelity || par.Iters != serial.Iters {
+				t.Fatalf("%s workers=%d: (fid %v, iters %d) vs serial (fid %v, iters %d)",
+					tc.name, workers, par.Fidelity, par.Iters, serial.Fidelity, serial.Iters)
+			}
+			for k := range serial.Amps {
+				for j := range serial.Amps[k] {
+					if par.Amps[k][j] != serial.Amps[k][j] {
+						t.Fatalf("%s workers=%d: amps[%d][%d] diverged", tc.name, workers, k, j)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParallelMinimumTimeMatchesSerial extends the inert-Workers pin to a
+// whole minimum-duration search.
+func TestParallelMinimumTimeMatchesSerial(t *testing.T) {
+	sys := hamiltonian.XYTransmon(1, nil)
+	opts := DefaultOptions()
+	opts.MaxIter = 60
+	serialSched, serialLat, serialFid, err := MinimumTimeCtx(context.Background(), sys, quantum.MatX, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Workers = 4
+	parSched, parLat, parFid, err := MinimumTimeCtx(context.Background(), sys, quantum.MatX, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parLat != serialLat || parFid != serialFid {
+		t.Fatalf("minimum-time diverged: workers=4 (lat %v, fid %v) vs serial (lat %v, fid %v)",
+			parLat, parFid, serialLat, serialFid)
+	}
+	for k := range serialSched.Amps {
+		for j := range serialSched.Amps[k] {
+			if parSched.Amps[k][j] != serialSched.Amps[k][j] {
+				t.Fatalf("schedule amps[%d][%d] diverged", k, j)
+			}
+		}
+	}
+}
+
+// TestParallelGradientRaceHammer runs concurrent optimizations over one
+// shared System, as the engine pool does when it generates independent
+// blocks at once, so `go test -race` can see any shared scratch.
+func TestParallelGradientRaceHammer(t *testing.T) {
+	sys := hamiltonian.XYTransmon(2, [][2]int{{0, 1}})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			opts := Options{MaxIter: 25, Seed: seed, TargetFidelity: 2}
+			OptimizeCtx(context.Background(), sys, quantum.MatCX, 16, opts)
+		}(int64(i))
+	}
+	wg.Wait()
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"paqoc/internal/hamiltonian"
 	"paqoc/internal/linalg"
@@ -25,75 +24,47 @@ import (
 	"paqoc/internal/pulse"
 )
 
+// Fixed optimizer settings, the same for every caller.
+const (
+	sliceDt      float64 = 4     // dt per slice
+	learningRate float64 = 0.003 // ADAM step size, rad/dt
+	minSlices            = 2     // minimum-time search lower bound
+)
+
 // Options configures the optimizer.
 type Options struct {
-	SliceDt        float64 // dt per slice (default 4)
 	MaxIter        int     // ADAM iterations per duration trial (default 300)
-	LearningRate   float64 // ADAM step size (default 0.003 rad/dt)
 	TargetFidelity float64 // success threshold (default 0.999)
 	Seed           int64   // RNG seed for the initial guess
-	MinSlices      int     // binary-search lower bound (default 2)
 	MaxSlices      int     // binary-search upper bound (default 128)
 	InitialGuess   *pulse.Schedule
-	// Workers sets the goroutine count for the per-slice propagator and
-	// gradient passes (0 or 1 runs them inline). Results are bit-identical
-	// across worker counts: the parallel phases only compute per-slice
-	// terms whose inputs and kernels do not depend on scheduling, and the
-	// gradient-norm reduction always runs serially in the original order
-	// (TestParallelWorkersMatchSerial pins this).
+	// Deprecated: has no effect. The inner loop always runs serially;
+	// concurrency comes from optimizing independent blocks at once.
 	Workers int
 	// HintSlices, when positive, starts the minimum-time doubling bracket
-	// at this slice count instead of MinSlices (clamped to [MinSlices,
-	// MaxSlices]) — the duration prior carried by a near-miss cache hit.
+	// at this slice count instead of the lower bound (clamped to the
+	// search range) — the duration prior carried by a near-miss cache hit.
 	// Probes below a failed hint are skipped under the same monotonicity
 	// assumption the binary search itself makes.
 	HintSlices int
-	// RecordConvergence captures a per-iteration fidelity / gradient-norm /
-	// step-size trace in Result.Trace (one allocation per iteration; off on
-	// the hot path by default).
-	RecordConvergence bool
-	// MaxTracePoints bounds the retained convergence trace per optimization
-	// (obs.ConvergenceTrace.MaxPoints): 0 selects DefaultMaxTracePoints,
-	// negative removes the bound. Dropped points are counted in the
-	// "obs.convergence_dropped" metric so a long-running server can see
-	// thinning happen.
-	MaxTracePoints int
 	// OnIteration, when non-nil, is invoked with every iteration's
-	// convergence point — the streaming variant of RecordConvergence.
+	// convergence point.
 	OnIteration func(obs.ConvergencePoint)
 }
 
-// DefaultMaxTracePoints is the default convergence-trace cap: generous for
-// one CLI run, bounded for a server recording traces on every compile.
-const DefaultMaxTracePoints = 512
-
 // DefaultOptions returns the settings used across the evaluation.
 func DefaultOptions() Options {
-	return Options{
-		SliceDt:        4,
-		MaxIter:        300,
-		LearningRate:   0.003,
-		TargetFidelity: 0.999,
-		MinSlices:      2,
-		MaxSlices:      128,
-	}
+	var o Options
+	o.fill()
+	return o
 }
 
 func (o *Options) fill() {
-	if o.SliceDt == 0 {
-		o.SliceDt = 4
-	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 300
 	}
-	if o.LearningRate == 0 {
-		o.LearningRate = 0.003
-	}
 	if o.TargetFidelity == 0 {
 		o.TargetFidelity = 0.999
-	}
-	if o.MinSlices == 0 {
-		o.MinSlices = 2
 	}
 	if o.MaxSlices == 0 {
 		o.MaxSlices = 128
@@ -105,9 +76,6 @@ type Result struct {
 	Amps     [][]float64 // Amps[k][j]: control k, slice j
 	Fidelity float64
 	Iters    int
-	// Trace is the per-iteration convergence record, populated when
-	// Options.RecordConvergence is set (nil otherwise).
-	Trace *obs.ConvergenceTrace
 }
 
 // arena holds the reusable buffers of the GRAPE inner loop for one
@@ -126,12 +94,6 @@ type arena struct {
 	c, cNext, d, targetDag *linalg.Matrix
 	sliceAmps              []float64
 	amps, grads, m, v      [][]float64
-	// bwd stores every backward cumulative product C_j for the parallel
-	// gradient pass (the serial path ping-pongs c/cNext instead).
-	bwd []*linalg.Matrix
-	// workers holds per-goroutine sub-arenas (workspace, X_j·C_j buffer,
-	// slice-amplitude staging) so parallel phases share no scratch.
-	workers []*workerState
 
 	// Cross-probe reuse, active only when MinimumTimeCtx sets
 	// reuseProbes: seed carries the previous probe's best amplitudes
@@ -162,18 +124,11 @@ type traceEntry struct {
 	v  complex128
 }
 
-// workerState is one parallel worker's private scratch.
-type workerState struct {
-	ws        *linalg.Workspace
-	d         *linalg.Matrix
-	sliceAmps []float64
-}
-
 func newArena() *arena { return &arena{} }
 
-// ensure sizes every buffer for a (dim, controls, slices, workers)
-// problem, reusing prior storage where shapes allow.
-func (ar *arena) ensure(dim, nc, slices, workers int) {
+// ensure sizes every buffer for a (dim, controls, slices) problem,
+// reusing prior storage where shapes allow.
+func (ar *arena) ensure(dim, nc, slices int) {
 	if ar.dim != dim {
 		ar.dim = dim
 		ar.ws = linalg.NewWorkspace(dim)
@@ -181,8 +136,7 @@ func (ar *arena) ensure(dim, nc, slices, workers int) {
 		ar.cNext = linalg.New(dim, dim)
 		ar.d = linalg.New(dim, dim)
 		ar.targetDag = linalg.New(dim, dim)
-		ar.props, ar.fwd, ar.bwd = nil, nil, nil
-		ar.workers = nil
+		ar.props, ar.fwd = nil, nil
 		// Propagators cached for cross-probe reuse are dim-specific too.
 		ar.propsAlt, ar.seed, ar.seedN, ar.seedProps = nil, nil, 0, false
 	}
@@ -200,23 +154,6 @@ func (ar *arena) ensure(dim, nc, slices, workers int) {
 	ar.grads = growRows(ar.grads, nc, slices)
 	ar.m = growRows(ar.m, nc, slices)
 	ar.v = growRows(ar.v, nc, slices)
-	if workers > 1 {
-		for len(ar.bwd) < slices {
-			ar.bwd = append(ar.bwd, linalg.New(dim, dim))
-		}
-		for len(ar.workers) < workers {
-			ar.workers = append(ar.workers, &workerState{
-				ws: linalg.NewWorkspace(dim),
-				d:  linalg.New(dim, dim),
-			})
-		}
-		for _, st := range ar.workers {
-			if cap(st.sliceAmps) < nc {
-				st.sliceAmps = make([]float64, nc)
-			}
-			st.sliceAmps = st.sliceAmps[:nc]
-		}
-	}
 }
 
 // indexTraces lists each control generator's nonzero entries in
@@ -302,13 +239,6 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 	}
 	nc := len(sys.Controls)
 	rng := rand.New(rand.NewSource(opts.Seed + int64(slices)))
-	workers := opts.Workers
-	if workers > slices {
-		workers = slices
-	}
-	if workers < 1 {
-		workers = 1
-	}
 
 	// Cross-probe propagator reuse (MinimumTimeCtx only): when the
 	// previous probe's active props bank realizes exactly the seed
@@ -321,7 +251,7 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 		ar.props, ar.propsAlt = ar.propsAlt, ar.props
 		prevProps = ar.propsAlt
 	}
-	ar.ensure(sys.Dim, nc, slices, workers)
+	ar.ensure(sys.Dim, nc, slices)
 	ar.indexTraces(sys)
 	traces := ar.traces
 
@@ -364,26 +294,9 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 	}
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-	var trace *obs.ConvergenceTrace
-	if opts.RecordConvergence {
-		cap := opts.MaxTracePoints
-		if cap == 0 {
-			cap = DefaultMaxTracePoints
-		}
-		if cap < 0 {
-			cap = 0 // unbounded
-		}
-		trace = &obs.ConvergenceTrace{MaxPoints: cap}
-		// Flush thinning losses to the registry on every return path.
-		defer func() {
-			if trace.DroppedCount > 0 {
-				reg.Counter("obs.convergence_dropped").Add(int64(trace.DroppedCount))
-			}
-		}()
-	}
-	best := &Result{Fidelity: -1, Trace: trace}
+	best := &Result{Fidelity: -1}
 	dim := float64(sys.Dim)
-	dt := opts.SliceDt
+	dt := sliceDt
 
 	props, fwd := ar.props[:slices], ar.fwd[:slices+1]
 	linalg.IdentityInto(fwd[0])
@@ -397,27 +310,16 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 			return best
 		}
 		iterCtr.Inc()
-		// Forward pass: slice propagators, then the (order-dependent,
-		// serial) cumulative products. On the first iteration after a
-		// props-valid duration probe every propagator is a copy of the
-		// previous probe's — each resampled amplitude column is bit-equal
-		// to the column its cached propagator was exponentiated from.
+		// Forward pass: slice propagators, then the cumulative products.
+		// On the first iteration after a props-valid duration probe every
+		// propagator is a copy of the previous probe's — each resampled
+		// amplitude column is bit-equal to the column its cached
+		// propagator was exponentiated from.
 		if iter == 1 && prevProps != nil {
 			for j := 0; j < slices; j++ {
 				props[j].CopyFrom(prevProps[j*ar.seedN/slices])
 			}
 			reuseCtr.Add(int64(slices))
-		} else if workers > 1 {
-			parallelFor(workers, slices, func(w, lo, hi int) {
-				st := ar.workers[w]
-				for j := lo; j < hi; j++ {
-					for k := 0; k < nc; k++ {
-						st.sliceAmps[k] = amps[k][j]
-					}
-					sys.PropagatorInto(props[j], st.sliceAmps, dt, st.ws)
-				}
-			})
-			expmCtr.Add(int64(slices))
 		} else {
 			for j := 0; j < slices; j++ {
 				for k := 0; k < nc; k++ {
@@ -441,12 +343,8 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 				copyAmps(best.Amps, amps)
 			}
 			if fid >= opts.TargetFidelity {
-				if trace != nil || opts.OnIteration != nil {
-					pt := obs.ConvergencePoint{Iter: iter, Fidelity: fid}
-					trace.Record(pt)
-					if opts.OnIteration != nil {
-						opts.OnIteration(pt)
-					}
+				if opts.OnIteration != nil {
+					opts.OnIteration(obs.ConvergencePoint{Iter: iter, Fidelity: fid})
 				}
 				if ar.reuseProbes {
 					// Returning before the ADAM update means props still
@@ -463,50 +361,19 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 		// where X_j = fwd[j+1]. Using cyclicity, tr(C·H·X) = tr((X·C)·H).
 		grads := ar.grads
 		var gradSq float64
-		if workers > 1 {
-			// Parallel gradient: store every C_j (the chain itself is
-			// order-dependent and stays serial), then fan the per-slice
-			// terms out — grads[k][j] writes are disjoint across workers.
-			// The norm reduction runs serially afterwards in the serial
-			// path's exact order (j descending, k ascending), so the sum
-			// is bit-identical regardless of worker count.
-			bwd := ar.bwd[:slices]
-			bwd[slices-1].CopyFrom(ar.targetDag)
-			for j := slices - 1; j > 0; j-- {
-				linalg.MulInto(bwd[j-1], bwd[j], props[j])
+		c, cNext := ar.c, ar.cNext
+		c.CopyFrom(ar.targetDag) // C_N = V† (B_N = I)
+		for j := slices - 1; j >= 0; j-- {
+			linalg.MulInto(ar.d, fwd[j+1], c) // X_j · C_j
+			for k := 0; k < nc; k++ {
+				t := sparseTrace(ar.d, traces[k])
+				val := complex(0, -dt) * t
+				g := 2 / (dim * dim) * (real(overlap)*real(val) + imag(overlap)*imag(val))
+				grads[k][j] = g
+				gradSq += g * g
 			}
-			parallelFor(workers, slices, func(w, lo, hi int) {
-				st := ar.workers[w]
-				for j := lo; j < hi; j++ {
-					linalg.MulInto(st.d, fwd[j+1], bwd[j])
-					for k := 0; k < nc; k++ {
-						t := sparseTrace(st.d, traces[k])
-						val := complex(0, -dt) * t
-						grads[k][j] = 2 / (dim * dim) * (real(overlap)*real(val) + imag(overlap)*imag(val))
-					}
-				}
-			})
-			for j := slices - 1; j >= 0; j-- {
-				for k := 0; k < nc; k++ {
-					g := grads[k][j]
-					gradSq += g * g
-				}
-			}
-		} else {
-			c, cNext := ar.c, ar.cNext
-			c.CopyFrom(ar.targetDag) // C_N = V† (B_N = I)
-			for j := slices - 1; j >= 0; j-- {
-				linalg.MulInto(ar.d, fwd[j+1], c) // X_j · C_j
-				for k := 0; k < nc; k++ {
-					t := sparseTrace(ar.d, traces[k])
-					val := complex(0, -dt) * t
-					g := 2 / (dim * dim) * (real(overlap)*real(val) + imag(overlap)*imag(val))
-					grads[k][j] = g
-					gradSq += g * g
-				}
-				linalg.MulInto(cNext, c, props[j]) // C_{j-1} = C_j·U_j
-				c, cNext = cNext, c
-			}
+			linalg.MulInto(cNext, c, props[j]) // C_{j-1} = C_j·U_j
+			c, cNext = cNext, c
 		}
 		gradNorm := math.Sqrt(gradSq)
 		gradHist.Observe(gradNorm)
@@ -521,7 +388,7 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 				g := grads[k][j]
 				m[k][j] = beta1*m[k][j] + (1-beta1)*g
 				v[k][j] = beta2*v[k][j] + (1-beta2)*g*g
-				step := opts.LearningRate * (m[k][j] / bc1) / (math.Sqrt(v[k][j]/bc2) + eps)
+				step := learningRate * (m[k][j] / bc1) / (math.Sqrt(v[k][j]/bc2) + eps)
 				amps[k][j] += step
 				if s := math.Abs(step); s > maxStep {
 					maxStep = s
@@ -533,12 +400,8 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 				}
 			}
 		}
-		if trace != nil || opts.OnIteration != nil {
-			pt := obs.ConvergencePoint{Iter: iter, Fidelity: fid, GradNorm: gradNorm, StepSize: maxStep}
-			trace.Record(pt)
-			if opts.OnIteration != nil {
-				opts.OnIteration(pt)
-			}
+		if opts.OnIteration != nil {
+			opts.OnIteration(obs.ConvergencePoint{Iter: iter, Fidelity: fid, GradNorm: gradNorm, StepSize: maxStep})
 		}
 	}
 	if ar.reuseProbes && best.Amps != nil {
@@ -548,24 +411,6 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 		ar.seed, ar.seedN, ar.seedProps = best.Amps, slices, false
 	}
 	return best
-}
-
-// parallelFor splits [0, n) into one contiguous range per worker and
-// runs f(w, lo, hi) on its own goroutine, blocking until all finish.
-func parallelFor(workers, n int, f func(w, lo, hi int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			f(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }
 
 // alignGuess maps a stored schedule's channels onto sys.Controls by
@@ -647,21 +492,21 @@ func MinimumTimeCtx(ctx context.Context, sys *hamiltonian.System, target *linalg
 	// cancellation check so a cancelled fleet stops between (and, via
 	// OptimizeCtx, inside) duration probes. A HintSlices prior (typically
 	// a near-miss cache hit's slice count) starts the bracket there
-	// instead of MinSlices, skipping the doubling probes below it; the
-	// binary search still descends to MinSlices afterwards, so minimality
+	// instead of minSlices, skipping the doubling probes below it; the
+	// binary search still descends to minSlices afterwards, so minimality
 	// is unchanged.
-	start := opts.MinSlices
+	start := minSlices
 	if opts.HintSlices > 0 {
 		start = opts.HintSlices
-		if start < opts.MinSlices {
-			start = opts.MinSlices
+		if start < minSlices {
+			start = minSlices
 		}
 		if start > opts.MaxSlices {
 			start = opts.MaxSlices
 		}
 		bsSpan.SetAttr("hint", start)
 	}
-	lo, hi := opts.MinSlices, start
+	lo, hi := minSlices, start
 	var hiRes *Result
 	for {
 		if err := ctx.Err(); err != nil {
@@ -705,6 +550,6 @@ func MinimumTimeCtx(ctx context.Context, sys *hamiltonian.System, target *linalg
 	for k, c := range sys.Controls {
 		names[k] = c.Name
 	}
-	sched := &pulse.Schedule{Channels: names, Amps: bestRes.Amps, SliceDt: opts.SliceDt}
-	return sched, float64(bestSlices) * opts.SliceDt, bestRes.Fidelity, nil
+	sched := &pulse.Schedule{Channels: names, Amps: bestRes.Amps, SliceDt: sliceDt}
+	return sched, float64(bestSlices) * sliceDt, bestRes.Fidelity, nil
 }

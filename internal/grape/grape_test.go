@@ -7,6 +7,7 @@ import (
 	"paqoc/internal/circuit"
 	"paqoc/internal/hamiltonian"
 	"paqoc/internal/linalg"
+	"paqoc/internal/obs"
 	"paqoc/internal/pulse"
 	"paqoc/internal/quantum"
 	"paqoc/internal/topology"
@@ -190,6 +191,47 @@ func TestWarmStartConverges(t *testing.T) {
 	}
 }
 
+// TestOnIterationFiresOncePerIteration pins the convergence hook behind
+// the live SSE stream: one call per iteration, Iter counting up from 1,
+// and the point at Result.Iters carrying Result.Fidelity. A run that
+// reaches the target returns at that iteration, so its last point is the
+// result; a run that exhausts MaxIter reports every iteration.
+func TestOnIterationFiresOncePerIteration(t *testing.T) {
+	sys := hamiltonian.XYTransmon(1, nil)
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		reached bool
+	}{
+		{"reached", DefaultOptions(), true},
+		{"exhausted", Options{MaxIter: 30, Seed: 3, TargetFidelity: 2}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var pts []obs.ConvergencePoint
+			tc.opts.OnIteration = func(p obs.ConvergencePoint) { pts = append(pts, p) }
+			res := OptimizeCtx(context.Background(), sys, quantum.MatX, 8, tc.opts)
+			if got := res.Fidelity >= tc.opts.TargetFidelity; got != tc.reached {
+				t.Fatalf("reached target = %v (fidelity %v), want %v", got, res.Fidelity, tc.reached)
+			}
+			want := tc.opts.MaxIter
+			if tc.reached {
+				want = res.Iters
+			}
+			if len(pts) != want {
+				t.Fatalf("OnIteration fired %d times, want %d", len(pts), want)
+			}
+			for i, p := range pts {
+				if p.Iter != i+1 {
+					t.Fatalf("point %d has Iter %d, want %d", i, p.Iter, i+1)
+				}
+			}
+			if p := pts[res.Iters-1]; p.Fidelity != res.Fidelity {
+				t.Errorf("point at Iter %d has fidelity %v, result %v", p.Iter, p.Fidelity, res.Fidelity)
+			}
+		})
+	}
+}
+
 func BenchmarkGrapeXGate(b *testing.B) {
 	sys := hamiltonian.XYTransmon(1, nil)
 	opts := DefaultOptions()
@@ -208,6 +250,20 @@ func BenchmarkGrapeCXMinimumTime(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkGrapeIteration is the cost of one GRAPE iteration on a CX
+// problem (12 slices), reported as ns/iter. The target is unreachable, so
+// every call runs exactly MaxIter iterations; per-call setup is amortized
+// over them.
+func BenchmarkGrapeIteration(b *testing.B) {
+	sys := hamiltonian.XYTransmon(2, [][2]int{{0, 1}})
+	opts := Options{MaxIter: 40, Seed: 3, TargetFidelity: 2}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		OptimizeCtx(context.Background(), sys, quantum.MatCX, 12, opts)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*opts.MaxIter), "ns/iter")
 }
 
 func TestGRAPECompensatesZZCrosstalk(t *testing.T) {

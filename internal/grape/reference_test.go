@@ -50,7 +50,7 @@ func OptimizeReference(sys *hamiltonian.System, target *linalg.Matrix, slices in
 
 	best := &Result{Fidelity: -1}
 	dim := float64(sys.Dim)
-	dt := opts.SliceDt
+	dt := sliceDt
 
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		// Forward pass: slice propagators and cumulative products.
@@ -102,7 +102,7 @@ func OptimizeReference(sys *hamiltonian.System, target *linalg.Matrix, slices in
 				g := grads[k][j]
 				m[k][j] = beta1*m[k][j] + (1-beta1)*g
 				v[k][j] = beta2*v[k][j] + (1-beta2)*g*g
-				step := opts.LearningRate * (m[k][j] / bc1) / (math.Sqrt(v[k][j]/bc2) + eps)
+				step := learningRate * (m[k][j] / bc1) / (math.Sqrt(v[k][j]/bc2) + eps)
 				amps[k][j] += step
 				if amps[k][j] > bound {
 					amps[k][j] = bound

@@ -171,7 +171,7 @@ func TestHintSlicesSavesProbes(t *testing.T) {
 
 	coldLat, coldProbes := run(base)
 	hinted := base
-	hinted.HintSlices = int(coldLat / base.SliceDt)
+	hinted.HintSlices = int(coldLat / sliceDt)
 	hintLat, hintProbes := run(hinted)
 	if hintLat != coldLat {
 		t.Fatalf("hinted search changed the answer: %v vs %v", hintLat, coldLat)

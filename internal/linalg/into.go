@@ -49,39 +49,14 @@ func MulInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("linalg: MulInto bad destination shape")
 	}
-	if useFastKernels && mulIntoFast(dst, a, b) {
+	if mulIntoFast(dst, a, b) {
 		return
 	}
 	mulIntoGeneric(dst, a, b)
 }
 
-// useFastKernels gates the specialized-kernel dispatch. It exists only
-// so SetFastKernels can measure generic-vs-blocked end-to-end; both
-// paths produce bit-identical results.
-var useFastKernels = true
-
-// SetFastKernels enables or disables the specialized kernel dispatch and
-// reports the previous setting. Benchmark-only: callers must not toggle
-// it while other goroutines are inside linalg kernels.
-func SetFastKernels(enabled bool) bool {
-	prev := useFastKernels
-	useFastKernels = enabled
-	return prev
-}
-
-// MulIntoGeneric is the portable scalar kernel behind MulInto, exported
-// so the paqoc-bench kernels experiment can benchmark the specialized
-// dispatch against its baseline. Same contract as MulInto.
-func MulIntoGeneric(dst, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic("linalg: MulInto shape mismatch")
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("linalg: MulInto bad destination shape")
-	}
-	mulIntoGeneric(dst, a, b)
-}
-
+// mulIntoGeneric is the portable scalar kernel behind MulInto, and the
+// oracle the specialized kernels are tested against.
 func mulIntoGeneric(dst, a, b *Matrix) {
 	for i := range dst.Data {
 		dst.Data[i] = 0
@@ -112,7 +87,7 @@ func MulVecInto(dst []complex128, m *Matrix, v []complex128) {
 	if len(dst) != m.Rows {
 		panic("linalg: MulVecInto bad destination length")
 	}
-	if useFastKernels && m.Rows == m.Cols {
+	if m.Rows == m.Cols {
 		switch m.Rows {
 		case 4:
 			mulVecInto4(dst, m, v)

@@ -9,7 +9,7 @@ package linalg
 // and the complex product is the naive (ar·br−ai·bi, ar·bi+ai·br)
 // formula via VMULPD+VADDSUBPD with no FMA contraction — so every
 // intermediate rounding matches the scalar kernel and results are
-// bit-identical to MulIntoGeneric. TestMulKernelsBitIdentical pins this.
+// bit-identical to mulIntoGeneric. TestMulKernelsBitIdentical pins this.
 
 var hasAVX2 = detectAVX2()
 

@@ -9,7 +9,7 @@ import (
 // generic scalar loops: the golden experiment tables pin latencies to
 // the last ulp through 4- and 8-dim unitary products, so any FP
 // reordering in MulInto would silently shift the physics. These tests
-// compare the dispatched path against MulIntoGeneric bit-for-bit over
+// compare the dispatched path against mulIntoGeneric bit-for-bit over
 // random matrices salted with the edge cases the kernels special-case
 // (±0 skip rows, NaN/Inf in skipped and unskipped positions).
 
@@ -74,7 +74,7 @@ func TestMulKernelsBitIdentical(t *testing.T) {
 			}
 			want := New(n, n)
 			got := New(n, n)
-			MulIntoGeneric(want, a, b)
+			mulIntoGeneric(want, a, b)
 			MulInto(got, a, b)
 			for i := range want.Data {
 				if !sameBits(want.Data[i], got.Data[i]) {
@@ -82,24 +82,6 @@ func TestMulKernelsBitIdentical(t *testing.T) {
 						n, trial, i, want.Data[i], got.Data[i])
 				}
 			}
-		}
-	}
-}
-
-func TestMulKernelsBitIdenticalToggled(t *testing.T) {
-	// The SetFastKernels escape hatch must route back to the generic
-	// kernel (used by the e2e before/after benchmark).
-	a := randomTestMatrix(8, 8, 5)
-	b := randomTestMatrix(8, 8, 6)
-	want := New(8, 8)
-	got := New(8, 8)
-	prev := SetFastKernels(false)
-	MulInto(got, a, b)
-	SetFastKernels(prev)
-	MulIntoGeneric(want, a, b)
-	for i := range want.Data {
-		if !sameBits(want.Data[i], got.Data[i]) {
-			t.Fatalf("element %d differs with kernels disabled", i)
 		}
 	}
 }
@@ -133,7 +115,7 @@ func TestMulKernelsNonSquareFallback(t *testing.T) {
 	b := randomTestMatrix(4, 8, 8)
 	want := New(8, 8)
 	got := New(8, 8)
-	MulIntoGeneric(want, a, b)
+	mulIntoGeneric(want, a, b)
 	MulInto(got, a, b)
 	for i := range want.Data {
 		if !sameBits(want.Data[i], got.Data[i]) {
@@ -149,16 +131,16 @@ func benchMulPair(b *testing.B, n int, generic bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if generic {
-			MulIntoGeneric(dst, x, y)
+			mulIntoGeneric(dst, x, y)
 		} else {
 			MulInto(dst, x, y)
 		}
 	}
 }
 
-func BenchmarkMulIntoGeneric8(b *testing.B)    { benchMulPair(b, 8, true) }
-func BenchmarkMulIntoDispatched8(b *testing.B) { benchMulPair(b, 8, false) }
-func BenchmarkMulIntoGeneric16(b *testing.B)   { benchMulPair(b, 16, true) }
-func BenchmarkMulIntoDispatched16(b *testing.B) {
+func BenchmarkMulGeneric8(b *testing.B)    { benchMulPair(b, 8, true) }
+func BenchmarkMulDispatched8(b *testing.B) { benchMulPair(b, 8, false) }
+func BenchmarkMulGeneric16(b *testing.B)   { benchMulPair(b, 16, true) }
+func BenchmarkMulDispatched16(b *testing.B) {
 	benchMulPair(b, 16, false)
 }

@@ -33,6 +33,14 @@ type Event struct {
 	Err string `json:"error,omitempty"` // terminal failure message
 }
 
+// ConvergencePoint is one iteration of a gradient-ascent optimization.
+type ConvergencePoint struct {
+	Iter     int     `json:"iter"`
+	Fidelity float64 `json:"fidelity"`
+	GradNorm float64 `json:"grad_norm"` // L2 norm over all controls/slices
+	StepSize float64 `json:"step_size"` // largest |ADAM step| this iteration
+}
+
 // Event type tags.
 const (
 	EventStage       = "stage"

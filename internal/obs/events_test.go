@@ -179,34 +179,3 @@ func TestEventRingOnPublish(t *testing.T) {
 		t.Error("hook must observe events after Seq assignment")
 	}
 }
-
-func TestConvergenceTraceBounded(t *testing.T) {
-	tr := &ConvergenceTrace{MaxPoints: 8}
-	for i := 1; i <= 100; i++ {
-		tr.Record(ConvergencePoint{Iter: i})
-	}
-	if len(tr.Points) > 8 {
-		t.Fatalf("points = %d, want <= 8", len(tr.Points))
-	}
-	if tr.DroppedCount == 0 {
-		t.Error("thinning must account dropped points")
-	}
-	if got := len(tr.Points) + tr.DroppedCount; got != 100 {
-		t.Errorf("kept+dropped = %d, want 100", got)
-	}
-	// The first and the most recent iterations survive thinning.
-	if tr.Points[0].Iter != 1 {
-		t.Errorf("first point iter = %d, want 1", tr.Points[0].Iter)
-	}
-	if last := tr.Points[len(tr.Points)-1].Iter; last != 100 {
-		t.Errorf("last point iter = %d, want 100", last)
-	}
-	// Unbounded traces keep everything.
-	un := &ConvergenceTrace{}
-	for i := 1; i <= 100; i++ {
-		un.Record(ConvergencePoint{Iter: i})
-	}
-	if len(un.Points) != 100 || un.DroppedCount != 0 {
-		t.Errorf("unbounded trace = %d points, %d dropped", len(un.Points), un.DroppedCount)
-	}
-}

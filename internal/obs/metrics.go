@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the PAQOC pipeline: a
 // zero-dependency metrics registry (atomic counters, gauges, bucketed
 // histograms with snapshot/export), a tracing layer (nestable spans with a
-// Chrome about:tracing JSON export), and a GRAPE convergence recorder.
+// Chrome about:tracing JSON export), and per-job live event streams.
 //
 // Everything is nil-safe: a nil *Registry hands out nil instruments, and
 // every method on a nil instrument or nil *Span is a no-op, so instrumented

@@ -45,7 +45,7 @@ func (cp *Compiler) optimize(ctx context.Context, bc *critical.BlockCircuit) (in
 	labCache := map[[2]*critical.Block]float64{}
 	iters := 0
 
-	for iters < cp.Cfg.MaxIterations {
+	for iters < maxIterations {
 		iters++
 		roundCtr.Inc()
 

@@ -28,6 +28,10 @@ import (
 // MInf requests unlimited APA-basis gates (the paper's paqoc(M=inf)).
 const MInf = -1
 
+// maxIterations bounds Algorithm 1's outer loop (safety; the loop normally
+// stops when no merge improves the critical path).
+const maxIterations = 10000
+
 // Config holds the user-facing knobs of §V-C.
 type Config struct {
 	// MaxN caps customized-gate width; the evaluation uses 3 (§VI-c).
@@ -50,9 +54,6 @@ type Config struct {
 	// ProbeCaseII asks the real generator (not just the analytical model)
 	// for Case II candidates, as §V-A prescribes.
 	ProbeCaseII bool
-	// MaxIterations bounds Algorithm 1's outer loop (safety; the loop
-	// normally stops when no merge improves the critical path).
-	MaxIterations int
 	// Mining bounds the pattern search.
 	Mining mining.Options
 	// Preselected supplies offline-mined APA selections for the
@@ -81,7 +82,6 @@ func DefaultConfig() Config {
 		FidelityTarget: 0.999,
 		PruneCaseIII:   true,
 		ProbeCaseII:    true,
-		MaxIterations:  10000,
 		Mining:         mining.DefaultOptions(),
 	}
 }
@@ -154,9 +154,6 @@ func New(gen pulse.Generator, topo *topology.Topology, cfg Config) *Compiler {
 	}
 	if cfg.FidelityTarget == 0 {
 		cfg.FidelityTarget = 0.999
-	}
-	if cfg.MaxIterations == 0 {
-		cfg.MaxIterations = 10000
 	}
 	return &Compiler{Gen: gen, Ranker: ranker, Cfg: cfg}
 }

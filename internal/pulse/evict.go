@@ -20,9 +20,6 @@ func (db *DB) SetMaxEntries(max int) {
 	}
 }
 
-// MaxEntries returns the configured capacity bound (0 = unbounded).
-func (db *DB) MaxEntries() int { return int(db.maxEntries.Load()) }
-
 // maybeEvict applies the capacity bound after an insert. Cheap when under
 // capacity: one atomic load and compare.
 func (db *DB) maybeEvict() {

@@ -115,7 +115,7 @@ func (db *DB) MergeSnapshot(r io.Reader) (MergeReport, error) {
 	for i, fe := range in.Entries {
 		u, g, err := fe.Decode()
 		if err != nil {
-			return rep, fmt.Errorf("%v (entry %d)", err, i)
+			return rep, fmt.Errorf("%w (entry %d)", err, i)
 		}
 		switch db.Merge(u, g, fe.Protected) {
 		case MergeAdded:

@@ -203,7 +203,7 @@ func loadDB(r io.Reader, want string, pinned bool) (*DB, error) {
 	for i, fe := range in.Entries {
 		u, g, err := fe.Decode()
 		if err != nil {
-			return nil, fmt.Errorf("%v (entry %d)", err, i)
+			return nil, fmt.Errorf("%w (entry %d)", err, i)
 		}
 		db.store(u, g, fe.Protected)
 	}

@@ -1,10 +1,21 @@
 package pulse
 
 import (
+	"errors"
 	"fmt"
 
 	"paqoc/internal/linalg"
 )
+
+// maxEntryDim caps a decoded entry's matrix dimension: a 10-qubit unitary,
+// far wider than any customized gate. Decode checks it before computing
+// Dim*Dim, which would otherwise overflow for a crafted dimension and let
+// an empty unitary pass the shape check.
+const maxEntryDim = 1 << 10
+
+// ErrEntryTooLarge is wrapped by Decode's error for an entry whose
+// declared dimension exceeds the cap of 1024 (a 10-qubit unitary).
+var ErrEntryTooLarge = errors.New("pulse: entry dimension exceeds the cap")
 
 // WireEntry is the serialized form of one pulse-database entry. It is the
 // unit of exchange everywhere an entry crosses a process boundary: the
@@ -50,12 +61,16 @@ func EncodeEntry(e *Entry) (WireEntry, bool) {
 	return EncodeWire(e.U, e.Generated, e.protected.Load())
 }
 
-// Decode validates and reconstructs the entry: the matrix must be the
-// declared shape, every value (unitary, metadata, schedule samples) must
-// be finite, and the matrix must be unitary within tolerance — a corrupt
-// snapshot or a malicious replication PUT fails fast instead of poisoning
-// warm starts at compile time.
+// Decode validates and reconstructs the entry: the dimension must be at
+// most 1024, the matrix must be the declared shape, every value
+// (unitary, metadata, schedule samples) must be finite, and the matrix
+// must be unitary within tolerance — a corrupt snapshot or a malicious
+// replication PUT fails fast instead of poisoning warm starts at compile
+// time.
 func (we WireEntry) Decode() (*linalg.Matrix, *Generated, error) {
+	if we.Dim > maxEntryDim {
+		return nil, nil, fmt.Errorf("%w: dim %d > %d", ErrEntryTooLarge, we.Dim, maxEntryDim)
+	}
 	if we.Dim <= 0 || len(we.Unitary) != we.Dim*we.Dim {
 		return nil, nil, fmt.Errorf("pulse: entry has inconsistent dimensions")
 	}

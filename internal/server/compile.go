@@ -102,9 +102,7 @@ func (s *Server) compile(ctx context.Context, j *Job) (*api.Result, error) {
 
 	var gen pulse.Generator
 	if req.Grape {
-		gopts := grape.DefaultOptions()
-		gopts.Workers = s.cfg.GrapeWorkers
-		g := grape.NewGenerator(gopts)
+		g := grape.NewGenerator(grape.DefaultOptions())
 		g.Topo = topo
 		g.DB = db // shared warm database: cross-request hits and dedups
 		g.System = j.profile.SystemBuilder()

@@ -68,12 +68,6 @@ type Config struct {
 	// without a cap one request could demand an arbitrarily wide engine
 	// pool multiplied across the server's own workers.
 	MaxJobWorkers int
-	// GrapeWorkers sets the per-optimization inner-loop goroutine count
-	// for GRAPE jobs (grape.Options.Workers; 0 or 1 = serial). Results
-	// are bit-identical across worker counts, so this is purely a
-	// throughput knob — but it multiplies against Workers, so size the
-	// product to the machine.
-	GrapeWorkers int
 	// EnablePprof mounts /debug/pprof on the public API mux. Off by
 	// default: the profiling endpoints are unauthenticated, so they belong
 	// on a loopback-only listener (cmd/paqoc-server's -pprof flag) unless
@@ -719,7 +713,6 @@ func preregisterMetrics(r *obs.Registry) {
 	} {
 		r.Counter(name)
 	}
-	r.Counter("obs.convergence_dropped")
 	for _, name := range []string{
 		"server.queue_len", "server.queue_capacity", "server.workers",
 		"server.jobs_running", "cluster.owned_keys",
@@ -752,7 +745,6 @@ func preregisterMetrics(r *obs.Registry) {
 		"cluster.owned_keys":           "Warm-store entries whose rendezvous owner is this replica (recomputed per scrape).",
 		"server.queue_len":             "Jobs currently queued.",
 		"server.jobs_running":          "Jobs currently executing.",
-		"obs.convergence_dropped":      "GRAPE convergence-trace points discarded by the per-optimization cap.",
 		"grape.iterations":             "GRAPE optimizer iterations executed.",
 		"pulse.db_dedups":              "Generator runs avoided by singleflight coalescing on the pulse DB.",
 		"miner.pregenerated":           "APA-basis pulses pre-generated by the offline miner during idle capacity.",
