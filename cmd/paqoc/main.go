@@ -40,7 +40,6 @@ import (
 	"paqoc/internal/circuit"
 	"paqoc/internal/device"
 	"paqoc/internal/grape"
-	"paqoc/internal/mining"
 	"paqoc/internal/obs"
 	"paqoc/internal/paqoc"
 	"paqoc/internal/pulse"
@@ -86,7 +85,7 @@ func run() error {
 		o = &obs.Obs{Tracer: obs.NewTracer()}
 		if *metricsFile != "" {
 			o.Metrics = obs.NewRegistry()
-			preregisterMetrics(o.Metrics)
+			paqoc.PreregisterMetrics(o.Metrics)
 		}
 		ctx = o.Attach(ctx)
 	}
@@ -147,12 +146,7 @@ func run() error {
 	case "inf":
 		cfg.M = paqoc.MInf
 	case "tuned":
-		patterns, err := mining.MineCtx(ctx, phys, mining.DefaultOptions())
-		if err != nil {
-			return err
-		}
-		cfg.M = mining.TunedM(phys, patterns, cfg.MinSupport)
-		fmt.Printf("tuned M = %d\n", cfg.M)
+		cfg.M = paqoc.MTuned
 	default:
 		if _, err := fmt.Sscanf(*mFlag, "%d", &cfg.M); err != nil || cfg.M < 0 {
 			return fmt.Errorf("bad -m value %q", *mFlag)
@@ -192,6 +186,10 @@ func run() error {
 	res, err := comp.CompileCtx(ctx, phys)
 	if err != nil {
 		return err
+	}
+	if cfg.M == paqoc.MTuned {
+		// The tuned M is the number of APA-basis gates it selected.
+		fmt.Printf("tuned M = %d\n", len(res.APASelections))
 	}
 	if grapeGen != nil && *dbPath != "" {
 		if err := savePulseDB(*dbPath, grapeGen); err != nil {
@@ -277,35 +275,6 @@ func run() error {
 		fmt.Printf("metrics written to %s\n", *metricsFile)
 	}
 	return nil
-}
-
-// preregisterMetrics creates the canonical pipeline instruments up front so
-// a metrics export always carries the merge-loop, GRAPE, and simulator
-// series — zero-valued when a stage did not run — giving downstream
-// consumers a stable schema.
-func preregisterMetrics(r *obs.Registry) {
-	for _, name := range []string{
-		"paqoc.merge.rounds", "paqoc.merge.candidates", "paqoc.merge.cache_hits",
-		"paqoc.merge.applied", "paqoc.merge.rejected", "paqoc.merge.preprocessed",
-		"paqoc.emit.blocks", "paqoc.emit.split_fallbacks",
-		"grape.iterations", "grape.binsearch.probes", "grape.generated",
-		"grape.db_hits", "grape.db_permuted_hits", "grape.warm_starts", "grape.expm",
-		"grape.probe_prop_reuse",
-		"pulsesim.slices", "pulsesim.expm", "pulsesim.esp_evals", "pulsesim.esp_gates",
-		"mining.subcircuits_enumerated", "mining.pruned_qubit_cap", "mining.patterns",
-		"latency.model.probes", "latency.model.db_hits",
-		"engine.tasks", "engine.completed", "pulse.db_dedups",
-		"pulse.nearest_scanned", "pulse.nearest_pruned",
-		"pulse.evictions", "pulse.save_skipped_nonfinite",
-	} {
-		r.Counter(name)
-	}
-	for _, name := range []string{
-		"engine.inflight", "engine.active_workers", "engine.active_workers.peak",
-		"engine.queued", "engine.queued.peak",
-	} {
-		r.Gauge(name)
-	}
 }
 
 // writeFileWith streams fn into path, closing the file on every path and

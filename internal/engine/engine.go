@@ -12,12 +12,12 @@
 // owns its index) and reduce them in submission order after Wait.
 //
 // When the context carries an obs metrics registry, the pool maintains the
-// engine.inflight and engine.active_workers gauges (currently running
-// tasks), the engine.queued gauge (tasks blocked waiting for a worker
-// slot), their .peak high-water marks, and the engine.tasks /
-// engine.completed counters. All pools sharing one registry update the
-// same instruments via atomic deltas, so the gauges reflect process-wide
-// saturation even when several groups are live at once.
+// engine.active_workers gauge (currently running tasks), the engine.queued
+// gauge (tasks blocked waiting for a worker slot), their .peak high-water
+// marks, and the engine.tasks / engine.completed counters. All pools
+// sharing one registry update the same instruments via atomic deltas, so
+// the gauges reflect process-wide saturation even when several groups are
+// live at once.
 package engine
 
 import (
@@ -43,7 +43,6 @@ type Group struct {
 	mu  sync.Mutex
 	err error
 
-	inflight   *obs.Gauge // legacy name, same value as active
 	active     *obs.Gauge
 	activePeak *obs.Gauge
 	queued     *obs.Gauge
@@ -63,7 +62,6 @@ func WithContext(ctx context.Context, workers int) (*Group, context.Context) {
 	g := &Group{
 		ctx:        gctx,
 		cancel:     cancel,
-		inflight:   reg.Gauge("engine.inflight"),
 		active:     reg.Gauge("engine.active_workers"),
 		activePeak: reg.Gauge("engine.active_workers.peak"),
 		queued:     reg.Gauge("engine.queued"),
@@ -155,7 +153,6 @@ func (g *Group) fail(err error) {
 // a registry compose: the gauges read as process-wide totals, not the last
 // group's private count.
 func (g *Group) track(delta float64) {
-	g.inflight.Add(delta)
 	g.activePeak.Max(g.active.Add(delta))
 }
 

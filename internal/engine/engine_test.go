@@ -162,9 +162,6 @@ func TestMetricsGaugeAndCounter(t *testing.T) {
 	if v := reg.Counter("engine.tasks").Value(); v != 6 {
 		t.Errorf("engine.tasks = %d, want 6", v)
 	}
-	if v := reg.Gauge("engine.inflight").Value(); v != 0 {
-		t.Errorf("engine.inflight = %v after Wait, want 0", v)
-	}
 	if v := reg.Counter("engine.completed").Value(); v != 6 {
 		t.Errorf("engine.completed = %d, want 6", v)
 	}

@@ -80,7 +80,8 @@ type Fig6Result struct {
 // 150-circuit suite and compares merged vs summed pulse latencies using
 // the calibrated model.
 func Fig6(limit int) (*Fig6Result, error) {
-	model := latency.NewModel()
+	model := &latency.Model{}
+	ctx := context.Background()
 	suite := bench.Suite150()
 	if limit > 0 && limit < len(suite) {
 		suite = suite[:limit]
@@ -96,22 +97,22 @@ func Fig6(limit int) (*Fig6Result, error) {
 			var sum float64
 			ok := true
 			for _, g := range run {
-				gen, err := model.GenerateCtx(context.Background(), pulse.NewCustomGate([]circuit.Gate{g}), 0.999)
+				lat, err := model.LatencyCtx(ctx, pulse.NewCustomGate([]circuit.Gate{g}))
 				if err != nil {
 					ok = false
 					break
 				}
-				sum += gen.Latency
+				sum += lat
 			}
 			if !ok {
 				continue
 			}
 			cg := pulse.NewCustomGate(run)
-			gen, err := model.GenerateCtx(context.Background(), cg, 0.999)
+			merged, err := model.LatencyCtx(ctx, cg)
 			if err != nil {
 				continue
 			}
-			pt := Fig6Point{SumLatency: sum, MergedLatency: gen.Latency, Qubits: cg.NumQubits(), Gates: len(run)}
+			pt := Fig6Point{SumLatency: sum, MergedLatency: merged, Qubits: cg.NumQubits(), Gates: len(run)}
 			res.Points = append(res.Points, pt)
 			if pt.MergedLatency <= pt.SumLatency+1e-9 {
 				res.BelowDiagonal++

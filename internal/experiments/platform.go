@@ -14,10 +14,10 @@ import (
 	"paqoc/internal/accqoc"
 	"paqoc/internal/bench"
 	"paqoc/internal/circuit"
+	"paqoc/internal/critical"
 	"paqoc/internal/device"
 	"paqoc/internal/engine"
 	"paqoc/internal/latency"
-	"paqoc/internal/mining"
 	"paqoc/internal/obs"
 	"paqoc/internal/paqoc"
 	"paqoc/internal/route"
@@ -94,10 +94,31 @@ type MethodResult struct {
 // Every method gets a fresh pulse database so compile costs are
 // independent, exactly as separate compiler invocations would be.
 func (p *Platform) RunMethods(phys *circuit.Circuit) ([]MethodResult, error) {
-	var out []MethodResult
 	ctx := p.Obs.Attach(context.Background())
+	out := make([]MethodResult, 0, len(Methods))
+	for _, m := range Methods {
+		r, err := p.compileMethod(ctx, m, phys)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r.MethodResult)
+	}
+	return out, nil
+}
 
-	for _, depth := range []int{3, 5} {
+// methodRun is one method's compile of a physical circuit: the figures
+// Figs. 10–12 read, plus the block circuit Table II simulates.
+type methodRun struct {
+	MethodResult
+	Blocks *critical.BlockCircuit
+	// InitialLatency and OfflineCost are set by the paqoc methods only.
+	InitialLatency, OfflineCost float64
+}
+
+// compileMethod is the one recipe for each of Methods: it compiles phys
+// under the named method with a fresh pulse database.
+func (p *Platform) compileMethod(ctx context.Context, method string, phys *circuit.Circuit) (*methodRun, error) {
+	if depth, ok := map[string]int{"accqoc_n3d3": 3, "accqoc_n3d5": 5}[method]; ok {
 		gen := latency.NewModel()
 		gen.Topo = p.Topo
 		gen.Params = p.Profile.Params()
@@ -109,60 +130,50 @@ func (p *Platform) RunMethods(phys *circuit.Circuit) ([]MethodResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, MethodResult{
-			Method:       fmt.Sprintf("accqoc_n3d%d", depth),
+		return &methodRun{
+			MethodResult: MethodResult{
+				Method:       method,
+				Latency:      res.Latency,
+				TotalLatency: res.TotalLatency,
+				CompileCost:  res.CompileCost,
+				ESP:          res.ESP,
+				NumBlocks:    res.NumBlocks,
+				WallTime:     res.WallTime,
+			},
+			Blocks: res.Blocks,
+		}, nil
+	}
+	m, ok := map[string]int{"paqoc_m0": 0, "paqoc_mtuned": paqoc.MTuned, "paqoc_minf": paqoc.MInf}[method]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown method %q", method)
+	}
+	cfg := paqoc.DefaultConfig()
+	cfg.FidelityTarget = p.Fidelity
+	cfg.M = m
+	// Rank analytically throughout (§III-B's observations exist to avoid
+	// pulse generation during the search); pulses are emitted once for the
+	// final customized gates. Probing is covered by the ablation
+	// benchmarks.
+	cfg.ProbeCaseII = false
+	res, err := paqoc.NewForProfile(nil, p.Profile, cfg).CompileCtx(ctx, phys)
+	if err != nil {
+		return nil, err
+	}
+	return &methodRun{
+		MethodResult: MethodResult{
+			Method:       method,
 			Latency:      res.Latency,
 			TotalLatency: res.TotalLatency,
 			CompileCost:  res.CompileCost,
 			ESP:          res.ESP,
 			NumBlocks:    res.NumBlocks,
 			WallTime:     res.WallTime,
-		})
-	}
-
-	for _, m := range []int{0, mTunedSentinel, paqoc.MInf} {
-		cfg := paqoc.DefaultConfig()
-		cfg.FidelityTarget = p.Fidelity
-		// Rank analytically throughout (§III-B's observations exist to
-		// avoid pulse generation during the search); pulses are emitted
-		// once for the final customized gates. Probing is covered by the
-		// ablation benchmarks.
-		cfg.ProbeCaseII = false
-		name := ""
-		switch m {
-		case 0:
-			cfg.M = 0
-			name = "paqoc_m0"
-		case mTunedSentinel:
-			patterns, err := mining.MineCtx(ctx, phys, mining.DefaultOptions())
-			if err != nil {
-				return nil, err
-			}
-			cfg.M = mining.TunedM(phys, patterns, cfg.MinSupport)
-			name = "paqoc_mtuned"
-		default:
-			cfg.M = paqoc.MInf
-			name = "paqoc_minf"
-		}
-		comp := paqoc.NewForProfile(nil, p.Profile, cfg)
-		res, err := comp.CompileCtx(ctx, phys)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, MethodResult{
-			Method:       name,
-			Latency:      res.Latency,
-			TotalLatency: res.TotalLatency,
-			CompileCost:  res.CompileCost,
-			ESP:          res.ESP,
-			NumBlocks:    res.NumBlocks,
-			WallTime:     res.WallTime,
-		})
-	}
-	return out, nil
+		},
+		Blocks:         res.Blocks,
+		InitialLatency: res.InitialLatency,
+		OfflineCost:    res.OfflineCost,
+	}, nil
 }
-
-const mTunedSentinel = -2
 
 // BenchRow pairs a benchmark with its per-method results.
 type BenchRow struct {

@@ -7,9 +7,7 @@ import (
 
 	"paqoc/internal/bench"
 	"paqoc/internal/grape"
-	"paqoc/internal/hamiltonian"
 	"paqoc/internal/paqoc"
-	"paqoc/internal/pulse"
 	"paqoc/internal/pulsesim"
 	"paqoc/internal/statevec"
 )
@@ -73,7 +71,7 @@ func TableIIFull(p *Platform, benches []string, maxUsedQubits int) ([]TableIIFul
 			if err != nil {
 				return nil, err
 			}
-			sys := p.Profile.System(cg.NumQubits(), blockCouplings(p, cg))
+			sys := p.Profile.System(cg.NumQubits(), grape.Couplings(p.Topo, cg))
 			got, err := pulsesim.EvolveCtx(context.Background(), sys, b.Gen.Schedule)
 			if err != nil {
 				return nil, fmt.Errorf("%s: block %s: %v", name, cg.Describe(), err)
@@ -98,23 +96,6 @@ func TableIIFull(p *Platform, benches []string, maxUsedQubits int) ([]TableIIFul
 		})
 	}
 	return rows, nil
-}
-
-// blockCouplings mirrors grape.Generator's coupling selection.
-func blockCouplings(p *Platform, cg *pulse.CustomGate) [][2]int {
-	n := cg.NumQubits()
-	var pairs [][2]int
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			if p.Topo == nil || p.Topo.Connected(cg.Qubits[a], cg.Qubits[b]) {
-				pairs = append(pairs, [2]int{a, b})
-			}
-		}
-	}
-	if len(pairs) == 0 && n > 1 {
-		pairs = hamiltonian.LinearChain(n)
-	}
-	return pairs
 }
 
 // PrintTableIIFull renders the full-simulation rows.

@@ -7,13 +7,8 @@ import (
 	"math"
 	"sort"
 
-	"paqoc/internal/accqoc"
 	"paqoc/internal/bench"
-	"paqoc/internal/circuit"
 	"paqoc/internal/critical"
-	"paqoc/internal/latency"
-	"paqoc/internal/mining"
-	"paqoc/internal/paqoc"
 	"paqoc/internal/statevec"
 )
 
@@ -31,6 +26,7 @@ type TableIINoisyRow struct {
 // by the gate's pulse duration, under the coherence times of the
 // platform's device profile. Fidelity is ⟨ψ_ideal|ρ|ψ_ideal⟩.
 func TableIINoisy(p *Platform) ([]TableIINoisyRow, error) {
+	ctx := p.Obs.Attach(context.Background())
 	var rows []TableIINoisyRow
 	for _, name := range TableIIBenches {
 		spec, ok := bench.ByName(name)
@@ -42,66 +38,20 @@ func TableIINoisy(p *Platform) ([]TableIINoisyRow, error) {
 			return nil, err
 		}
 		row := TableIINoisyRow{Bench: name, Fidelity: map[string]float64{}}
-		blocks, err := p.methodBlocks(phys)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", name, err)
-		}
-		for method, bc := range blocks {
-			f, err := noisyFidelity(bc, p.Profile.T1Dt, p.Profile.T2Dt)
+		for _, method := range Methods {
+			r, err := p.compileMethod(ctx, method, phys)
 			if err != nil {
-				row.Fidelity[method] = math.NaN()
-				continue
+				return nil, fmt.Errorf("%s: %v", name, err)
+			}
+			f, err := noisyFidelity(r.Blocks, p.Profile.T1Dt, p.Profile.T2Dt)
+			if err != nil {
+				f = math.NaN()
 			}
 			row.Fidelity[method] = f
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// methodBlocks compiles the physical circuit under all five methods and
-// returns the resulting block circuits.
-func (p *Platform) methodBlocks(phys *circuit.Circuit) (map[string]*critical.BlockCircuit, error) {
-	out := map[string]*critical.BlockCircuit{}
-	for _, depth := range []int{3, 5} {
-		gen := latency.NewModel()
-		gen.Topo = p.Topo
-		gen.Params = p.Profile.Params()
-		gen.DB.DetectPermutations = false
-		res, err := accqoc.CompileCtx(context.Background(), phys, gen, accqoc.Options{MaxQubits: 3, Depth: depth, FidelityTarget: p.Fidelity})
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("accqoc_n3d%d", depth)] = res.Blocks
-	}
-	for _, m := range []int{0, mTunedSentinel, paqoc.MInf} {
-		cfg := paqoc.DefaultConfig()
-		cfg.FidelityTarget = p.Fidelity
-		cfg.ProbeCaseII = false
-		name := ""
-		switch m {
-		case 0:
-			cfg.M = 0
-			name = "paqoc_m0"
-		case mTunedSentinel:
-			patterns, err := mining.MineCtx(context.Background(), phys, mining.DefaultOptions())
-			if err != nil {
-				return nil, err
-			}
-			cfg.M = mining.TunedM(phys, patterns, cfg.MinSupport)
-			name = "paqoc_mtuned"
-		default:
-			cfg.M = paqoc.MInf
-			name = "paqoc_minf"
-		}
-		comp := paqoc.NewForProfile(nil, p.Profile, cfg)
-		res, err := comp.CompileCtx(context.Background(), phys)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = res.Blocks
-	}
-	return out, nil
 }
 
 // noisyFidelity plays a block circuit through the density-matrix channel

@@ -23,9 +23,6 @@ type Generator struct {
 	// XY-coupled (the device coupling graph). When nil, every pair within
 	// the group is coupled.
 	Topo *topology.Topology
-	// SimilarityDist bounds the similarity search for initial guesses; 0
-	// disables warm starts.
-	SimilarityDist float64
 	// System optionally builds the block Hamiltonian for n qubits with the
 	// given local coupling pairs — the hook device profiles use to supply
 	// their control bounds and error terms (device.Profile.SystemBuilder).
@@ -41,8 +38,12 @@ type Generator struct {
 
 // NewGenerator returns a GRAPE-backed generator with a fresh pulse DB.
 func NewGenerator(opts Options) *Generator {
-	return &Generator{Opts: opts, DB: pulse.NewDB(), SimilarityDist: 0.8}
+	return &Generator{Opts: opts, DB: pulse.NewDB()}
 }
+
+// similarityDist bounds the pulse database's similarity search for
+// warm-start initial guesses.
+const similarityDist = 0.8
 
 // convergenceSampleEvery thins the live convergence stream: one event per
 // this many optimizer iterations (plus the first and the target-reaching
@@ -107,7 +108,7 @@ func (g *Generator) GenerateCtx(ctx context.Context, cg *pulse.CustomGate, fidel
 	// permuted channels don't all exist (coupling graphs differ),
 	// regenerate under this gate's own canonical key — still deduplicated
 	// against concurrent workers holding the same exact key.
-	if sched := remapSchedule(gen.Schedule, perm, g.couplings(cg)); sched != nil {
+	if sched := remapSchedule(gen.Schedule, perm, Couplings(g.Topo, cg)); sched != nil {
 		out.Schedule = sched
 		if outcome == pulse.OutcomePermuted {
 			reg.Counter("grape.db_permuted_hits").Inc()
@@ -155,9 +156,9 @@ func (g *Generator) optimize(ctx context.Context, cg *pulse.CustomGate, u *linal
 	if n := cg.NumQubits(); n > 2 {
 		opts.MaxIter *= n
 	}
-	sys := g.system(cg.NumQubits(), g.couplings(cg))
-	if g.DB != nil && g.SimilarityDist > 0 {
-		if e, _, ok := g.DB.Nearest(u, g.SimilarityDist); ok && e.Generated.Schedule != nil {
+	sys := g.system(cg.NumQubits(), Couplings(g.Topo, cg))
+	if g.DB != nil {
+		if e, _, ok := g.DB.Nearest(u, similarityDist); ok && e.Generated.Schedule != nil {
 			// Adopt the guess only when every control channel of this
 			// system exists in the stored schedule (matched by name): a
 			// hit recorded under a different coupling graph or profile
@@ -217,16 +218,19 @@ func (g *Generator) system(n int, pairs [][2]int) *hamiltonian.System {
 	return hamiltonian.XYTransmon(n, pairs)
 }
 
-// couplings maps the group's physical-qubit adjacency onto local wires.
-func (g *Generator) couplings(cg *pulse.CustomGate) [][2]int {
+// Couplings maps a customized gate's physical-qubit adjacency on topo onto
+// its local wires: the coupled pairs of the block Hamiltonian the
+// Generator optimizes against, and so the system its schedules replay on.
+// A nil topo couples every pair.
+func Couplings(topo *topology.Topology, cg *pulse.CustomGate) [][2]int {
 	n := cg.NumQubits()
-	if g.Topo == nil {
+	if topo == nil {
 		return hamiltonian.AllPairs(n)
 	}
 	var pairs [][2]int
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			if g.Topo.Connected(cg.Qubits[a], cg.Qubits[b]) {
+			if topo.Connected(cg.Qubits[a], cg.Qubits[b]) {
 				pairs = append(pairs, [2]int{a, b})
 			}
 		}

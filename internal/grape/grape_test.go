@@ -149,18 +149,14 @@ func TestGeneratorPermutationHit(t *testing.T) {
 }
 
 func TestGeneratorTopologyCouplings(t *testing.T) {
-	gen := NewGenerator(DefaultOptions())
-	gen.Topo = topology.Line(3)
 	cg := pulse.NewCustomGate([]circuit.Gate{
 		{Name: "cx", Qubits: []int{0, 1}},
 		{Name: "cx", Qubits: []int{1, 2}},
 	})
-	pairs := gen.couplings(cg)
-	if len(pairs) != 2 {
+	if pairs := Couplings(topology.Line(3), cg); len(pairs) != 2 {
 		t.Errorf("line couplings = %v", pairs)
 	}
-	gen.Topo = nil
-	if got := gen.couplings(cg); len(got) != 3 {
+	if got := Couplings(nil, cg); len(got) != 3 {
 		t.Errorf("all-pairs couplings = %v", got)
 	}
 }
@@ -336,7 +332,7 @@ func TestPermutedHitScheduleIsPhysical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := hamiltonian.XYTransmon(2, gen.couplings(cx10))
+	sys := hamiltonian.XYTransmon(2, Couplings(gen.Topo, cx10))
 	u := linalg.Identity(4)
 	amps := make([]float64, len(sys.Controls))
 	for j := 0; j < got.Schedule.NumSlices(); j++ {

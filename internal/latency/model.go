@@ -26,8 +26,6 @@ import (
 type Model struct {
 	DB   *pulse.DB
 	Topo *topology.Topology
-	// SimilarityDist enables AccQOC-style warm-start cost discounts.
-	SimilarityDist float64
 	// Params carries the target backend's control parameters. The zero
 	// value falls back to the paper's platform (hamiltonian.DefaultParams),
 	// so existing call sites keep their exact behaviour.
@@ -63,11 +61,12 @@ const (
 	threeQSerial   = 0.65 // overlap factor for 3-qubit interaction loads
 	relayFactor    = 1.8  // penalty for interactions across non-coupled pairs
 	jitterSpan     = 0.06 // deterministic per-unitary scatter (±6%)
+	similarityDist = 0.8  // warm-start radius of the AccQOC-style cost discount
 )
 
 // NewModel returns a model generator with a fresh pulse database.
 func NewModel() *Model {
-	return &Model{DB: pulse.NewDB(), SimilarityDist: 0.8, weylCache: make(map[string][3]float64)}
+	return &Model{DB: pulse.NewDB(), weylCache: make(map[string][3]float64)}
 }
 
 var (
@@ -77,6 +76,20 @@ var (
 
 // PulseDB exposes the backing pulse database (may be nil).
 func (m *Model) PulseDB() *pulse.DB { return m.DB }
+
+// LatencyCtx returns the analytical latency estimate for a customized
+// gate: the query Algorithm 1 ranks merges with. It consults no pulse
+// database (the search reuses no pulses, so there is nothing to store or
+// look up) and returns exactly the Latency GenerateCtx would report for
+// the same gate. It counts latency.model.probes on the context's registry.
+func (m *Model) LatencyCtx(ctx context.Context, cg *pulse.CustomGate) (float64, error) {
+	obs.MetricsFrom(ctx).Counter("latency.model.probes").Inc()
+	u, err := cg.Unitary()
+	if err != nil {
+		return 0, err
+	}
+	return m.estimate(cg, u, pulse.CanonicalKey(u))
+}
 
 // GenerateCtx estimates the pulse for a customized gate without running
 // QOC. The returned Generated carries no schedule; latency, error, and a
@@ -146,8 +159,8 @@ func (m *Model) synthesize(cg *pulse.CustomGate, u *linalg.Matrix, fidelityTarge
 		eps = 1e-7
 	}
 	cost := m.cost(cg.NumQubits(), lat)
-	if useDB && m.SimilarityDist > 0 {
-		if _, _, ok := m.DB.Nearest(u, m.SimilarityDist); ok {
+	if useDB {
+		if _, _, ok := m.DB.Nearest(u, similarityDist); ok {
 			cost *= 0.35 // warm start à la AccQOC
 		}
 	}

@@ -60,8 +60,6 @@ type Config struct {
 	// Budget caps pulses pre-generated per idle run, so one run cannot
 	// monopolize the machine even when the queue stays idle. Default 4.
 	Budget int
-	// PregenTimeout is the per-pulse generation deadline. Default 60s.
-	PregenTimeout time.Duration
 	// FidelityTarget for pre-generated pulses. Default 0.999 (the same
 	// target the compile path requests, so keys and entries line up).
 	FidelityTarget float64
@@ -93,9 +91,6 @@ func (c *Config) fill() {
 	}
 	if c.Budget <= 0 {
 		c.Budget = 4
-	}
-	if c.PregenTimeout <= 0 {
-		c.PregenTimeout = 60 * time.Second
 	}
 	if c.FidelityTarget <= 0 {
 		c.FidelityTarget = 0.999
@@ -401,13 +396,16 @@ func (m *Miner) pregenWorklist() []pregenJob {
 	return jobs
 }
 
+// pregenTimeout is the per-pulse pre-generation deadline.
+const pregenTimeout = 60 * time.Second
+
 // pregenOne pays one pattern's optimization cost ahead of any request:
 // generate (DB-deduplicated, remote-fetched when a peer already has it,
 // write-through published otherwise), then protect the entry so ranked
 // eviction keeps the offline investment.
 func (m *Miner) pregenOne(ctx context.Context, job pregenJob) {
 	reg := m.cfg.Registry
-	pctx, cancel := context.WithTimeout(ctx, m.cfg.PregenTimeout)
+	pctx, cancel := context.WithTimeout(ctx, pregenTimeout)
 	defer cancel()
 	if reg != nil {
 		pctx = (&obs.Obs{Metrics: reg}).Attach(pctx)

@@ -51,28 +51,22 @@ const (
 // EventRing is a bounded publish/subscribe buffer for one job's events.
 // Publishers (pipeline stages, GRAPE iteration hooks) append without
 // blocking; subscribers (SSE handlers) receive the retained history plus
-// live events. When the ring is full the oldest events are dropped —
-// Dropped() reports how many — and a subscriber whose channel is full
-// misses events rather than stalling the compilation.
+// live events. When the ring is full the oldest events are dropped (the
+// gap shows in Seq), and a subscriber whose channel is full misses events
+// rather than stalling the compilation.
 //
 // All channel sends and closes happen under the ring's mutex, so Publish,
 // Subscribe, cancel, and Close never race a send against a close.
 type EventRing struct {
 	epoch time.Time
 
-	mu      sync.Mutex
-	buf     []Event // ring storage, len == cap once full
-	start   int     // index of oldest event
-	count   int     // events currently retained
-	seq     uint64
-	dropped uint64
-	closed  bool
-	subs    map[*eventSub]struct{}
-
-	// onPublish, when set, observes every event after it is assigned a
-	// sequence number (used for lifecycle logging). Called under the ring
-	// mutex — keep it cheap and never call back into the ring.
-	onPublish func(Event)
+	mu     sync.Mutex
+	buf    []Event // ring storage, len == cap once full
+	start  int     // index of oldest event
+	count  int     // events currently retained
+	seq    uint64
+	closed bool
+	subs   map[*eventSub]struct{}
 }
 
 type eventSub struct {
@@ -90,17 +84,6 @@ func NewEventRing(capacity int) *EventRing {
 		buf:   make([]Event, 0, capacity),
 		subs:  make(map[*eventSub]struct{}),
 	}
-}
-
-// OnPublish installs the per-event observer hook. Must be set before the
-// ring is shared with publishers.
-func (r *EventRing) OnPublish(fn func(Event)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.onPublish = fn
-	r.mu.Unlock()
 }
 
 // Publish appends an event, stamping Seq and TsMs, and fans it out to
@@ -126,14 +109,10 @@ func (r *EventRing) Publish(ev Event) {
 			// Full: overwrite the oldest slot.
 			r.buf[r.start] = ev
 			r.start = (r.start + 1) % len(r.buf)
-			r.dropped++
 		} else {
 			r.buf[(r.start+r.count)%len(r.buf)] = ev
 			r.count++
 		}
-	}
-	if r.onPublish != nil {
-		r.onPublish(ev)
 	}
 	for s := range r.subs {
 		select {
@@ -197,16 +176,6 @@ func (r *EventRing) Close() {
 	}
 }
 
-// Dropped returns how many events were evicted from the ring's history.
-func (r *EventRing) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
 // PublishStage records a completed pipeline stage with its wall time.
 func (r *EventRing) PublishStage(stage string, dur time.Duration) {
 	r.Publish(Event{Type: EventStage, Stage: stage, DurMs: float64(dur) / float64(time.Millisecond)})
@@ -215,12 +184,6 @@ func (r *EventRing) PublishStage(stage string, dur time.Duration) {
 // PublishConvergence records a sampled GRAPE iteration for one gate.
 func (r *EventRing) PublishConvergence(gate string, p ConvergencePoint) {
 	r.Publish(Event{Type: EventConvergence, Gate: gate, Iter: p.Iter, Fidelity: p.Fidelity, GradNorm: p.GradNorm})
-}
-
-// PublishState records a job lifecycle transition; errMsg accompanies the
-// failed state.
-func (r *EventRing) PublishState(state, errMsg string) {
-	r.Publish(Event{Type: EventState, State: state, Err: errMsg})
 }
 
 // WithEvents returns a context carrying the event ring; EventsFrom

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -220,19 +219,4 @@ func (r orderedRecord) MarshalJSON() ([]byte, error) {
 	}
 	b.WriteByte('}')
 	return []byte(b.String()), nil
-}
-
-// WithLogger returns a context carrying the logger; LoggerFrom retrieves
-// it (nil when absent, which every Logger method tolerates).
-func WithLogger(ctx context.Context, l *Logger) context.Context {
-	if l == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, loggerKey, l)
-}
-
-// LoggerFrom returns the logger carried by ctx, or nil.
-func LoggerFrom(ctx context.Context) *Logger {
-	l, _ := ctx.Value(loggerKey).(*Logger)
-	return l
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -149,21 +148,5 @@ func TestParseLevel(t *testing.T) {
 		if got := ParseLevel(in); got != want {
 			t.Errorf("ParseLevel(%q) = %v, want %v", in, got, want)
 		}
-	}
-}
-
-func TestLoggerContextPlumbing(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
-	ctx := WithLogger(context.Background(), l)
-	if LoggerFrom(ctx) != l {
-		t.Error("LoggerFrom must return the carried logger")
-	}
-	if LoggerFrom(context.Background()) != nil {
-		t.Error("LoggerFrom on a bare context must be nil")
-	}
-	// WithLogger(nil) leaves the context untouched.
-	if WithLogger(ctx, nil) != ctx {
-		t.Error("WithLogger(nil) must return ctx unchanged")
 	}
 }

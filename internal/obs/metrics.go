@@ -151,8 +151,6 @@ type Registry struct {
 	counts map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
-	cvecs  map[string]*CounterVec
-	gvecs  map[string]*GaugeVec
 	hvecs  map[string]*HistogramVec
 	help   map[string]string
 	// collectors run at the top of Snapshot, before values are frozen —
@@ -167,8 +165,6 @@ func NewRegistry() *Registry {
 		counts: map[string]*Counter{},
 		gauges: map[string]*Gauge{},
 		hists:  map[string]*Histogram{},
-		cvecs:  map[string]*CounterVec{},
-		gvecs:  map[string]*GaugeVec{},
 		hvecs:  map[string]*HistogramVec{},
 		help:   map[string]string{},
 	}
@@ -350,34 +346,10 @@ func (h HistogramSnapshot) clamp(v float64) float64 {
 	return v
 }
 
-// CounterSeries is one labeled counter sample.
-type CounterSeries struct {
-	Values []string `json:"values"`
-	Value  int64    `json:"value"`
-}
-
-// GaugeSeries is one labeled gauge sample.
-type GaugeSeries struct {
-	Values []string `json:"values"`
-	Value  float64  `json:"value"`
-}
-
 // HistogramSeries is one labeled histogram snapshot.
 type HistogramSeries struct {
 	Values []string `json:"values"`
 	HistogramSnapshot
-}
-
-// LabeledCounterSnapshot is the frozen state of one counter family.
-type LabeledCounterSnapshot struct {
-	Labels []string        `json:"labels"`
-	Series []CounterSeries `json:"series"`
-}
-
-// LabeledGaugeSnapshot is the frozen state of one gauge family.
-type LabeledGaugeSnapshot struct {
-	Labels []string      `json:"labels"`
-	Series []GaugeSeries `json:"series"`
 }
 
 // LabeledHistogramSnapshot is the frozen state of one histogram family.
@@ -394,8 +366,6 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 	// Labeled families; omitted from the JSON when no vecs are registered,
 	// so snapshots of unlabeled registries serialize exactly as before.
-	CounterVecs   map[string]LabeledCounterSnapshot   `json:"counter_vecs,omitempty"`
-	GaugeVecs     map[string]LabeledGaugeSnapshot     `json:"gauge_vecs,omitempty"`
 	HistogramVecs map[string]LabeledHistogramSnapshot `json:"histogram_vecs,omitempty"`
 	// help carries the registered # HELP strings for WritePrometheus.
 	help map[string]string
@@ -453,34 +423,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = snapshotHistogram(h)
-	}
-	if len(r.cvecs) > 0 {
-		s.CounterVecs = map[string]LabeledCounterSnapshot{}
-		for name, v := range r.cvecs {
-			fam := LabeledCounterSnapshot{Labels: append([]string(nil), v.labels...)}
-			v.mu.RLock()
-			keys := sortedKeys(v.children)
-			for _, k := range keys {
-				ch := v.children[k]
-				fam.Series = append(fam.Series, CounterSeries{Values: ch.values, Value: ch.c.Value()})
-			}
-			v.mu.RUnlock()
-			s.CounterVecs[name] = fam
-		}
-	}
-	if len(r.gvecs) > 0 {
-		s.GaugeVecs = map[string]LabeledGaugeSnapshot{}
-		for name, v := range r.gvecs {
-			fam := LabeledGaugeSnapshot{Labels: append([]string(nil), v.labels...)}
-			v.mu.RLock()
-			keys := sortedKeys(v.children)
-			for _, k := range keys {
-				ch := v.children[k]
-				fam.Series = append(fam.Series, GaugeSeries{Values: ch.values, Value: ch.g.Value()})
-			}
-			v.mu.RUnlock()
-			s.GaugeVecs[name] = fam
-		}
 	}
 	if len(r.hvecs) > 0 {
 		s.HistogramVecs = map[string]LabeledHistogramSnapshot{}
@@ -584,18 +526,6 @@ func (s *Snapshot) WriteText(w io.Writer) {
 		h := s.Histograms[n]
 		fmt.Fprintf(w, "%-40s n=%-8d mean=%-10.4g min=%-10.4g max=%.4g\n",
 			n, h.Count, h.Mean(), h.Min, h.Max)
-	}
-	for _, n := range sortedKeys(s.CounterVecs) {
-		fam := s.CounterVecs[n]
-		for _, se := range fam.Series {
-			fmt.Fprintf(w, "%-40s %12d\n", seriesName(n, fam.Labels, se.Values), se.Value)
-		}
-	}
-	for _, n := range sortedKeys(s.GaugeVecs) {
-		fam := s.GaugeVecs[n]
-		for _, se := range fam.Series {
-			fmt.Fprintf(w, "%-40s %12.4g\n", seriesName(n, fam.Labels, se.Values), se.Value)
-		}
 	}
 	for _, n := range sortedKeys(s.HistogramVecs) {
 		fam := s.HistogramVecs[n]

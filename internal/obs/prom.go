@@ -14,7 +14,8 @@ import (
 // name, each preceded by its # HELP (when registered via Registry.SetHelp)
 // and # TYPE lines. Histograms emit the standard _bucket/_sum/_count
 // triplet with cumulative bucket counts and an explicit le="+Inf" bucket;
-// labeled families render every series with escaped label values.
+// labeled histogram families render every series with escaped label
+// values.
 //
 // Metric names are sanitized for Prometheus (every character outside
 // [a-zA-Z0-9_:] becomes '_'), so "paqoc.stage_ms" is scraped as
@@ -39,22 +40,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 			name: promName(name), orig: name, typ: "histogram",
 			lines: promHistogramLines(promName(name), nil, nil, h),
 		})
-	}
-	for name, fam := range s.CounterVecs {
-		pf := promFamily{name: promName(name), orig: name, typ: "counter"}
-		for _, se := range fam.Series {
-			pf.lines = append(pf.lines, fmt.Sprintf("%s%s %d",
-				pf.name, promLabels(fam.Labels, se.Values, "", 0), se.Value))
-		}
-		fams = append(fams, pf)
-	}
-	for name, fam := range s.GaugeVecs {
-		pf := promFamily{name: promName(name), orig: name, typ: "gauge"}
-		for _, se := range fam.Series {
-			pf.lines = append(pf.lines, fmt.Sprintf("%s%s %s",
-				pf.name, promLabels(fam.Labels, se.Values, "", 0), promFloat(se.Value)))
-		}
-		fams = append(fams, pf)
 	}
 	for name, fam := range s.HistogramVecs {
 		pf := promFamily{name: promName(name), orig: name, typ: "histogram"}

@@ -32,17 +32,11 @@ func goldenRegistry() *Registry {
 	h.Observe(5000) // +Inf bucket
 	r.SetHelp("server.queue_wait_ms", "Queue wait in ms.\nSecond line.")
 
-	cv := r.CounterVec("server.job_ms.outcomes", "outcome")
-	cv.WithLabelValues("ok").Add(7)
-	cv.WithLabelValues(`weird"va\lue` + "\n").Add(1)
-
-	gv := r.GaugeVec("pool.depth", "pool")
-	gv.WithLabelValues("emit").Set(2.5)
-
 	hv := r.HistogramVec(StageMetric, []float64{1, 10}, "stage")
 	hv.WithLabelValues("mine").Observe(3)
 	hv.WithLabelValues("emit").Observe(0.2)
 	hv.WithLabelValues("emit").Observe(20)
+	hv.WithLabelValues(`weird"va\lue` + "\n").Observe(7)
 	r.SetHelp(StageMetric, "Per-stage wall clock (ms).")
 
 	// The offline miner's families, as preregistered by the server.

@@ -58,7 +58,6 @@ const (
 	tracerKey ctxKey = iota
 	spanKey
 	metricsKey
-	loggerKey
 	eventsKey
 )
 

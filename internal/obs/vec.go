@@ -7,13 +7,14 @@ import (
 	"sync"
 )
 
-// Labeled metric families. A *Vec is a family of instruments sharing one
-// name and a small, fixed set of label names; WithLabelValues resolves (or
-// creates) the child instrument for one combination of label values. The
-// families follow the package's nil-safety contract end to end: a nil
-// registry hands out nil vecs, a nil vec hands out nil children, and every
-// update on a nil child is a no-op — so instrumented hot paths pay only
-// nil checks when observability is disabled.
+// Labeled metric families. A HistogramVec is a family of histograms
+// sharing one name, one bucket layout and a small, fixed set of label
+// names; WithLabelValues resolves (or creates) the child histogram for one
+// combination of label values. The family follows the package's
+// nil-safety contract end to end: a nil registry hands out a nil vec, a
+// nil vec hands out nil children, and every update on a nil child is a
+// no-op — so instrumented hot paths pay only nil checks when
+// observability is disabled.
 //
 // Label cardinality is the caller's responsibility: label values must come
 // from small closed sets (a stage name, an outcome, a dimension), never
@@ -54,72 +55,6 @@ func normalizeValues(labels, values []string) []string {
 	return out
 }
 
-// CounterVec is a family of counters keyed by label values.
-type CounterVec struct {
-	labels   []string
-	mu       sync.RWMutex
-	children map[string]*counterChild
-}
-
-type counterChild struct {
-	values []string
-	c      Counter
-}
-
-// WithLabelValues returns the counter for one label-value tuple, creating
-// it on first use. Returns nil on a nil vec.
-func (v *CounterVec) WithLabelValues(values ...string) *Counter {
-	if v == nil {
-		return nil
-	}
-	key := labelKey(v.labels, values)
-	v.mu.RLock()
-	ch := v.children[key]
-	v.mu.RUnlock()
-	if ch == nil {
-		v.mu.Lock()
-		if ch = v.children[key]; ch == nil {
-			ch = &counterChild{values: normalizeValues(v.labels, values)}
-			v.children[key] = ch
-		}
-		v.mu.Unlock()
-	}
-	return &ch.c
-}
-
-// GaugeVec is a family of gauges keyed by label values.
-type GaugeVec struct {
-	labels   []string
-	mu       sync.RWMutex
-	children map[string]*gaugeChild
-}
-
-type gaugeChild struct {
-	values []string
-	g      Gauge
-}
-
-// WithLabelValues returns the gauge for one label-value tuple, creating it
-// on first use. Returns nil on a nil vec.
-func (v *GaugeVec) WithLabelValues(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	key := labelKey(v.labels, values)
-	v.mu.RLock()
-	ch := v.children[key]
-	v.mu.RUnlock()
-	if ch == nil {
-		v.mu.Lock()
-		if ch = v.children[key]; ch == nil {
-			ch = &gaugeChild{values: normalizeValues(v.labels, values)}
-			v.children[key] = ch
-		}
-		v.mu.Unlock()
-	}
-	return &ch.g
-}
-
 // HistogramVec is a family of histograms sharing one bucket layout, keyed
 // by label values.
 type HistogramVec struct {
@@ -153,49 +88,6 @@ func (v *HistogramVec) WithLabelValues(values ...string) *Histogram {
 		v.mu.Unlock()
 	}
 	return ch.h
-}
-
-// CounterVec returns the named counter family, creating it with the given
-// label names on first use. Later calls ignore the label names. Returns
-// nil on a nil registry.
-func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	v := r.cvecs[name]
-	r.mu.RUnlock()
-	if v != nil {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v = r.cvecs[name]; v == nil {
-		v = &CounterVec{labels: append([]string(nil), labels...), children: map[string]*counterChild{}}
-		r.cvecs[name] = v
-	}
-	return v
-}
-
-// GaugeVec returns the named gauge family, creating it with the given
-// label names on first use. Returns nil on a nil registry.
-func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	v := r.gvecs[name]
-	r.mu.RUnlock()
-	if v != nil {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v = r.gvecs[name]; v == nil {
-		v = &GaugeVec{labels: append([]string(nil), labels...), children: map[string]*gaugeChild{}}
-		r.gvecs[name] = v
-	}
-	return v
 }
 
 // HistogramVec returns the named histogram family, creating it with the

@@ -26,13 +26,13 @@ func TestVecChildIdentity(t *testing.T) {
 
 func TestVecLabelArityDegradesGracefully(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("reqs", "method", "code")
-	v.WithLabelValues("GET", "200").Inc()
-	v.WithLabelValues("GET").Inc()             // missing value pads to ""
-	v.WithLabelValues("GET", "200", "x").Inc() // extra value ignored
+	v := r.HistogramVec("reqs_ms", nil, "method", "code")
+	v.WithLabelValues("GET", "200").Observe(1)
+	v.WithLabelValues("GET").Observe(1)             // missing value pads to ""
+	v.WithLabelValues("GET", "200", "x").Observe(1) // extra value ignored
 
 	snap := r.Snapshot()
-	fam := snap.CounterVecs["reqs"]
+	fam := snap.HistogramVecs["reqs_ms"]
 	if len(fam.Series) != 2 {
 		t.Fatalf("series = %d, want 2 (padded and full tuples)", len(fam.Series))
 	}
@@ -45,19 +45,15 @@ func TestVecLabelArityDegradesGracefully(t *testing.T) {
 
 func TestVecNilSafety(t *testing.T) {
 	var r *Registry
-	cv := r.CounterVec("x", "l")
-	gv := r.GaugeVec("x", "l")
 	hv := r.HistogramVec("x", nil, "l")
-	if cv != nil || gv != nil || hv != nil {
-		t.Fatal("nil registry must hand out nil vecs")
+	if hv != nil {
+		t.Fatal("nil registry must hand out a nil vec")
 	}
-	// Nil vec -> nil child -> no-op updates; none may panic.
-	cv.WithLabelValues("a").Inc()
-	gv.WithLabelValues("a").Set(1)
+	// Nil vec -> nil child -> no-op update; neither may panic.
+	if hv.WithLabelValues("a") != nil {
+		t.Error("nil vec must hand out a nil child")
+	}
 	hv.WithLabelValues("a").Observe(1)
-	if cv.WithLabelValues("a").Value() != 0 {
-		t.Error("nil child must read as zero")
-	}
 }
 
 // TestDisabledPathAllocationFree pins the acceptance criterion that
@@ -67,10 +63,8 @@ func TestVecNilSafety(t *testing.T) {
 func TestDisabledPathAllocationFree(t *testing.T) {
 	var r *Registry
 	hv := r.HistogramVec(StageMetric, LatencyBuckets, "stage")
-	cv := r.CounterVec("x", "l")
 	if n := testing.AllocsPerRun(100, func() {
 		hv.WithLabelValues("mine").Observe(1.5)
-		cv.WithLabelValues("a").Add(1)
 		r.Counter("y").Inc()
 		r.Gauge("z").Set(1)
 	}); n != 0 {

@@ -28,6 +28,11 @@ import (
 // MInf requests unlimited APA-basis gates (the paper's paqoc(M=inf)).
 const MInf = -1
 
+// MTuned lets the compiler pick M itself: mining.TunedM over the patterns
+// it mines, the fewest APA-basis gates that cover over half the circuit
+// (the paper's paqoc(M=tuned)).
+const MTuned = -2
+
 // maxIterations bounds Algorithm 1's outer loop (safety; the loop normally
 // stops when no merge improves the critical path).
 const maxIterations = 10000
@@ -39,7 +44,8 @@ type Config struct {
 	// TopK is the number of merges applied per iteration (§V-A2).
 	TopK int
 	// M caps the number of APA-basis gates: 0 disables the miner
-	// (paqoc(M=0)), MInf removes the limit (paqoc(M=inf)), positive values
+	// (paqoc(M=0)), MInf removes the limit (paqoc(M=inf)), MTuned picks
+	// the limit from the mined patterns (paqoc(M=tuned)), positive values
 	// select the top-M patterns by coverage.
 	M int
 	// MinSupport is the miner's recurrence threshold (default 2).
@@ -125,7 +131,8 @@ type Result struct {
 type Compiler struct {
 	// Gen generates the final (and Case II probe) pulses.
 	Gen pulse.Generator
-	// Ranker is the fast analytical estimator used by the search.
+	// Ranker is the fast analytical estimator used by the search. It has
+	// no pulse database: ranking probes only read its LatencyCtx.
 	Ranker *latency.Model
 	Cfg    Config
 
@@ -136,12 +143,11 @@ type Compiler struct {
 // analytical model serves as both ranker and generator (the configuration
 // used for the paper-scale sweeps).
 func New(gen pulse.Generator, topo *topology.Topology, cfg Config) *Compiler {
-	ranker := latency.NewModel()
-	ranker.Topo = topo
+	ranker := &latency.Model{Topo: topo}
 	if gen == nil {
-		// A separate model instance with its own pulse database: ranking
-		// probes must not pre-populate the generator's DB, or compile-cost
-		// accounting (Fig. 11) would see every final pulse as a free hit.
+		// A separate model instance with its own pulse database, which
+		// emission alone fills: compile-cost accounting (Fig. 11) charges
+		// each final pulse once, warm starts included.
 		m := latency.NewModel()
 		m.Topo = topo
 		gen = m
@@ -182,11 +188,7 @@ func (cp *Compiler) workers() int {
 
 // rank estimates a merged block's latency with the analytical model.
 func (cp *Compiler) rank(ctx context.Context, b *critical.Block) (float64, error) {
-	g, err := cp.Ranker.GenerateCtx(ctx, b.Custom(), cp.Cfg.FidelityTarget)
-	if err != nil {
-		return 0, err
-	}
-	return g.Latency, nil
+	return cp.Ranker.LatencyCtx(ctx, b.Custom())
 }
 
 // CompileCtx runs the full pipeline on a physical circuit, with
@@ -233,7 +235,11 @@ func (cp *Compiler) CompileCtx(ctx context.Context, phys *circuit.Circuit) (*Res
 			span.End()
 			return nil, fmt.Errorf("paqoc: %w", err)
 		}
-		selections = mining.Select(phys, patterns, cp.Cfg.M, cp.Cfg.MinSupport)
+		m := cp.Cfg.M
+		if m == MTuned {
+			m = mining.TunedM(phys, patterns, cp.Cfg.MinSupport)
+		}
+		selections = mining.Select(phys, patterns, m, cp.Cfg.MinSupport)
 		stageDone("mine", t0)
 		span.SetAttr("patterns", len(patterns))
 		span.SetAttr("selections", len(selections))
@@ -245,11 +251,7 @@ func (cp *Compiler) CompileCtx(ctx context.Context, phys *circuit.Circuit) (*Res
 	ibctx, ibSpan := obs.StartSpan(ctx, "paqoc.initial_blocks")
 	t0 := time.Now()
 	bc, err := critical.FromCircuit(phys, func(cg *pulse.CustomGate) (float64, error) {
-		g, err := cp.Ranker.GenerateCtx(ibctx, cg, cp.Cfg.FidelityTarget)
-		if err != nil {
-			return 0, err
-		}
-		return g.Latency, nil
+		return cp.Ranker.LatencyCtx(ibctx, cg)
 	})
 	stageDone("initial_blocks", t0)
 	ibSpan.End()

@@ -9,6 +9,8 @@ import (
 	"paqoc/internal/circuit"
 	"paqoc/internal/linalg"
 	"paqoc/internal/mining"
+	"paqoc/internal/obs"
+	"paqoc/internal/pulse"
 	"paqoc/internal/topology"
 )
 
@@ -133,6 +135,62 @@ func TestTunedMBetweenExtremes(t *testing.T) {
 	}
 	if tuned.Latency > inf.Latency*1.3 {
 		t.Errorf("tuned latency %.1f way above M=inf %.1f", tuned.Latency, inf.Latency)
+	}
+}
+
+// TestMTunedResolvesInsideCompile: MTuned compiles exactly as passing the
+// M that mining.TunedM picks on the compiler's own patterns, and selects
+// that many APA-basis gates.
+func TestMTunedResolvesInsideCompile(t *testing.T) {
+	c := swapHeavy(5, 4)
+	patterns, err := mining.MineCtx(context.Background(), c, mining.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mining.TunedM(c, patterns, 2)
+	if m <= 0 {
+		t.Fatalf("tuned M = %d on a recurring circuit", m)
+	}
+	cfg := DefaultConfig()
+	cfg.M = m
+	want := compile(t, c, cfg)
+	cfg.M = MTuned
+	got := compile(t, c, cfg)
+	if len(got.APASelections) != m {
+		t.Errorf("MTuned selected %d APA-basis gates, want tuned M = %d", len(got.APASelections), m)
+	}
+	if got.Latency != want.Latency || got.ESP != want.ESP || got.NumBlocks != want.NumBlocks {
+		t.Errorf("MTuned compile (%v, %v, %d) differs from M=%d (%v, %v, %d)",
+			got.Latency, got.ESP, got.NumBlocks, m, want.Latency, want.ESP, want.NumBlocks)
+	}
+}
+
+// TestRankingTouchesNoPulseDB: the search ranks on the bare analytical
+// estimate, so the ranker has no pulse database, and an analytical
+// compile's only pulse-DB operations are emission's, one per block.
+func TestRankingTouchesNoPulseDB(t *testing.T) {
+	c := swapHeavy(4, 3)
+	cfg := DefaultConfig()
+	cfg.M = MInf
+	comp := New(nil, topology.Line(c.NumQubits), cfg)
+	if comp.Ranker.DB != nil {
+		t.Fatal("the ranker has a pulse database")
+	}
+	reg := obs.NewRegistry()
+	// Wiring metrics into every DB a compiler holds tolerates the
+	// ranker's absent one.
+	comp.Ranker.DB.SetMetrics(reg)
+	res, err := comp.CompileCtx(obs.WithMetrics(context.Background(), reg), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := comp.Gen.(pulse.DBProvider).PulseDB().Stats()
+	if hits+misses != res.NumBlocks {
+		t.Errorf("pulse-DB operations = %d (%d hits, %d misses), want one per block = %d",
+			hits+misses, hits, misses, res.NumBlocks)
+	}
+	if probes := reg.Counter("latency.model.probes").Value(); probes <= int64(res.NumBlocks) {
+		t.Errorf("latency.model.probes = %d, want ranking probes beyond the %d emissions", probes, res.NumBlocks)
 	}
 }
 

@@ -156,17 +156,6 @@ func (db *DB) SetFingerprint(fp string) {
 // (empty when un-namespaced).
 func (db *DB) Fingerprint() string { return db.fingerprint }
 
-// key prefixes a canonical unitary key with the backend fingerprint. The
-// prefix is constant per DB, so key ordering (Nearest tie-breaks, Save's
-// sorted snapshots, eviction ranking) is preserved relative to the
-// canonical keys.
-func (db *DB) key(canonical string) string {
-	if db.fingerprint == "" {
-		return canonical
-	}
-	return db.fingerprint + "\x1f" + canonical
-}
-
 // dbSeed fixes the shard hash across all DBs so permuted keys map to
 // stable shards for the ordered multi-shard locking in do().
 var dbSeed = maphash.MakeSeed()
@@ -180,8 +169,11 @@ func (db *DB) shard(key string) *shard { return &db.shards[shardIndex(key)] }
 
 // SetMetrics attaches a registry for the pulse.* counters and the
 // db_lookup/db_store latency histograms. Safe to call concurrently; a nil
-// registry detaches.
+// registry detaches, and a nil DB ignores the call.
 func (db *DB) SetMetrics(reg *obs.Registry) {
+	if db == nil {
+		return
+	}
 	db.metrics.Store(reg)
 	if reg == nil {
 		db.lookupMs.Store(nil)
@@ -238,7 +230,7 @@ func (db *DB) permutedKeys(u *linalg.Matrix, usePerms bool) []permKey {
 	perms := lookupPerms(k)
 	out := make([]permKey, len(perms))
 	for i, p := range perms {
-		out[i] = permKey{key: db.key(CanonicalKey(quantum.PermuteQubits(u, p))), perm: p}
+		out[i] = permKey{key: NamespacedKey(db.fingerprint, CanonicalKey(quantum.PermuteQubits(u, p))), perm: p}
 	}
 	return out
 }
@@ -257,7 +249,7 @@ func (db *DB) get(key string) *Entry {
 // entry's lifecycle (the offline miner's pregen-hit accounting), not a
 // lookup path. Permuted keys are not consulted.
 func (db *DB) Peek(u *linalg.Matrix) (*Entry, bool) {
-	e := db.get(db.key(CanonicalKey(u)))
+	e := db.get(NamespacedKey(db.fingerprint, CanonicalKey(u)))
 	return e, e != nil
 }
 
@@ -275,7 +267,7 @@ func (db *DB) Lookup(u *linalg.Matrix) (gen *Generated, perm []int, ok bool) {
 	if h := db.lookupMs.Load(); h != nil {
 		defer observeSince(h, time.Now())
 	}
-	if e := db.get(db.key(CanonicalKey(u))); e != nil {
+	if e := db.get(NamespacedKey(db.fingerprint, CanonicalKey(u))); e != nil {
 		db.hits.Add(1)
 		e.uses.Add(1)
 		return e.Generated, nil, true
@@ -304,7 +296,7 @@ func (db *DB) store(u *linalg.Matrix, g *Generated, protected bool) {
 	if db.storeMs.Load() != nil {
 		start = time.Now()
 	}
-	key := db.key(CanonicalKey(u))
+	key := NamespacedKey(db.fingerprint, CanonicalKey(u))
 	s := db.shard(key)
 	s.mu.Lock()
 	if prev, ok := s.entries[key]; ok {
@@ -332,7 +324,7 @@ func (db *DB) store(u *linalg.Matrix, g *Generated, protected bool) {
 // remains. The paqoc emitter protects APA-basis pulses — the offline
 // investment the online component must keep warm (§V-C).
 func (db *DB) Protect(u *linalg.Matrix) {
-	if e := db.get(db.key(CanonicalKey(u))); e != nil {
+	if e := db.get(NamespacedKey(db.fingerprint, CanonicalKey(u))); e != nil {
 		e.protected.Store(true)
 	}
 }
@@ -377,7 +369,7 @@ func (db *DB) DoExact(u *linalg.Matrix, generate func() (*Generated, error)) (*G
 }
 
 func (db *DB) do(u *linalg.Matrix, usePerms bool, generate func() (*Generated, error)) (*Generated, []int, Outcome, error) {
-	key := db.key(CanonicalKey(u))
+	key := NamespacedKey(db.fingerprint, CanonicalKey(u))
 	permKeys := db.permutedKeys(u, usePerms)
 	// The slow path must check entries and flights across the exact key
 	// and every permuted key atomically (the seed did this under one

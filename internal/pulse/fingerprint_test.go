@@ -35,8 +35,10 @@ func TestFingerprintNamespacesKeys(t *testing.T) {
 	// distinct keys too.
 	plain := NewDB()
 	plain.Store(cx, g)
-	if k1, k2 := a.key(CanonicalKey(cx)), plain.key(CanonicalKey(cx)); k1 == k2 {
-		t.Error("fingerprinted key must differ from the bare canonical key")
+	ea, _ := a.Peek(cx)
+	ep, _ := plain.Peek(cx)
+	if ea.Key == ep.Key || ep.Key != CanonicalKey(cx) {
+		t.Errorf("fingerprinted key %q must differ from the bare canonical key %q", ea.Key, ep.Key)
 	}
 }
 

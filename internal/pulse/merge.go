@@ -15,7 +15,7 @@ import (
 // key it computed locally, so the exchange never ships a unitary just to
 // ask about it.
 func (db *DB) EntryByKey(canonical string) (*Entry, bool) {
-	e := db.get(db.key(canonical))
+	e := db.get(NamespacedKey(db.fingerprint, canonical))
 	if e == nil {
 		return nil, false
 	}
@@ -50,7 +50,7 @@ const (
 // its accumulated use count and protection flag (the heat and the §V-C
 // APA-basis investment belong to the key, not the samples).
 func (db *DB) Merge(u *linalg.Matrix, g *Generated, protected bool) MergeOutcome {
-	key := db.key(CanonicalKey(u))
+	key := NamespacedKey(db.fingerprint, CanonicalKey(u))
 	s := db.shard(key)
 	s.mu.Lock()
 	prev, ok := s.entries[key]

@@ -112,6 +112,9 @@ func (we WireEntry) Decode() (*linalg.Matrix, *Generated, error) {
 // into the full store key (Entry.Key). The replication layer hashes this
 // form for ownership, so two replicas serving different backends never
 // contend for the same key space even when a gate's unitary coincides.
+// The prefix is constant per DB, so key ordering (Nearest tie-breaks,
+// Save's sorted snapshots, eviction ranking) is preserved relative to the
+// canonical keys.
 func NamespacedKey(fingerprint, canonical string) string {
 	if fingerprint == "" {
 		return canonical

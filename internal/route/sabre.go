@@ -24,21 +24,26 @@ type Result struct {
 
 // Options tunes the router.
 type Options struct {
-	// ExtendedSize is the lookahead window (number of future 2q gates
-	// considered beyond the front layer). 20 is the SABRE default regime.
-	ExtendedSize int
-	// ExtendedWeight scales the lookahead term in the SWAP score.
-	ExtendedWeight float64
-	// DecayFactor penalises re-swapping the same qubit in quick succession.
-	DecayFactor float64
 	// InitialMap overrides the identity initial mapping when non-nil.
 	InitialMap []int
 }
 
-// DefaultOptions mirrors the published SABRE heuristics.
+// DefaultOptions returns the identity initial mapping.
 func DefaultOptions() Options {
-	return Options{ExtendedSize: 20, ExtendedWeight: 0.5, DecayFactor: 0.001}
+	return Options{}
 }
+
+// The published SABRE heuristics.
+const (
+	// extendedSize is the lookahead window (number of future 2q gates
+	// considered beyond the front layer). 20 is the SABRE default regime.
+	extendedSize = 20
+	// extendedWeight scales the lookahead term in the SWAP score.
+	extendedWeight = 0.5
+	// decayFactor penalises re-swapping the same qubit in quick
+	// succession.
+	decayFactor = 0.001
+)
 
 // Route maps a logical circuit onto the topology. The circuit may contain
 // only 1- and 2-qubit gates (decompose 3-qubit gates first; see
@@ -51,12 +56,6 @@ func Route(c *circuit.Circuit, topo *topology.Topology, opts Options) (*Result, 
 		if g.Arity() > 2 {
 			return nil, fmt.Errorf("route: gate %s has arity %d; decompose before routing", g.Name, g.Arity())
 		}
-	}
-	if opts.ExtendedSize <= 0 {
-		opts.ExtendedSize = 20
-	}
-	if opts.ExtendedWeight == 0 {
-		opts.ExtendedWeight = 0.5
 	}
 
 	dist := topo.Distances()
@@ -128,8 +127,8 @@ func Route(c *circuit.Circuit, topo *topology.Topology, opts Options) (*Result, 
 		if lb >= 0 {
 			l2p[lb] = pa
 		}
-		decay[pa] += opts.DecayFactor
-		decay[pb] += opts.DecayFactor
+		decay[pa] += decayFactor
+		decay[pb] += decayFactor
 		swaps++
 	}
 
@@ -160,15 +159,15 @@ func Route(c *circuit.Circuit, topo *topology.Topology, opts Options) (*Result, 
 		}
 
 		// All front gates are blocked 2q gates: choose a SWAP.
-		extended := lookahead(c, dag, remainingPreds, front, opts.ExtendedSize)
+		extended := lookahead(c, dag, remainingPreds, front, extendedSize)
 		candidates := swapCandidates(topo, c, front, l2p)
 		if len(candidates) == 0 {
 			return nil, fmt.Errorf("route: no swap candidates; topology disconnected?")
 		}
 		best := candidates[0]
-		bestScore := swapScore(best, c, dist, l2p, p2l, front, extended, decay, opts)
+		bestScore := swapScore(best, c, dist, l2p, p2l, front, extended, decay)
 		for _, cand := range candidates[1:] {
-			if s := swapScore(cand, c, dist, l2p, p2l, front, extended, decay, opts); s < bestScore {
+			if s := swapScore(cand, c, dist, l2p, p2l, front, extended, decay); s < bestScore {
 				best, bestScore = cand, s
 			}
 		}
@@ -255,7 +254,7 @@ func swapCandidates(topo *topology.Topology, c *circuit.Circuit, front []int, l2
 // swapScore evaluates the SABRE heuristic H for applying the given swap:
 // front-layer distance sum plus weighted lookahead distance sum, scaled by
 // the decay of the swapped qubits.
-func swapScore(swap [2]int, c *circuit.Circuit, dist [][]int, l2p, p2l []int, front, extended []int, decay []float64, opts Options) float64 {
+func swapScore(swap [2]int, c *circuit.Circuit, dist [][]int, l2p, p2l []int, front, extended []int, decay []float64) float64 {
 	// Build the trial mapping after the swap (logical view only).
 	trial := func(l int) int {
 		p := l2p[l]
@@ -280,7 +279,7 @@ func swapScore(swap [2]int, c *circuit.Circuit, dist [][]int, l2p, p2l []int, fr
 			g := c.Gates[gi]
 			extSum += float64(dist[trial(g.Qubits[0])][trial(g.Qubits[1])])
 		}
-		extSum = opts.ExtendedWeight * extSum / float64(len(extended))
+		extSum = extendedWeight * extSum / float64(len(extended))
 	}
 	d := 1 + decay[swap[0]] + decay[swap[1]]
 	return d * (frontSum + extSum)

@@ -93,6 +93,34 @@ func TestTenantQuota(t *testing.T) {
 	}
 }
 
+// TestBackToBackSyncFreesTenantSlot: a synchronous reply means the job is
+// settled. With a one-job tenant cap, back-to-back synchronous requests
+// from one tenant never hit the quota, and each reply finds its job's
+// end-to-end latency already recorded in server.job_ms.
+func TestBackToBackSyncFreesTenantSlot(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, TenantMaxInflight: 1})
+	s.compileFn = func(ctx context.Context, j *Job) (*api.Result, error) {
+		return &api.Result{}, nil
+	}
+	recorded := func() int64 {
+		var n int64
+		for _, se := range s.reg.Snapshot().HistogramVecs["server.job_ms"].Series {
+			n += se.Count
+		}
+		return n
+	}
+	const requests = 2000
+	for i := int64(1); i <= requests; i++ {
+		code, raw := postCompileRaw(t, ts, api.CompileRequest{Circuit: tinyCircuit, Mode: "sync", Tenant: "alice"})
+		if code != http.StatusOK {
+			t.Fatalf("request %d: HTTP %d: %s", i, code, raw)
+		}
+		if got := recorded(); got != i {
+			t.Fatalf("after reply %d, server.job_ms holds %d jobs", i, got)
+		}
+	}
+}
+
 // TestPriorityLane: with the single worker wedged, a high-priority job
 // submitted after a normal one still runs first — the worker drains the
 // high lane before the normal lane.

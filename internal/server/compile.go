@@ -50,12 +50,10 @@ func (s *Server) compile(ctx context.Context, j *Job) (*api.Result, error) {
 	tracer := obs.NewTracer()
 	o := &obs.Obs{Metrics: s.reg, Tracer: tracer}
 	ctx = o.Attach(ctx)
-	// The job's event ring and a job-scoped logger ride the context into
-	// the pipeline: paqoc stages and GRAPE convergence samples publish to
-	// the ring (served live by GET /v1/jobs/{id}/events), and pipeline code
-	// can log with the job_id field already bound.
+	// The job's event ring rides the context into the pipeline: paqoc
+	// stages and GRAPE convergence samples publish to it (served live by
+	// GET /v1/jobs/{id}/events).
 	ctx = obs.WithEvents(ctx, j.events)
-	ctx = obs.WithLogger(ctx, s.cfg.Logger.With("job_id", j.ID))
 	ctx, span := obs.StartSpan(ctx, "server.job")
 	span.SetAttr("job", j.ID)
 

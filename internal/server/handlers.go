@@ -16,6 +16,10 @@ import (
 // is far beyond any benchmark in the suite).
 const maxBodyBytes = 8 << 20
 
+// retryAfter is the Retry-After hint, in seconds, sent with 429
+// responses.
+const retryAfter = "1"
+
 // Handler returns the service's HTTP API:
 //
 //	POST /v1/compile          compile a circuit (sync for small circuits, else 202 + job ID)
@@ -109,10 +113,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.jobs.remove(j.ID)
 		switch {
 		case errors.Is(err, ErrQueueFull):
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.RetryAfter/time.Second)))
+			w.Header().Set("Retry-After", retryAfter)
 			api.WriteError(w, http.StatusTooManyRequests, api.CodeQueueFull, err.Error())
 		case errors.Is(err, ErrTenantQuota):
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.RetryAfter/time.Second)))
+			w.Header().Set("Retry-After", retryAfter)
 			api.WriteError(w, http.StatusTooManyRequests, api.CodeTenantQuota, err.Error())
 		case errors.Is(err, ErrDraining):
 			api.WriteError(w, http.StatusServiceUnavailable, api.CodeDraining, err.Error())

@@ -76,10 +76,11 @@ func (j *Job) start() {
 	j.publishState(string(api.StateRunning), "")
 }
 
-// finish moves the job to its terminal state and releases waiters.
-func (j *Job) finish(res *api.Result, err error, timedOut, canceled bool) {
+// finish moves the job to its terminal state, stamped with the instant
+// it finished, and releases waiters.
+func (j *Job) finish(finished time.Time, res *api.Result, err error, timedOut, canceled bool) {
 	j.mu.Lock()
-	j.finished = time.Now()
+	j.finished = finished
 	if err != nil {
 		j.state = api.StateFailed
 		j.errMsg = err.Error()

@@ -34,6 +34,7 @@ import (
 	"paqoc/internal/miner"
 	"paqoc/internal/mining"
 	"paqoc/internal/obs"
+	"paqoc/internal/paqoc"
 	"paqoc/internal/pulse"
 )
 
@@ -93,8 +94,6 @@ type Config struct {
 	Backend string
 	// JobRetention is how many finished jobs stay queryable (default 512).
 	JobRetention int
-	// RetryAfter is the hint sent with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// TenantMaxInflight caps how many jobs one tenant (the request's
 	// "tenant" field; empty is a tenant of its own) may have queued or
 	// running at once. Past the cap Submit fails with ErrTenantQuota
@@ -159,9 +158,6 @@ func (c *Config) fill() {
 	}
 	if c.JobRetention <= 0 {
 		c.JobRetention = 512
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NewStderrLogger(obs.LevelInfo)
@@ -557,14 +553,18 @@ func (s *Server) runJob(j *Job) {
 		outcome = "failed"
 		s.reg.Counter("server.jobs_failed").Inc()
 	}
-	j.finish(res, err, timedOut, canceled)
-	s.tenantRelease(j.tenant())
+	// Settle the job's accounting before it turns terminal: a client may
+	// submit its next request the moment this one reads done, so the
+	// outcome latency must be recorded and the tenant's slot free by then.
 	// End-to-end latency (submit → terminal) by outcome; run time alone is
-	// the job status's run_ms.
-	runMs := msSince(j.started, j.finished)
+	// the job status's run_ms. Both are measured to the same instant.
+	finished := time.Now()
+	runMs := msSince(j.started, finished)
 	s.reg.HistogramVec("server.job_ms", obs.LatencyBuckets, "outcome").
 		WithLabelValues(outcome).
-		Observe(msSince(j.submitted, j.finished))
+		Observe(msSince(j.submitted, finished))
+	s.tenantRelease(j.tenant())
+	j.finish(finished, res, err, timedOut, canceled)
 	if err != nil {
 		s.cfg.Logger.Error("job failed", "job_id", j.ID, "outcome", outcome, "run_ms", runMs, "error", err)
 	} else {
@@ -687,27 +687,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // preregisterMetrics creates the canonical instrument set up front so
 // GET /metrics always serves a stable schema, zero-valued until touched.
 func preregisterMetrics(r *obs.Registry) {
+	paqoc.PreregisterMetrics(r)
 	for _, name := range []string{
 		"server.requests", "server.requests_sync", "server.requests_async",
 		"server.rejected_queue_full", "server.bad_requests",
 		"server.jobs_completed", "server.jobs_failed", "server.jobs_timeout",
 		"server.jobs_panicked", "server.db_snapshots",
-		"paqoc.merge.rounds", "paqoc.merge.candidates", "paqoc.merge.cache_hits",
-		"paqoc.merge.applied", "paqoc.merge.rejected", "paqoc.merge.preprocessed",
-		"paqoc.emit.blocks", "paqoc.emit.split_fallbacks",
-		"grape.iterations", "grape.binsearch.probes", "grape.generated",
-		"grape.db_hits", "grape.db_permuted_hits", "grape.warm_starts", "grape.expm",
-		"grape.probe_prop_reuse",
-		"pulsesim.slices", "pulsesim.expm", "pulsesim.esp_evals", "pulsesim.esp_gates",
-		"mining.subcircuits_enumerated", "mining.pruned_qubit_cap", "mining.patterns",
-		"latency.model.probes", "latency.model.db_hits",
-		"engine.tasks", "engine.completed", "pulse.db_dedups",
 		"server.rejected_tenant_quota",
 		"cluster.peer_hits", "cluster.peer_misses", "cluster.peer_errors",
 		"cluster.publishes", "cluster.breaker_opens", "cluster.breaker_skips",
 		"cluster.serve_hits", "cluster.serve_merges", "grape.remote_hits",
-		"pulse.nearest_scanned", "pulse.nearest_pruned",
-		"pulse.evictions", "pulse.save_skipped_nonfinite",
 		"miner.pregenerated", "miner.pregen_hits", "miner.idle_runs",
 		"miner.yields", "miner.ingest_dropped",
 	} {
@@ -716,8 +705,6 @@ func preregisterMetrics(r *obs.Registry) {
 	for _, name := range []string{
 		"server.queue_len", "server.queue_capacity", "server.workers",
 		"server.jobs_running", "cluster.owned_keys",
-		"engine.inflight", "engine.active_workers", "engine.active_workers.peak",
-		"engine.queued", "engine.queued.peak",
 		"miner.patterns_tracked", "miner.corpus_circuits",
 	} {
 		r.Gauge(name)

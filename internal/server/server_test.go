@@ -355,7 +355,7 @@ func TestJobRetention(t *testing.T) {
 	var ids []string
 	for i := 0; i < 4; i++ {
 		j := store.add(&api.CompileRequest{}, nil, nil, time.Second)
-		j.finish(&api.Result{}, nil, false, false)
+		j.finish(time.Now(), &api.Result{}, nil, false, false)
 		store.retired(j)
 		ids = append(ids, j.ID)
 	}
