@@ -163,7 +163,7 @@ func run() error {
 		if *dbPath != "" {
 			// Pinned load: a snapshot calibrated for another backend is an
 			// error, not silently-wrong warm pulses.
-			db, ok, err := pulse.LoadFileFor(*dbPath, prof.Fingerprint())
+			db, ok, err := pulse.LoadFile(*dbPath, prof.Fingerprint())
 			if err != nil {
 				return err
 			}
@@ -295,7 +295,8 @@ func writeFileWith(path string, fn func(io.Writer) error) error {
 // savePulseDB writes the generator's database crash-safely (temp file +
 // rename), so an interrupted save never corrupts an existing database.
 func savePulseDB(path string, g *grape.Generator) error {
-	return g.DB.SaveFile(path)
+	_, err := g.DB.SaveFile(path)
+	return err
 }
 
 // verifyCompiled checks, on the statevector simulator, that the compiled

@@ -383,7 +383,7 @@ func TestSnapshotMergeRPC(t *testing.T) {
 		dbA.Merge(u, g, false)
 	}
 	var buf strings.Builder
-	if err := dbA.Save(&buf); err != nil {
+	if _, err := dbA.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	req, _ := http.NewRequest(http.MethodPut, baseURL(cB.Self())+"/internal/v1/snapshot/fp", strings.NewReader(buf.String()))

@@ -53,23 +53,12 @@ func ParseLevel(s string) Level {
 // Logger writes structured JSON records: one object per line with fixed
 // "ts", "level", and "msg" fields plus alternating key-value pairs. It is
 // nil-safe — every method on a nil *Logger is a no-op — so call sites
-// never guard, and a sink shared by With-derived loggers is serialized by
-// one mutex so concurrent jobs never interleave partial lines.
+// never guard, and its writes are serialized by one mutex so concurrent
+// jobs never interleave partial lines.
 type Logger struct {
-	sink  *logSink
+	mu    sync.Mutex
+	w     io.Writer
 	level Level
-	// fields bound by With, already rendered in order.
-	fields []logField
-}
-
-type logField struct {
-	key string
-	val any
-}
-
-type logSink struct {
-	mu sync.Mutex
-	w  io.Writer
 }
 
 // NewLogger returns a logger writing JSON lines at or above level to w.
@@ -77,24 +66,12 @@ func NewLogger(w io.Writer, level Level) *Logger {
 	if w == nil {
 		w = io.Discard
 	}
-	return &Logger{sink: &logSink{w: w}, level: level}
+	return &Logger{w: w, level: level}
 }
 
 // NewStderrLogger is the default production logger: JSON lines on stderr.
 func NewStderrLogger(level Level) *Logger {
 	return NewLogger(os.Stderr, level)
-}
-
-// With returns a logger that includes the given key-value pairs on every
-// record (a trailing key with no value gets null). Derived loggers share
-// the parent's sink and level. Nil-safe.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil || len(kv) == 0 {
-		return l
-	}
-	child := &Logger{sink: l.sink, level: l.level}
-	child.fields = append(append([]logField(nil), l.fields...), pairFields(kv)...)
-	return child
 }
 
 // Enabled reports whether records at level would be written.
@@ -118,34 +95,12 @@ func (l *Logger) log(level Level, msg string, kv []any) {
 	if !l.Enabled(level) {
 		return
 	}
-	rec := make(map[string]any, len(l.fields)+len(kv)/2+3)
+	rec := make(map[string]any, len(kv)/2+3)
 	rec["ts"] = time.Now().UTC().Format(time.RFC3339Nano)
 	rec["level"] = level.String()
 	rec["msg"] = msg
-	for _, f := range l.fields {
-		rec[f.key] = jsonSafe(f.val)
-	}
-	for _, f := range pairFields(kv) {
-		rec[f.key] = jsonSafe(f.val)
-	}
-	line, err := json.Marshal(orderedRecord(rec))
-	if err != nil {
-		// A value resisted even the fmt.Sprint fallback; drop the record
-		// rather than corrupt the stream.
-		return
-	}
-	l.sink.mu.Lock()
-	l.sink.w.Write(append(line, '\n'))
-	l.sink.mu.Unlock()
-}
-
-// pairFields folds a flat kv list into fields; non-string keys are
-// stringified and a dangling value-less key maps to null.
-func pairFields(kv []any) []logField {
-	if len(kv) == 0 {
-		return nil
-	}
-	out := make([]logField, 0, (len(kv)+1)/2)
+	// Non-string keys are stringified; a dangling value-less key maps to
+	// null.
 	for i := 0; i < len(kv); i += 2 {
 		key, ok := kv[i].(string)
 		if !ok {
@@ -155,9 +110,17 @@ func pairFields(kv []any) []logField {
 		if i+1 < len(kv) {
 			val = kv[i+1]
 		}
-		out = append(out, logField{key: key, val: val})
+		rec[key] = jsonSafe(val)
 	}
-	return out
+	line, err := json.Marshal(orderedRecord(rec))
+	if err != nil {
+		// A value resisted even the fmt.Sprint fallback; drop the record
+		// rather than corrupt the stream.
+		return
+	}
+	l.mu.Lock()
+	l.w.Write(append(line, '\n'))
+	l.mu.Unlock()
 }
 
 // jsonSafe replaces values json.Marshal would reject (errors, channels,

@@ -73,16 +73,6 @@ func TestLoggerLevelFiltering(t *testing.T) {
 	}
 }
 
-func TestLoggerWithBindsFields(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo).With("job_id", "job-000007")
-	l.Info("stage", "stage", "mine")
-	rec := logLines(t, &buf)[0]
-	if rec["job_id"] != "job-000007" || rec["stage"] != "mine" {
-		t.Errorf("bound + per-call fields = %v", rec)
-	}
-}
-
 func TestLoggerAwkwardValues(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LevelInfo)
@@ -110,9 +100,6 @@ func TestNilLoggerIsNoOp(t *testing.T) {
 	var l *Logger
 	l.Info("x", "k", "v")
 	l.Error("y")
-	if l.With("a", 1) != nil {
-		t.Error("With on nil logger must return nil")
-	}
 	if l.Enabled(LevelError) {
 		t.Error("nil logger must report disabled")
 	}
@@ -126,9 +113,8 @@ func TestLoggerConcurrentNoInterleaving(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			child := l.With("worker", w)
 			for i := 0; i < 100; i++ {
-				child.Info("tick", "i", i)
+				l.Info("tick", "worker", w, "i", i)
 			}
 		}(w)
 	}

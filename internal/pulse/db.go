@@ -2,7 +2,6 @@ package pulse
 
 import (
 	"fmt"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,9 +19,9 @@ import (
 // A DB is safe for concurrent use and built to be shared by a whole
 // compile fleet (engine workers, paqoc-server requests):
 //
-//   - Entries and in-flight generations are sharded by canonical-key hash
-//     across power-of-two shards, each behind its own RWMutex, so
-//     concurrent workers do not contend on one lock.
+//   - One mutex guards the entries, the in-flight generations, the
+//     similarity index and the counters. It is never held while a
+//     generator runs or while a snapshot is encoded or written.
 //   - Do deduplicates concurrent generation of the same canonical unitary
 //     singleflight-style — N workers hitting the same customized gate
 //     trigger exactly one generator run while the rest block on the result
@@ -31,9 +30,9 @@ import (
 //     that prunes most candidates before the O(dim²) distance.
 //   - An optional capacity bound evicts cold entries so a long-running
 //     server's memory stays bounded (see evict.go).
-//   - Snapshots are copy-on-snapshot: Save clones the entry list under the
-//     per-shard locks and encodes outside any lock, so a slow disk never
-//     stalls Store/Do (see persist.go).
+//   - Snapshots are copy-on-snapshot: Save copies the entry list under the
+//     lock and encodes outside it, so a slow disk never stalls Store/Do
+//     (see persist.go).
 type DB struct {
 	// DetectPermutations enables the §V-B permuted-qubit lookup — a PAQOC
 	// feature the AccQOC baseline does not have. Set it before sharing the
@@ -48,19 +47,18 @@ type DB struct {
 	// store.
 	fingerprint string
 
-	shards [numShards]shard
-
-	// dims maps matrix dimension → *dimIndex (the Nearest similarity
-	// index). sync.Map: a handful of keys, read-mostly.
-	dims sync.Map
-
-	// count is the live entry total, maintained by Store/eviction so Len
-	// and the capacity check never need a full-DB lock sweep.
-	count atomic.Int64
-
+	// mu guards entries, flights, dims, maxEntries and the four counters.
+	mu      sync.Mutex
+	entries map[string]*Entry
+	// flights holds one channel per in-progress generation, keyed by the
+	// leader's canonical key; the leader closes it when done.
+	flights map[string]chan struct{}
+	// dims maps matrix dimension → the Nearest similarity index.
+	dims map[int]*dimIndex
 	// maxEntries is the optional capacity bound (0 = unbounded).
-	maxEntries atomic.Int64
-	evictMu    sync.Mutex
+	maxEntries int
+
+	hits, misses, dedups, evictions int64
 
 	// metrics optionally receives pulse.* counters (nearest_scanned,
 	// nearest_pruned, evictions, save_skipped_nonfinite). Nil-safe.
@@ -73,34 +71,10 @@ type DB struct {
 	lookupMs atomic.Pointer[obs.Histogram]
 	storeMs  atomic.Pointer[obs.Histogram]
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	dedups    atomic.Int64
-	evictions atomic.Int64
-
 	// onWait, when non-nil, runs each time a caller joins an in-flight
 	// generation, just before blocking on it. Test-only synchronization
 	// seam; set it before sharing the DB across goroutines.
 	onWait func()
-}
-
-// numShards spreads lock contention across independent key ranges. Power
-// of two so the hash maps to a shard with a mask; 32 comfortably exceeds
-// any worker-pool width this repo configures.
-const numShards = 32
-
-// shard is one lock domain: a slice of the entry map plus the in-flight
-// generations whose canonical keys hash here.
-type shard struct {
-	mu      sync.RWMutex
-	entries map[string]*Entry
-	flights map[string]*flight
-}
-
-// flight is one in-progress generation; waiters block on done.
-type flight struct {
-	done chan struct{}
-	err  error
 }
 
 // Entry is one stored pulse. Entries are immutable once stored, except
@@ -116,13 +90,10 @@ type Entry struct {
 	// eviction removes them only when nothing unprotected remains.
 	protected atomic.Bool
 	// uses counts how often this entry served a lookup, dedup, or warm
-	// start — the "keep the hot ones" signal for eviction ranking.
+	// start — the "keep the hot ones" signal for eviction ranking. Both
+	// fields are written under the DB lock and atomic because the miner
+	// reads Uses without it.
 	uses atomic.Int64
-	// evicted closes the Store-vs-evict race: set (under the dim index
-	// lock ordering) before the index drops the entry, checked by the
-	// index insert, so a concurrent eviction can never leave a dangling
-	// index item for an entry no longer in its shard map.
-	evicted atomic.Bool
 }
 
 // Protected reports whether the entry is shielded from routine eviction.
@@ -131,14 +102,21 @@ func (e *Entry) Protected() bool { return e.protected.Load() }
 // Uses returns how many lookups/warm starts this entry has served.
 func (e *Entry) Uses() int64 { return e.uses.Load() }
 
+// newEntry copies u into a fresh entry stored under key.
+func newEntry(key string, u *linalg.Matrix, g *Generated, protected bool) *Entry {
+	e := &Entry{Key: key, U: u.Clone(), Generated: g, norm2: frobNorm2(u)}
+	e.protected.Store(protected)
+	return e
+}
+
 // NewDB returns an empty pulse database with permutation detection on.
 func NewDB() *DB {
-	db := &DB{DetectPermutations: true}
-	for i := range db.shards {
-		db.shards[i].entries = make(map[string]*Entry)
-		db.shards[i].flights = make(map[string]*flight)
+	return &DB{
+		DetectPermutations: true,
+		entries:            make(map[string]*Entry),
+		flights:            make(map[string]chan struct{}),
+		dims:               make(map[int]*dimIndex),
 	}
-	return db
 }
 
 // SetFingerprint namespaces the DB's keys by a backend fingerprint. It
@@ -155,17 +133,6 @@ func (db *DB) SetFingerprint(fp string) {
 // Fingerprint returns the backend fingerprint the DB is namespaced by
 // (empty when un-namespaced).
 func (db *DB) Fingerprint() string { return db.fingerprint }
-
-// dbSeed fixes the shard hash across all DBs so permuted keys map to
-// stable shards for the ordered multi-shard locking in do().
-var dbSeed = maphash.MakeSeed()
-
-// shardIndex maps a canonical key to its shard.
-func shardIndex(key string) int {
-	return int(maphash.String(dbSeed, key) & (numShards - 1))
-}
-
-func (db *DB) shard(key string) *shard { return &db.shards[shardIndex(key)] }
 
 // SetMetrics attaches a registry for the pulse.* counters and the
 // db_lookup/db_store latency histograms. Safe to call concurrently; a nil
@@ -198,25 +165,48 @@ func (db *DB) counter(name string) *obs.Counter {
 }
 
 // Len returns the number of stored pulses.
-func (db *DB) Len() int { return int(db.count.Load()) }
+func (db *DB) Len() int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return len(db.entries)
+}
 
 // Stats returns cache hit/miss counters.
 func (db *DB) Stats() (hits, misses int) {
-	return int(db.hits.Load()), int(db.misses.Load())
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return int(db.hits), int(db.misses)
 }
 
 // Dedups returns the number of generator runs avoided by singleflight
 // coalescing in Do: callers that found another worker already generating
 // their canonical (or permuted) unitary and blocked on its result.
-func (db *DB) Dedups() int64 { return db.dedups.Load() }
+func (db *DB) Dedups() int64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.dedups
+}
 
 // Evictions returns how many entries the capacity bound has removed.
-func (db *DB) Evictions() int64 { return db.evictions.Load() }
+func (db *DB) Evictions() int64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.evictions
+}
 
 // permKey pairs a permuted canonical key with the permutation producing it.
 type permKey struct {
 	key  string
 	perm []int
+}
+
+// lookupPerms lists, by qubit count, the non-identity qubit permutations
+// in lexicographic order. The identity is the exact-key lookup, so
+// leaving it out spares every miss one PermuteQubits + CanonicalKey round
+// trip. Callers must not mutate the returned slices.
+var lookupPerms = [...][][]int{
+	2: {{1, 0}},
+	3: {{0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}},
 }
 
 // permutedKeys returns the candidate permuted lookups for u: one canonical
@@ -227,7 +217,7 @@ func (db *DB) permutedKeys(u *linalg.Matrix, usePerms bool) []permKey {
 	if !usePerms || k < 2 || k > 3 {
 		return nil
 	}
-	perms := lookupPerms(k)
+	perms := lookupPerms[k]
 	out := make([]permKey, len(perms))
 	for i, p := range perms {
 		out[i] = permKey{key: NamespacedKey(db.fingerprint, CanonicalKey(quantum.PermuteQubits(u, p))), perm: p}
@@ -235,13 +225,25 @@ func (db *DB) permutedKeys(u *linalg.Matrix, usePerms bool) []permKey {
 	return out
 }
 
-// get fetches an entry under its shard's read lock.
+// findLocked returns the stored entry under the exact key, or else under
+// the first permuted key that holds one, with that key's permutation.
+func (db *DB) findLocked(key string, permKeys []permKey) (*Entry, []int) {
+	if e := db.entries[key]; e != nil {
+		return e, nil
+	}
+	for _, pk := range permKeys {
+		if e := db.entries[pk.key]; e != nil {
+			return e, pk.perm
+		}
+	}
+	return nil, nil
+}
+
+// get fetches the entry stored under key.
 func (db *DB) get(key string) *Entry {
-	s := db.shard(key)
-	s.mu.RLock()
-	e := s.entries[key]
-	s.mu.RUnlock()
-	return e
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.entries[key]
 }
 
 // Peek returns the live entry stored under u's exact canonical key without
@@ -267,20 +269,18 @@ func (db *DB) Lookup(u *linalg.Matrix) (gen *Generated, perm []int, ok bool) {
 	if h := db.lookupMs.Load(); h != nil {
 		defer observeSince(h, time.Now())
 	}
-	if e := db.get(NamespacedKey(db.fingerprint, CanonicalKey(u))); e != nil {
-		db.hits.Add(1)
-		e.uses.Add(1)
-		return e.Generated, nil, true
+	key := NamespacedKey(db.fingerprint, CanonicalKey(u))
+	permKeys := db.permutedKeys(u, db.DetectPermutations)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	e, perm := db.findLocked(key, permKeys)
+	if e == nil {
+		db.misses++
+		return nil, nil, false
 	}
-	for _, pk := range db.permutedKeys(u, db.DetectPermutations) {
-		if e := db.get(pk.key); e != nil {
-			db.hits.Add(1)
-			e.uses.Add(1)
-			return e.Generated, pk.perm, true
-		}
-	}
-	db.misses.Add(1)
-	return nil, nil, false
+	db.hits++
+	e.uses.Add(1)
+	return e.Generated, perm, true
 }
 
 // Store records a generated pulse for u. The first store of a canonical
@@ -293,30 +293,37 @@ func (db *DB) Store(u *linalg.Matrix, g *Generated) {
 // for similarity search, and applies the capacity bound.
 func (db *DB) store(u *linalg.Matrix, g *Generated, protected bool) {
 	var start time.Time
-	if db.storeMs.Load() != nil {
+	h := db.storeMs.Load()
+	if h != nil {
 		start = time.Now()
 	}
 	key := NamespacedKey(db.fingerprint, CanonicalKey(u))
-	s := db.shard(key)
-	s.mu.Lock()
-	if prev, ok := s.entries[key]; ok {
-		s.mu.Unlock()
+	db.mu.Lock()
+	if prev := db.entries[key]; prev != nil {
 		if protected {
 			prev.protected.Store(true)
 		}
+		db.mu.Unlock()
 		return
 	}
-	e := &Entry{Key: key, U: u.Clone(), Generated: g, norm2: frobNorm2(u)}
-	e.protected.Store(protected)
-	s.entries[key] = e
-	s.mu.Unlock()
-
-	db.dimIndex(u.Rows).insert(e)
-	db.count.Add(1)
-	db.maybeEvict()
-	if h := db.storeMs.Load(); h != nil {
+	db.insertLocked(newEntry(key, u, g, protected))
+	db.mu.Unlock()
+	if h != nil {
 		observeSince(h, start)
 	}
+}
+
+// insertLocked adds a new entry to the map and the similarity index, then
+// applies the capacity bound, which never evicts e itself.
+func (db *DB) insertLocked(e *Entry) {
+	db.entries[e.Key] = e
+	ix := db.dims[e.U.Rows]
+	if ix == nil {
+		ix = &dimIndex{}
+		db.dims[e.U.Rows] = ix
+	}
+	ix.insert(e)
+	db.evictLocked(e)
 }
 
 // Protect marks the stored entry for u (if any) as precious: the ranked
@@ -324,7 +331,10 @@ func (db *DB) store(u *linalg.Matrix, g *Generated, protected bool) {
 // remains. The paqoc emitter protects APA-basis pulses — the offline
 // investment the online component must keep warm (§V-C).
 func (db *DB) Protect(u *linalg.Matrix) {
-	if e := db.get(NamespacedKey(db.fingerprint, CanonicalKey(u))); e != nil {
+	key := NamespacedKey(db.fingerprint, CanonicalKey(u))
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if e := db.entries[key]; e != nil {
 		e.protected.Store(true)
 	}
 }
@@ -371,146 +381,61 @@ func (db *DB) DoExact(u *linalg.Matrix, generate func() (*Generated, error)) (*G
 func (db *DB) do(u *linalg.Matrix, usePerms bool, generate func() (*Generated, error)) (*Generated, []int, Outcome, error) {
 	key := NamespacedKey(db.fingerprint, CanonicalKey(u))
 	permKeys := db.permutedKeys(u, usePerms)
-	// The slow path must check entries and flights across the exact key
-	// and every permuted key atomically (the seed did this under one
-	// global lock). With shards, that means write-locking the distinct
-	// shards those keys hash to — always in ascending index order, so
-	// concurrent do() calls over overlapping shard sets cannot deadlock.
-	lockSet := db.lockSet(key, permKeys)
-	waited := false
-	for {
-		// Fast path: read-locked hit checks, one shard at a time. Timed as
-		// db_lookup on the shared stage histogram when metrics are attached.
-		var lookupStart time.Time
+	for waited := false; ; waited = true {
+		// Stored entries first (exact, then permuted), timed as db_lookup
+		// on the shared stage histogram when metrics are attached; then
+		// in-flight generations in the same order.
 		h := db.lookupMs.Load()
+		var start time.Time
 		if h != nil {
-			lookupStart = time.Now()
+			start = time.Now()
 		}
-		g, perm, oc, ok := db.tryHit(key, permKeys, waited)
+		db.mu.Lock()
+		e, perm := db.findLocked(key, permKeys)
 		if h != nil {
-			observeSince(h, lookupStart)
+			observeSince(h, start)
 		}
-		if ok {
-			return g, perm, oc, nil
-		}
-
-		// Slow path: join an in-flight generation or become the leader.
-		db.lockShards(lockSet)
-		if e := db.shard(key).entries[key]; e != nil {
-			db.unlockShards(lockSet)
-			return db.hitResult(e, nil, waited)
-		}
-		var joined *flight
-		if f := db.shard(key).flights[key]; f != nil {
-			joined = f
-		} else {
-			for _, pk := range permKeys {
-				sh := db.shard(pk.key)
-				if e := sh.entries[pk.key]; e != nil {
-					db.unlockShards(lockSet)
-					return db.hitResult(e, pk.perm, waited)
-				}
-				if f := sh.flights[pk.key]; f != nil {
-					joined = f
-					break
-				}
+		if e != nil {
+			db.hits++
+			e.uses.Add(1)
+			oc := OutcomeHit
+			if perm != nil {
+				oc = OutcomePermuted
 			}
+			if waited {
+				db.dedups++
+				oc = OutcomeDeduped
+			}
+			db.mu.Unlock()
+			return e.Generated, perm, oc, nil
 		}
-		if joined != nil {
-			db.unlockShards(lockSet)
+		done := db.flights[key]
+		for i := 0; done == nil && i < len(permKeys); i++ {
+			done = db.flights[permKeys[i].key]
+		}
+		if done != nil {
+			db.mu.Unlock()
 			if db.onWait != nil {
 				db.onWait()
 			}
-			<-joined.done
-			waited = true
+			<-done
 			continue // the leader stored, errored, or panicked; re-check
 		}
-		f := &flight{done: make(chan struct{})}
-		db.shard(key).flights[key] = f
-		db.unlockShards(lockSet)
+		done = make(chan struct{})
+		db.flights[key] = done
+		db.misses++
+		db.mu.Unlock()
 
-		db.misses.Add(1)
 		g, err := runGenerate(generate)
 		if err == nil && g != nil {
 			db.Store(u, g)
 		}
-		s := db.shard(key)
-		s.mu.Lock()
-		delete(s.flights, key)
-		s.mu.Unlock()
-		f.err = err
-		close(f.done)
+		db.mu.Lock()
+		delete(db.flights, key)
+		db.mu.Unlock()
+		close(done)
 		return g, nil, OutcomeGenerated, err
 	}
-}
-
-// lockSet returns the ascending, de-duplicated shard indices covering the
-// exact key and every permuted key. At most 1 + 5 keys (3-qubit lookups),
-// so a small fixed-capacity slice suffices.
-func (db *DB) lockSet(key string, permKeys []permKey) []int {
-	set := make([]int, 0, 1+len(permKeys))
-	add := func(i int) {
-		for _, v := range set {
-			if v == i {
-				return
-			}
-		}
-		set = append(set, i)
-	}
-	add(shardIndex(key))
-	for _, pk := range permKeys {
-		add(shardIndex(pk.key))
-	}
-	// Insertion sort: ≤ 6 elements.
-	for i := 1; i < len(set); i++ {
-		for j := i; j > 0 && set[j] < set[j-1]; j-- {
-			set[j], set[j-1] = set[j-1], set[j]
-		}
-	}
-	return set
-}
-
-func (db *DB) lockShards(set []int) {
-	for _, i := range set {
-		db.shards[i].mu.Lock()
-	}
-}
-
-func (db *DB) unlockShards(set []int) {
-	for i := len(set) - 1; i >= 0; i-- {
-		db.shards[set[i]].mu.Unlock()
-	}
-}
-
-// tryHit checks the stored entries under the per-shard read locks.
-func (db *DB) tryHit(key string, permKeys []permKey, waited bool) (*Generated, []int, Outcome, bool) {
-	if e := db.get(key); e != nil {
-		g, perm, oc, _ := db.hitResult(e, nil, waited)
-		return g, perm, oc, true
-	}
-	for _, pk := range permKeys {
-		if e := db.get(pk.key); e != nil {
-			g, perm, oc, _ := db.hitResult(e, pk.perm, waited)
-			return g, perm, oc, true
-		}
-	}
-	return nil, nil, 0, false
-}
-
-// hitResult classifies a hit: a plain cache hit when the entry predated
-// this call, a dedup when this caller blocked on the generating worker.
-func (db *DB) hitResult(e *Entry, perm []int, waited bool) (*Generated, []int, Outcome, error) {
-	db.hits.Add(1)
-	e.uses.Add(1)
-	oc := OutcomeHit
-	if perm != nil {
-		oc = OutcomePermuted
-	}
-	if waited {
-		db.dedups.Add(1)
-		oc = OutcomeDeduped
-	}
-	return e.Generated, perm, oc, nil
 }
 
 // runGenerate converts a generator panic into an error so singleflight
@@ -522,81 +447,4 @@ func runGenerate(generate func() (*Generated, error)) (g *Generated, err error) 
 		}
 	}()
 	return generate()
-}
-
-// snapshotEntries clones the entry pointer list shard by shard — the
-// copy-on-snapshot half of Save. Each shard is read-locked only for the
-// duration of its own copy; entries are immutable, so the returned slice
-// is a consistent-enough snapshot that never blocks writers for longer
-// than one shard's map walk.
-func (db *DB) snapshotEntries() []*Entry {
-	out := make([]*Entry, 0, db.Len())
-	for i := range db.shards {
-		s := &db.shards[i]
-		s.mu.RLock()
-		for _, e := range s.entries {
-			out = append(out, e)
-		}
-		s.mu.RUnlock()
-	}
-	return out
-}
-
-// permTables memoizes permutations by qubit count: the full k! table
-// (permutations) and the identity-free table used by lookups
-// (lookupPerms). Rebuilt never; callers must not mutate the returned
-// slices.
-var permTables sync.Map // k → [][]int, full table including identity
-
-func permutations(k int) [][]int {
-	if t, ok := permTables.Load(k); ok {
-		return t.([][]int)
-	}
-	base := make([]int, k)
-	for i := range base {
-		base[i] = i
-	}
-	var out [][]int
-	var rec func(cur []int, rest []int)
-	rec = func(cur, rest []int) {
-		if len(rest) == 0 {
-			out = append(out, append([]int(nil), cur...))
-			return
-		}
-		for i := range rest {
-			next := append(append([]int(nil), rest[:i]...), rest[i+1:]...)
-			rec(append(cur, rest[i]), next)
-		}
-	}
-	rec(nil, base)
-	t, _ := permTables.LoadOrStore(k, out)
-	return t.([][]int)
-}
-
-var lookupPermTables sync.Map // k → [][]int, identity hoisted out
-
-// lookupPerms returns permutations(k) minus the identity — the identity
-// case is the exact-key lookup, so hoisting it here spares every miss one
-// PermuteQubits + CanonicalKey round trip.
-func lookupPerms(k int) [][]int {
-	if t, ok := lookupPermTables.Load(k); ok {
-		return t.([][]int)
-	}
-	var out [][]int
-	for _, p := range permutations(k) {
-		if !isIdentityPerm(p) {
-			out = append(out, p)
-		}
-	}
-	t, _ := lookupPermTables.LoadOrStore(k, out)
-	return t.([][]int)
-}
-
-func isIdentityPerm(p []int) bool {
-	for i, v := range p {
-		if i != v {
-			return false
-		}
-	}
-	return true
 }

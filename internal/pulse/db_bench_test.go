@@ -9,10 +9,10 @@ import (
 	"paqoc/internal/linalg"
 )
 
-// Pulse-store benchmarks: warm-hit Lookup serial and parallel on the
-// sharded store, indexed Nearest at growing populations, and Store at
-// capacity with ranked eviction active. BENCH_005.json records an earlier
-// run of the same workloads.
+// Pulse-store benchmarks: warm-hit Lookup serial and parallel, indexed
+// Nearest at growing populations, and Store at capacity with ranked
+// eviction active. BENCH_005.json records an earlier run of the same
+// workloads, on the sharded store that one mutex has since replaced.
 
 // benchPopulate builds a DB holding n rotations over random angles — the
 // one-parameter family a warm store accumulates from RZ-like customized
@@ -33,9 +33,9 @@ func benchPopulate(n int, rng *rand.Rand) (*DB, []*linalg.Matrix, []*linalg.Matr
 }
 
 // BenchmarkDBLookup measures warm-hit Lookup at 10k entries, serially
-// and from GOMAXPROCS goroutines. Readers contend only when their keys
-// hash to the same shard; on one core the parallel figure is the serial
-// one plus scheduler overhead.
+// and from GOMAXPROCS goroutines, which all contend on the store's one
+// mutex; on one core the parallel figure is the serial one plus
+// scheduler overhead.
 func BenchmarkDBLookup(b *testing.B) {
 	db, stored, _ := benchPopulate(10_000, rand.New(rand.NewSource(42)))
 	b.Run("serial", func(b *testing.B) {

@@ -12,6 +12,7 @@ import (
 
 	"paqoc/internal/linalg"
 	"paqoc/internal/obs"
+	"paqoc/internal/quantum"
 )
 
 // phaseUnitary builds a diagonal unitary with the given phases — cheap to
@@ -69,7 +70,10 @@ func TestStoreNotBlockedBySlowSave(t *testing.T) {
 
 	w := newBlockingWriter()
 	saveDone := make(chan error, 1)
-	go func() { saveDone <- db.Save(w) }()
+	go func() {
+		_, err := db.Save(w)
+		saveDone <- err
+	}()
 
 	// Wait until Save is provably inside the blocked Write: the snapshot
 	// has been taken and every lock released.
@@ -96,7 +100,7 @@ func TestStoreNotBlockedBySlowSave(t *testing.T) {
 		t.Fatalf("Save: %v", err)
 	}
 	// The snapshot predates the late Store and must not contain it.
-	re, err := LoadDB(&w.buf)
+	re, err := LoadDB(&w.buf, "")
 	if err != nil {
 		t.Fatalf("LoadDB: %v", err)
 	}
@@ -126,13 +130,13 @@ func TestSaveDeterministic(t *testing.T) {
 	}
 
 	var a1, a2, b1 bytes.Buffer
-	if err := a.Save(&a1); err != nil {
+	if _, err := a.Save(&a1); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Save(&a2); err != nil {
+	if _, err := a.Save(&a2); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Save(&b1); err != nil {
+	if _, err := b.Save(&b1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a1.Bytes(), a2.Bytes()) {
@@ -159,9 +163,9 @@ func TestSaveSkipsNonFinite(t *testing.T) {
 	db.Store(rotation(1.2), &Generated{Latency: 15, Fidelity: 0.999, Error: 0.001, Schedule: bad})
 
 	var buf bytes.Buffer
-	rep, err := db.SaveWithReport(&buf)
+	rep, err := db.Save(&buf)
 	if err != nil {
-		t.Fatalf("SaveWithReport: %v (the seed failed here with UnsupportedValueError)", err)
+		t.Fatalf("Save: %v (the seed failed here with UnsupportedValueError)", err)
 	}
 	if rep.SkippedNonFinite != 3 || rep.Entries != 1 {
 		t.Errorf("report = %+v, want 3 skipped / 1 written", rep)
@@ -169,7 +173,7 @@ func TestSaveSkipsNonFinite(t *testing.T) {
 	if n := reg.Counter("pulse.save_skipped_nonfinite").Value(); n != 3 {
 		t.Errorf("pulse.save_skipped_nonfinite = %d, want 3", n)
 	}
-	re, err := LoadDB(&buf)
+	re, err := LoadDB(&buf, "")
 	if err != nil {
 		t.Fatalf("LoadDB of the filtered snapshot: %v", err)
 	}
@@ -187,14 +191,14 @@ func TestLoadDBRejectsNonUnitary(t *testing.T) {
 	const nonUnitary = `{"version":1,"entries":[{"dim":2,` +
 		`"unitary":[[2,0],[0,0],[0,0],[2,0]],` +
 		`"latency_dt":10,"fidelity":0.999,"error":0.001}]}`
-	if _, err := LoadDB(bytes.NewReader([]byte(nonUnitary))); err == nil {
+	if _, err := LoadDB(bytes.NewReader([]byte(nonUnitary)), ""); err == nil {
 		t.Fatal("LoadDB accepted a matrix with singular values 2")
 	}
 
 	const shear = `{"version":1,"entries":[{"dim":2,` +
 		`"unitary":[[1,0],[0.01,0],[0,0],[1,0]],` +
 		`"latency_dt":10,"fidelity":0.999,"error":0.001}]}`
-	if _, err := LoadDB(bytes.NewReader([]byte(shear))); err == nil {
+	if _, err := LoadDB(bytes.NewReader([]byte(shear)), ""); err == nil {
 		t.Fatal("LoadDB accepted a shear (non-unitary within tolerance)")
 	}
 
@@ -202,10 +206,10 @@ func TestLoadDBRejectsNonUnitary(t *testing.T) {
 	var buf bytes.Buffer
 	db := NewDB()
 	db.Store(rotation(0.4), &Generated{Latency: 11, Fidelity: 0.999, Error: 0.001})
-	if err := db.Save(&buf); err != nil {
+	if _, err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDB(&buf); err != nil {
+	if _, err := LoadDB(&buf, ""); err != nil {
 		t.Fatalf("round trip rejected a valid unitary: %v", err)
 	}
 }
@@ -220,10 +224,10 @@ func TestProtectedRoundTrip(t *testing.T) {
 	db.Store(rotation(1.4), &Generated{Latency: 11, Fidelity: 0.999, Error: 0.001})
 
 	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	if _, err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	re, err := LoadDB(&buf)
+	re, err := LoadDB(&buf, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +312,7 @@ func TestEvictionEvictsProtectedLast(t *testing.T) {
 	}
 }
 
-// TestNearestMatchesLinearScan is the sharded-vs-seed equivalence
+// TestNearestMatchesLinearScan is the indexed-vs-seed equivalence
 // property test: on randomized populations and probes, the indexed
 // Nearest must return the identical entry — including the canonical-key
 // tie-break — as the retained seed-era linear scan, across dimensions and
@@ -388,10 +392,13 @@ func TestNearestPruneCounters(t *testing.T) {
 	}
 }
 
-// TestDBConcurrentHammerSharded is the -race hammer for the sharded
-// store: concurrent Do (with dedup), Store, Nearest, Lookup, and SaveFile
-// against one DB with an active capacity bound.
-func TestDBConcurrentHammerSharded(t *testing.T) {
+// TestDBConcurrentHammerAllOps is the -race hammer for the one-lock
+// store: every operation (Do with dedup, Store, Nearest, Lookup, SaveFile,
+// Merge on its add, replace and keep paths, MergeSnapshot, Protect, Peek,
+// EntryByKey, Entries, SetMaxEntries) runs concurrently against one DB
+// whose capacity bound keeps evicting. Afterwards the similarity index
+// must agree with the entry map.
+func TestDBConcurrentHammerAllOps(t *testing.T) {
 	db := NewDB()
 	db.SetMaxEntries(64)
 	reg := obs.NewRegistry()
@@ -402,20 +409,28 @@ func TestDBConcurrentHammerSharded(t *testing.T) {
 	for i := range unitaries {
 		unitaries[i] = rotation(0.02 + 0.07*float64(i))
 	}
-	var generated atomic.Int64
+	donor := NewDB()
+	for i := 0; i < 8; i++ {
+		donor.Store(unitaries[i*12], &Generated{Latency: 1, Fidelity: 0.5})
+		donor.Store(rotation(20+0.05*float64(i)), &Generated{Latency: 1, Fidelity: 0.99})
+	}
+	var snap bytes.Buffer
+	if _, err := donor.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	var merges [3]atomic.Int64 // by MergeOutcome
 	const workers = 16
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 150; i++ {
 				u := unitaries[(w*31+i)%len(unitaries)]
-				switch i % 5 {
+				switch i % 12 {
 				case 0:
 					_, _, _, err := db.Do(u, func() (*Generated, error) {
-						generated.Add(1)
 						return &Generated{Latency: float64(i)}, nil
 					})
 					if err != nil {
@@ -428,19 +443,42 @@ func TestDBConcurrentHammerSharded(t *testing.T) {
 				case 3:
 					db.Lookup(u)
 				case 4:
-					if err := db.SaveFile(path); err != nil {
+					if _, err := db.SaveFile(path); err != nil {
 						t.Error(err)
 					}
+				case 5:
+					g := &Generated{Latency: float64(i), Fidelity: float64((w+i)%7) / 7}
+					merges[db.Merge(u, g, w%3 == 0)].Add(1)
+				case 6:
+					if _, err := db.MergeSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+						t.Error(err)
+					}
+				case 7:
+					db.Protect(u)
+				case 8:
+					db.Peek(u)
+				case 9:
+					db.EntryByKey(CanonicalKey(u))
+				case 10:
+					db.Entries()
+				case 11:
+					db.SetMaxEntries(48 + 16*(w%2))
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
+	for oc := range merges {
+		if merges[oc].Load() == 0 {
+			t.Errorf("Merge outcome %d never occurred; the hammer missed a path", oc)
+		}
+	}
 	if n := db.Len(); n > 64 {
 		t.Errorf("capacity bound violated under concurrency: Len = %d", n)
 	}
+	checkIndex(t, db)
 	// The file left behind must be loadable and within the bound.
-	re, ok, err := LoadFile(path)
+	re, ok, err := LoadFile(path, "")
 	if err != nil || !ok {
 		t.Fatalf("LoadFile after hammer: ok=%v err=%v", ok, err)
 	}
@@ -449,18 +487,123 @@ func TestDBConcurrentHammerSharded(t *testing.T) {
 	}
 }
 
+// checkIndex asserts that the similarity index agrees with the entry map:
+// every live entry is indexed exactly once under its dimension, no index
+// item points at a removed entry, and each dimension's items stay sorted
+// by pivot distance.
+func checkIndex(t *testing.T, db *DB) {
+	t.Helper()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	indexed := make(map[*Entry]int, len(db.entries))
+	for dim, ix := range db.dims {
+		for i, it := range ix.items {
+			if it.e.U.Rows != dim {
+				t.Errorf("a %d-dim entry is indexed under dim %d", it.e.U.Rows, dim)
+			}
+			if db.entries[it.e.Key] != it.e {
+				t.Errorf("dim %d item %d points at a removed entry", dim, i)
+			}
+			if i > 0 && ix.items[i-1].dPivot > it.dPivot {
+				t.Errorf("dim %d items unsorted at %d: %g > %g", dim, i, ix.items[i-1].dPivot, it.dPivot)
+			}
+			indexed[it.e]++
+		}
+	}
+	for _, e := range db.entries {
+		if n := indexed[e]; n != 1 {
+			t.Errorf("live entry indexed %d times, want once", n)
+		}
+	}
+}
+
+// TestCapacityKeepsFreshEntry: a Store at capacity evicts one of the
+// older entries, never the one it just added. The fresh entry has served
+// no lookup yet, so it ranks coldest; before the fix it was its own
+// victim and vanished at once.
+func TestCapacityKeepsFreshEntry(t *testing.T) {
+	db := NewDB()
+	db.SetMaxEntries(4)
+	for i := 0; i < 4; i++ {
+		u := rotation(0.1 + 0.3*float64(i))
+		db.Store(u, &Generated{Latency: float64(i)})
+		db.Lookup(u)
+	}
+	fresh := rotation(2.5)
+	db.Store(fresh, &Generated{Latency: 9})
+	if _, ok := db.Peek(fresh); !ok {
+		t.Error("the fresh entry evicted itself")
+	}
+	if n := db.Evictions(); n != 1 {
+		t.Errorf("Evictions = %d, want 1", n)
+	}
+	if n := db.Len(); n != 4 {
+		t.Errorf("Len = %d, want 4", n)
+	}
+	checkIndex(t, db)
+}
+
+// TestCapacitySingleflightGeneratesOnce: concurrent Do calls on a new
+// unitary at capacity run the generator once. Before the fix, the
+// leader's store evicted its own pulse before the waiters woke, so each
+// waiter missed and regenerated.
+func TestCapacitySingleflightGeneratesOnce(t *testing.T) {
+	db := NewDB()
+	db.SetMaxEntries(1)
+	old := rotation(0.3)
+	db.Store(old, &Generated{Latency: 1})
+	db.Lookup(old)
+
+	u := quantum.MatCX.Clone()
+	var calls, waiting atomic.Int64
+	release := make(chan struct{})
+	const workers = 4
+	// Hold the leader inside the generator until every other worker has
+	// joined its flight.
+	db.onWait = func() {
+		if waiting.Add(1) == workers-1 {
+			close(release)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, _, _, err := db.Do(u, func() (*Generated, error) {
+				calls.Add(1)
+				<-release
+				return &Generated{Latency: 80}, nil
+			})
+			if err != nil || g == nil || g.Latency != 80 {
+				t.Errorf("Do: g=%+v err=%v", g, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Errorf("generator ran %d times, want 1", n)
+	}
+	if n := db.Dedups(); n != workers-1 {
+		t.Errorf("dedups = %d, want %d", n, workers-1)
+	}
+	if _, ok := db.Peek(old); ok || db.Len() != 1 {
+		t.Errorf("Len = %d, want only the fresh entry", db.Len())
+	}
+	checkIndex(t, db)
+}
+
 // NearestLinear is the seed-era reference: an unpruned linear scan with
 // linalg.GlobalPhaseDistance over every same-dimension entry, the oracle
 // for the Nearest equivalence property test. Its figures as the pulsedb
 // benchmark's baseline are on record in BENCH_005.json.
 func (db *DB) NearestLinear(u *linalg.Matrix, maxDist float64) (*Entry, float64, bool) {
-	v, ok := db.dims.Load(u.Rows)
-	if !ok {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	ix := db.dims[u.Rows]
+	if ix == nil {
 		return nil, 0, false
 	}
-	ix := v.(*dimIndex)
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	var best *Entry
 	bestDist := maxDist
 	for _, it := range ix.items {

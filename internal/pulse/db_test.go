@@ -19,26 +19,23 @@ func rotation(theta float64) *linalg.Matrix {
 	return u
 }
 
+// TestPermutationsMemoized: permuted lookups hand out the lookup table's
+// own permutation slices rather than building them per call.
 func TestPermutationsMemoized(t *testing.T) {
-	a := permutations(3)
-	b := permutations(3)
-	if len(a) != 6 || len(b) != 6 {
-		t.Fatalf("permutations(3) = %d entries", len(a))
+	ccx, err := quantum.GateUnitary("ccx", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if &a[0] != &b[0] {
-		t.Error("permutations(3) rebuilt instead of memoized")
+	db := NewDB()
+	a := db.permutedKeys(ccx, true)
+	b := db.permutedKeys(ccx, true)
+	if len(a) != 5 || len(b) != 5 {
+		t.Fatalf("3-qubit gate got %d permuted keys, want 5 (identity hoisted)", len(a))
 	}
-	lp := lookupPerms(3)
-	if len(lp) != 5 {
-		t.Fatalf("lookupPerms(3) = %d entries, want 5 (identity hoisted)", len(lp))
-	}
-	for _, p := range lp {
-		if isIdentityPerm(p) {
-			t.Error("identity permutation leaked into the lookup table")
+	for i := range a {
+		if &a[i].perm[0] != &lookupPerms[3][i][0] || &b[i].perm[0] != &a[i].perm[0] {
+			t.Errorf("permutation %v rebuilt instead of taken from the table", a[i].perm)
 		}
-	}
-	if lp2 := lookupPerms(3); &lp2[0] != &lp[0] {
-		t.Error("lookupPerms(3) rebuilt instead of memoized")
 	}
 }
 

@@ -61,18 +61,24 @@ func TestLoadRefusesCrossBackendSnapshot(t *testing.T) {
 	db.Store(rotation(0.9), &Generated{Schedule: testSchedule(3.0), Latency: 20, Fidelity: 0.9995, Error: 0.0005})
 
 	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	if _, err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
 
-	if _, err := LoadDBFor(bytes.NewReader(snap), "backend-b"); err == nil {
+	if _, err := LoadDB(bytes.NewReader(snap), "backend-b"); err == nil {
 		t.Fatal("cross-backend load must be refused")
 	} else if !strings.Contains(err.Error(), "backend-a") || !strings.Contains(err.Error(), "backend-b") {
 		t.Errorf("error should name both fingerprints: %v", err)
 	}
 
-	re, err := LoadDBFor(bytes.NewReader(snap), "backend-a")
+	// An un-namespaced store is a backend too: it refuses a fingerprinted
+	// snapshot rather than adopting its fingerprint.
+	if _, err := LoadDB(bytes.NewReader(snap), ""); err == nil {
+		t.Error("a fingerprinted snapshot must not load into an un-namespaced DB")
+	}
+
+	re, err := LoadDB(bytes.NewReader(snap), "backend-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +96,11 @@ func TestLoadAdoptsLegacySnapshot(t *testing.T) {
 	legacy := NewDB()
 	legacy.Store(rotation(0.4), &Generated{Latency: 15, Fidelity: 0.999, Error: 0.001})
 	var buf bytes.Buffer
-	if err := legacy.Save(&buf); err != nil {
+	if _, err := legacy.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 
-	re, err := LoadDBFor(&buf, "backend-c")
+	re, err := LoadDB(&buf, "backend-c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,29 +112,9 @@ func TestLoadAdoptsLegacySnapshot(t *testing.T) {
 	}
 }
 
-func TestLoadDBPreservesSnapshotFingerprint(t *testing.T) {
-	db := NewDB()
-	db.SetFingerprint("backend-x")
-	db.Store(rotation(1.1), &Generated{Latency: 9, Fidelity: 0.999, Error: 0.001})
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	re, err := LoadDB(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Fingerprint() != "backend-x" {
-		t.Errorf("unpinned load: fingerprint = %q", re.Fingerprint())
-	}
-	if _, _, ok := re.Lookup(rotation(1.1)); !ok {
-		t.Error("entry must resolve after unpinned reload")
-	}
-}
-
 func TestLoadFileForMissingFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "absent.json")
-	db, ok, err := LoadFileFor(path, "backend-d")
+	db, ok, err := LoadFile(path, "backend-d")
 	if err != nil || ok {
 		t.Fatalf("missing file: ok=%v err=%v", ok, err)
 	}
@@ -142,17 +128,17 @@ func TestLoadFileForRoundTrip(t *testing.T) {
 	db := NewDB()
 	db.SetFingerprint("backend-e")
 	db.Store(rotation(0.6), &Generated{Latency: 11, Fidelity: 0.999, Error: 0.001})
-	if err := db.SaveFile(path); err != nil {
+	if _, err := db.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadFileFor(path, "backend-f"); err == nil {
-		t.Error("cross-backend LoadFileFor must fail")
+	if _, _, err := LoadFile(path, "backend-f"); err == nil {
+		t.Error("cross-backend LoadFile must fail")
 	}
-	re, ok, err := LoadFileFor(path, "backend-e")
+	re, ok, err := LoadFile(path, "backend-e")
 	if err != nil || !ok || re.Len() != 1 {
-		t.Fatalf("same-backend LoadFileFor: ok=%v len=%d err=%v", ok, re.Len(), err)
+		t.Fatalf("same-backend LoadFile: ok=%v len=%d err=%v", ok, re.Len(), err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 	"sort"
-	"sync"
 
 	"paqoc/internal/linalg"
 )
@@ -17,8 +16,9 @@ import (
 // p can be no closer to the query than |dq − p|, so as soon as that lower
 // bound exceeds the best distance found, the rest of that direction is
 // pruned without ever touching the O(dim²) distance kernel.
+//
+// A dimIndex has no lock of its own: every access holds the DB mutex.
 type dimIndex struct {
-	mu         sync.RWMutex
 	pivot      *linalg.Matrix
 	pivotNorm2 float64
 	items      []indexItem // sorted ascending by dPivot
@@ -35,25 +35,11 @@ type indexItem struct {
 // slack can never prune a true winner yet costs nothing in selectivity.
 const pruneSlack = 1e-9
 
-// dimIndex returns (creating on demand) the index for one dimension.
-func (db *DB) dimIndex(dim int) *dimIndex {
-	if v, ok := db.dims.Load(dim); ok {
-		return v.(*dimIndex)
-	}
-	v, _ := db.dims.LoadOrStore(dim, &dimIndex{})
-	return v.(*dimIndex)
-}
-
 // insert adds a freshly stored entry, keeping the list sorted by pivot
 // distance. The first entry of a dimension seeds the pivot (and keeps it
 // forever — a stable pivot keeps every cached dPivot valid, even if the
 // pivot entry itself is later evicted).
 func (ix *dimIndex) insert(e *Entry) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if e.evicted.Load() {
-		return // lost the race with the capacity bound; never index it
-	}
 	if ix.pivot == nil {
 		ix.pivot = e.U
 		ix.pivotNorm2 = e.norm2
@@ -67,8 +53,6 @@ func (ix *dimIndex) insert(e *Entry) {
 
 // removeAll drops every victim in one pass (batch eviction support).
 func (ix *dimIndex) removeAll(victims map[*Entry]bool) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	kept := ix.items[:0]
 	for _, it := range ix.items {
 		if !victims[it.e] {
@@ -116,14 +100,10 @@ func phaseDist(a, b *linalg.Matrix, na2, nb2 float64) float64 {
 // exceeds the best candidate; pulse.nearest_scanned / pulse.nearest_pruned
 // count the split when a metrics registry is attached.
 func (db *DB) Nearest(u *linalg.Matrix, maxDist float64) (*Entry, float64, bool) {
-	v, ok := db.dims.Load(u.Rows)
-	if !ok {
-		return nil, 0, false
-	}
-	ix := v.(*dimIndex)
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if len(ix.items) == 0 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	ix := db.dims[u.Rows]
+	if ix == nil || len(ix.items) == 0 {
 		return nil, 0, false
 	}
 

@@ -1,7 +1,6 @@
 package pulse
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -15,7 +14,9 @@ import (
 // key it computed locally, so the exchange never ships a unitary just to
 // ask about it.
 func (db *DB) EntryByKey(canonical string) (*Entry, bool) {
-	e := db.get(NamespacedKey(db.fingerprint, canonical))
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	e := db.entries[NamespacedKey(db.fingerprint, canonical)]
 	if e == nil {
 		return nil, false
 	}
@@ -23,10 +24,18 @@ func (db *DB) EntryByKey(canonical string) (*Entry, bool) {
 	return e, true
 }
 
-// Entries snapshots the live entry pointers (copy-on-snapshot, one shard
-// read lock at a time — see snapshotEntries). Entries are immutable apart
-// from their ranking state, so callers may read Key/U/Generated freely.
-func (db *DB) Entries() []*Entry { return db.snapshotEntries() }
+// Entries snapshots the live entry pointers (copy-on-snapshot: the list
+// is copied under the lock). Entries are immutable apart from their
+// ranking state, so callers may read Key/U/Generated freely.
+func (db *DB) Entries() []*Entry {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	out := make([]*Entry, 0, len(db.entries))
+	for _, e := range db.entries {
+		out = append(out, e)
+	}
+	return out
+}
 
 // MergeOutcome says how Merge resolved one entry against the store.
 type MergeOutcome int
@@ -51,37 +60,25 @@ const (
 // APA-basis investment belong to the key, not the samples).
 func (db *DB) Merge(u *linalg.Matrix, g *Generated, protected bool) MergeOutcome {
 	key := NamespacedKey(db.fingerprint, CanonicalKey(u))
-	s := db.shard(key)
-	s.mu.Lock()
-	prev, ok := s.entries[key]
-	if !ok {
-		e := &Entry{Key: key, U: u.Clone(), Generated: g, norm2: frobNorm2(u)}
-		e.protected.Store(protected)
-		s.entries[key] = e
-		s.mu.Unlock()
-		db.dimIndex(u.Rows).insert(e)
-		db.count.Add(1)
-		db.maybeEvict()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	prev := db.entries[key]
+	if prev == nil {
+		db.insertLocked(newEntry(key, u, g, protected))
 		return MergeAdded
 	}
 	if prev.Generated.Fidelity >= g.Fidelity {
-		s.mu.Unlock()
 		if protected {
 			prev.protected.Store(true)
 		}
 		return MergeKept
 	}
-	e := &Entry{Key: key, U: u.Clone(), Generated: g, norm2: frobNorm2(u)}
-	e.protected.Store(protected || prev.protected.Load())
+	e := newEntry(key, u, g, protected || prev.protected.Load())
 	e.uses.Store(prev.uses.Load())
-	s.entries[key] = e
-	s.mu.Unlock()
-	// Swap the similarity-index item outside the shard lock (index locks
-	// nest inside nothing). Marking prev evicted first closes the race with
-	// a concurrent capacity sweep, exactly as eviction does.
-	prev.evicted.Store(true)
-	db.dimIndex(u.Rows).removeAll(map[*Entry]bool{prev: true})
-	db.dimIndex(u.Rows).insert(e)
+	db.entries[key] = e
+	ix := db.dims[u.Rows]
+	ix.removeAll(map[*Entry]bool{prev: true})
+	ix.insert(e)
 	return MergeReplaced
 }
 
@@ -101,16 +98,9 @@ type MergeReport struct {
 // accepted (they predate namespacing).
 func (db *DB) MergeSnapshot(r io.Reader) (MergeReport, error) {
 	var rep MergeReport
-	var in dbFile
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return rep, fmt.Errorf("pulse: merging snapshot: %v", err)
-	}
-	if in.Version != 1 {
-		return rep, fmt.Errorf("pulse: unsupported DB version %d", in.Version)
-	}
-	if in.Fingerprint != "" && in.Fingerprint != db.fingerprint {
-		return rep, fmt.Errorf("pulse: snapshot was calibrated for backend fingerprint %q, this store is %q — refusing to merge cross-device pulses",
-			in.Fingerprint, db.fingerprint)
+	in, err := readSnapshot(r, db.fingerprint)
+	if err != nil {
+		return rep, err
 	}
 	for i, fe := range in.Entries {
 		u, g, err := fe.Decode()

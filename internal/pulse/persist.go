@@ -41,21 +41,15 @@ type SaveReport struct {
 }
 
 // Save serializes every stored pulse. The snapshot is copy-on-snapshot:
-// entry pointers are cloned under the per-shard read locks (one shard at
-// a time), then encoding and writing happen outside any lock — a slow or
-// blocked writer never stalls concurrent Store/Do callers. Entries are
-// sorted by canonical key, so two snapshots of the same population are
-// byte-identical regardless of map iteration or insertion order.
-func (db *DB) Save(w io.Writer) error {
-	_, err := db.SaveWithReport(w)
-	return err
-}
-
-// SaveWithReport is Save plus the skip accounting: non-finite entries are
-// skipped and counted (pulse.save_skipped_nonfinite when a metrics
-// registry is attached) rather than failing the snapshot.
-func (db *DB) SaveWithReport(w io.Writer) (SaveReport, error) {
-	entries := db.snapshotEntries()
+// entry pointers are copied under the lock, then encoding and writing
+// happen outside it — a slow or blocked writer never stalls concurrent
+// Store/Do callers. Entries are sorted by canonical key, so two snapshots
+// of the same population are byte-identical regardless of map iteration
+// or insertion order. Non-finite entries are skipped and counted
+// (pulse.save_skipped_nonfinite when a metrics registry is attached)
+// rather than failing the snapshot.
+func (db *DB) Save(w io.Writer) (SaveReport, error) {
+	entries := db.Entries()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 
 	var rep SaveReport
@@ -82,14 +76,8 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // a temporary file in the same directory, is fsynced, and is renamed into
 // place, so an interrupted save (crash, SIGKILL, full disk) can never
 // corrupt an existing database — readers see either the old file or the
-// new one, never a truncated mix.
-func (db *DB) SaveFile(path string) error {
-	_, err := db.SaveFileWithReport(path)
-	return err
-}
-
-// SaveFileWithReport is SaveFile plus the SaveWithReport skip accounting.
-func (db *DB) SaveFileWithReport(path string) (rep SaveReport, err error) {
+// new one, never a truncated mix. The report is Save's.
+func (db *DB) SaveFile(path string) (rep SaveReport, err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -101,7 +89,7 @@ func (db *DB) SaveFileWithReport(path string) (rep SaveReport, err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
-	if rep, err = db.SaveWithReport(tmp); err != nil {
+	if rep, err = db.Save(tmp); err != nil {
 		return rep, err
 	}
 	if err = tmp.Sync(); err != nil {
@@ -129,77 +117,46 @@ func (db *DB) SaveFileWithReport(path string) (rep SaveReport, err error) {
 	return rep, nil
 }
 
-// LoadFile reads a database from path. A missing file is not an error: it
-// returns an empty database and ok=false, matching the cold-start flow
+// LoadFile reads a database from path, pinned to a backend fingerprint as
+// LoadDB is. A missing file is not an error: it returns an empty database
+// namespaced by fingerprint and ok=false, matching the cold-start flow
 // where the file appears after the first save.
-func LoadFile(path string) (db *DB, ok bool, err error) {
-	return loadFile(path, "", false)
-}
-
-// LoadFileFor is LoadFile pinned to a backend: the snapshot's fingerprint
-// must match want (see LoadDBFor), and the returned DB — including the
-// empty one for a missing file — is namespaced by want.
-func LoadFileFor(path, want string) (db *DB, ok bool, err error) {
-	return loadFile(path, want, true)
-}
-
-func loadFile(path, want string, pinned bool) (db *DB, ok bool, err error) {
+func LoadFile(path, fingerprint string) (db *DB, ok bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			db = NewDB()
-			db.SetFingerprint(want)
+			db.SetFingerprint(fingerprint)
 			return db, false, nil
 		}
 		return nil, false, err
 	}
 	defer f.Close()
-	db, err = loadDB(f, want, pinned)
+	db, err = LoadDB(f, fingerprint)
 	if err != nil {
 		return nil, false, err
 	}
 	return db, true, nil
 }
 
-// LoadDB reads a database written by Save, validating every entry: the
-// matrix must be the declared shape, every value (unitary, metadata,
-// schedule samples) must be finite, and the matrix must be unitary within
-// tolerance — a corrupt or hand-edited file fails fast with the offending
-// entry's index instead of poisoning warm starts at compile time. Cache
-// statistics start fresh; permutation detection follows NewDB's default
-// (on). The loaded DB adopts the snapshot's fingerprint, if any.
-func LoadDB(r io.Reader) (*DB, error) {
-	return loadDB(r, "", false)
-}
-
-// LoadDBFor is LoadDB pinned to a serving backend: a snapshot whose
-// fingerprint differs from want is refused, so pulses calibrated for one
-// device are never warmed into another's cache. Legacy snapshots with no
-// fingerprint are accepted and adopted under want (they predate
-// namespacing and can only have come from the default platform).
-func LoadDBFor(r io.Reader, want string) (*DB, error) {
-	return loadDB(r, want, true)
-}
-
-func loadDB(r io.Reader, want string, pinned bool) (*DB, error) {
-	var in dbFile
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("pulse: loading DB: %v", err)
-	}
-	if in.Version != 1 {
-		return nil, fmt.Errorf("pulse: unsupported DB version %d", in.Version)
+// LoadDB reads a database written by Save for the serving backend
+// fingerprint, validating every entry: the matrix must be the declared
+// shape, every value (unitary, metadata, schedule samples) must be finite,
+// and the matrix must be unitary within tolerance — a corrupt or
+// hand-edited file fails fast with the offending entry's index instead of
+// poisoning warm starts at compile time. A snapshot whose fingerprint
+// differs from fingerprint is refused, so pulses calibrated for one device
+// are never warmed into another's cache; a legacy snapshot with no
+// fingerprint is adopted under fingerprint (it predates namespacing and
+// can only have come from the default platform). Cache statistics start
+// fresh; permutation detection follows NewDB's default (on).
+func LoadDB(r io.Reader, fingerprint string) (*DB, error) {
+	in, err := readSnapshot(r, fingerprint)
+	if err != nil {
+		return nil, err
 	}
 	db := NewDB()
-	switch {
-	case pinned:
-		if in.Fingerprint != "" && in.Fingerprint != want {
-			return nil, fmt.Errorf("pulse: DB snapshot was calibrated for backend fingerprint %q, serving backend is %q — refusing to load cross-device pulses",
-				in.Fingerprint, want)
-		}
-		db.SetFingerprint(want)
-	default:
-		db.SetFingerprint(in.Fingerprint)
-	}
+	db.SetFingerprint(fingerprint)
 	for i, fe := range in.Entries {
 		u, g, err := fe.Decode()
 		if err != nil {
@@ -208,4 +165,22 @@ func loadDB(r io.Reader, want string, pinned bool) (*DB, error) {
 		db.store(u, g, fe.Protected)
 	}
 	return db, nil
+}
+
+// readSnapshot decodes a snapshot's envelope for a store serving the
+// backend fingerprint: the version must be 1, and a fingerprinted
+// snapshot must match. Entries are left for the caller to Decode.
+func readSnapshot(r io.Reader, fingerprint string) (dbFile, error) {
+	var in dbFile
+	if err := json.NewDecoder(r).Decode(&in); err != nil {
+		return in, fmt.Errorf("pulse: reading snapshot: %v", err)
+	}
+	if in.Version != 1 {
+		return in, fmt.Errorf("pulse: unsupported DB version %d", in.Version)
+	}
+	if in.Fingerprint != "" && in.Fingerprint != fingerprint {
+		return in, fmt.Errorf("pulse: snapshot was calibrated for backend fingerprint %q, this store serves %q — refusing cross-device pulses",
+			in.Fingerprint, fingerprint)
+	}
+	return in, nil
 }

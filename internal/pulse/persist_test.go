@@ -52,10 +52,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	db.Store(ccx, g3)
 
 	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	if _, err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	re, err := LoadDB(&buf)
+	re, err := LoadDB(&buf, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +134,10 @@ func TestSaveFileAtomic(t *testing.T) {
 
 	db1 := NewDB()
 	db1.Store(rotation(0.1), &Generated{Latency: 10, Fidelity: 0.999})
-	if err := db1.SaveFile(path); err != nil {
+	if _, err := db1.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	re, ok, err := LoadFile(path)
+	re, ok, err := LoadFile(path, "")
 	if err != nil || !ok {
 		t.Fatalf("LoadFile after first save: ok=%v err=%v", ok, err)
 	}
@@ -148,10 +148,10 @@ func TestSaveFileAtomic(t *testing.T) {
 	db2 := NewDB()
 	db2.Store(rotation(0.1), &Generated{Latency: 10, Fidelity: 0.999})
 	db2.Store(rotation(0.2), &Generated{Latency: 11, Fidelity: 0.999})
-	if err := db2.SaveFile(path); err != nil {
+	if _, err := db2.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	re, ok, err = LoadFile(path)
+	re, ok, err = LoadFile(path, "")
 	if err != nil || !ok {
 		t.Fatalf("LoadFile after overwrite: ok=%v err=%v", ok, err)
 	}
@@ -174,7 +174,7 @@ func TestSaveFileAtomic(t *testing.T) {
 	// A save that cannot complete (missing directory) errors and leaves
 	// nothing behind.
 	bad := filepath.Join(dir, "no-such-dir", "pulses.db")
-	if err := db2.SaveFile(bad); err == nil {
+	if _, err := db2.SaveFile(bad); err == nil {
 		t.Fatal("SaveFile into a missing directory succeeded")
 	}
 	if _, err := os.Stat(bad); !os.IsNotExist(err) {
@@ -184,7 +184,7 @@ func TestSaveFileAtomic(t *testing.T) {
 
 // TestLoadFileMissing: a cold start gets an empty database, not an error.
 func TestLoadFileMissing(t *testing.T) {
-	db, ok, err := LoadFile(filepath.Join(t.TempDir(), "absent.db"))
+	db, ok, err := LoadFile(filepath.Join(t.TempDir(), "absent.db"), "")
 	if err != nil {
 		t.Fatal(err)
 	}

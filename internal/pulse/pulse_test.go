@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -245,12 +246,35 @@ func TestDBNearest(t *testing.T) {
 	}
 }
 
+// TestPermutationsCount checks the lookup table: for k = 2 and 3 qubits it
+// holds the k! − 1 non-identity permutations of 0..k−1 in lexicographic
+// order, which is the order permuted lookups try them in.
 func TestPermutationsCount(t *testing.T) {
-	if got := len(permutations(3)); got != 6 {
-		t.Errorf("3! = %d", got)
+	for _, tc := range []struct{ k, want int }{{2, 1}, {3, 5}} {
+		perms := lookupPerms[tc.k]
+		if len(perms) != tc.want {
+			t.Errorf("k=%d: %d permutations, want %d", tc.k, len(perms), tc.want)
+		}
+		for i, p := range perms {
+			seen := make([]bool, tc.k)
+			identity := len(p) == tc.k
+			for j, v := range p {
+				if len(p) != tc.k || v < 0 || v >= tc.k || seen[v] {
+					t.Fatalf("k=%d: %v is not a permutation of 0..%d", tc.k, p, tc.k-1)
+				}
+				seen[v] = true
+				identity = identity && v == j
+			}
+			if identity {
+				t.Errorf("k=%d: the identity is in the table", tc.k)
+			}
+			if i > 0 && slices.Compare(perms[i-1], p) >= 0 {
+				t.Errorf("k=%d: %v does not follow %v lexicographically", tc.k, p, perms[i-1])
+			}
+		}
 	}
-	if got := len(permutations(2)); got != 2 {
-		t.Errorf("2! = %d", got)
+	if keys := NewDB().permutedKeys(quantum.MatH, true); keys != nil {
+		t.Errorf("1-qubit gate got %d permuted keys", len(keys))
 	}
 }
 
@@ -338,10 +362,10 @@ func TestDBSaveLoadRoundTrip(t *testing.T) {
 	db.Store(quantum.MatH.Clone(), &Generated{Latency: 24, Fidelity: 0.9995, Error: 0.0005})
 
 	var buf strings.Builder
-	if err := db.Save(&buf); err != nil {
+	if _, err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadDB(strings.NewReader(buf.String()))
+	back, err := LoadDB(strings.NewReader(buf.String()), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,13 +383,13 @@ func TestDBSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadDBErrors(t *testing.T) {
-	if _, err := LoadDB(strings.NewReader("{broken")); err == nil {
+	if _, err := LoadDB(strings.NewReader("{broken"), ""); err == nil {
 		t.Error("bad json should fail")
 	}
-	if _, err := LoadDB(strings.NewReader(`{"version":9}`)); err == nil {
+	if _, err := LoadDB(strings.NewReader(`{"version":9}`), ""); err == nil {
 		t.Error("unknown version should fail")
 	}
-	if _, err := LoadDB(strings.NewReader(`{"version":1,"entries":[{"dim":2,"unitary":[[1,0]]}]}`)); err == nil {
+	if _, err := LoadDB(strings.NewReader(`{"version":1,"entries":[{"dim":2,"unitary":[[1,0]]}]}`), ""); err == nil {
 		t.Error("inconsistent dims should fail")
 	}
 }

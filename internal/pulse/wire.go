@@ -61,8 +61,8 @@ func EncodeEntry(e *Entry) (WireEntry, bool) {
 	return EncodeWire(e.U, e.Generated, e.protected.Load())
 }
 
-// Decode validates and reconstructs the entry: the dimension must be at
-// most 1024, the matrix must be the declared shape, every value
+// Decode validates and reconstructs the entry: the dimension must be a
+// power of two from 2 to 1024, the matrix must be the declared shape, every value
 // (unitary, metadata, schedule samples) must be finite, and the matrix
 // must be unitary within tolerance — a corrupt snapshot or a malicious
 // replication PUT fails fast instead of poisoning warm starts at compile
@@ -71,7 +71,10 @@ func (we WireEntry) Decode() (*linalg.Matrix, *Generated, error) {
 	if we.Dim > maxEntryDim {
 		return nil, nil, fmt.Errorf("%w: dim %d > %d", ErrEntryTooLarge, we.Dim, maxEntryDim)
 	}
-	if we.Dim <= 0 || len(we.Unitary) != we.Dim*we.Dim {
+	if we.Dim < 2 || we.Dim&(we.Dim-1) != 0 {
+		return nil, nil, fmt.Errorf("pulse: entry dim %d is not a qubit register's (a power of two, at least 2)", we.Dim)
+	}
+	if len(we.Unitary) != we.Dim*we.Dim {
 		return nil, nil, fmt.Errorf("pulse: entry has inconsistent dimensions")
 	}
 	if !finite(we.Latency) || !finite(we.Fidelity) || !finite(we.Error) {
@@ -89,8 +92,10 @@ func (we WireEntry) Decode() (*linalg.Matrix, *Generated, error) {
 		return nil, nil, fmt.Errorf("pulse: entry is not unitary within %g", loadUnitaryTol)
 	}
 	if s := we.Schedule; s != nil {
-		if !finite(s.SliceDt) {
-			return nil, nil, fmt.Errorf("pulse: entry has a non-finite slice_dt")
+		// The duration is what the encoder writes; it overflows when
+		// slice_dt alone is finite but huge.
+		if !finite(s.Duration()) {
+			return nil, nil, fmt.Errorf("pulse: entry has a non-finite duration (slice_dt %v)", s.SliceDt)
 		}
 		for c, ch := range s.Amps {
 			for j, v := range ch {
@@ -129,7 +134,7 @@ func generatedFinite(u *linalg.Matrix, g *Generated) bool {
 		return false
 	}
 	if s := g.Schedule; s != nil {
-		if !finite(s.SliceDt) {
+		if !finite(s.Duration()) {
 			return false
 		}
 		for _, ch := range s.Amps {

@@ -256,7 +256,7 @@ func TestE2EShutdownPersistsDB(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, ok, err := pulse.LoadFile(dbPath)
+	re, ok, err := pulse.LoadFile(dbPath, s.profile.Fingerprint())
 	if err != nil || !ok {
 		t.Fatalf("reloading persisted DB: ok=%v err=%v", ok, err)
 	}

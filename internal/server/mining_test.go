@@ -181,7 +181,7 @@ func TestE2EShutdownDuringPregen(t *testing.T) {
 		t.Fatalf("drain took %v: pre-generation not cancelled promptly", d)
 	}
 
-	re, ok, err := pulse.LoadFile(dbPath)
+	re, ok, err := pulse.LoadFile(dbPath, s.profile.Fingerprint())
 	if err != nil || !ok {
 		t.Fatalf("reloading persisted DB after mid-pregen drain: ok=%v err=%v", ok, err)
 	}

@@ -227,7 +227,7 @@ func New(cfg Config) (*Server, error) {
 	db := pulse.NewDB()
 	db.SetFingerprint(prof.Fingerprint())
 	if cfg.DBPath != "" {
-		loaded, ok, err := pulse.LoadFileFor(cfg.DBPath, prof.Fingerprint())
+		loaded, ok, err := pulse.LoadFile(cfg.DBPath, prof.Fingerprint())
 		if err != nil {
 			return nil, fmt.Errorf("server: loading pulse DB: %v", err)
 		}
@@ -619,7 +619,7 @@ func (s *Server) saveDB() error {
 	if s.cfg.DBPath == "" {
 		return nil
 	}
-	rep, err := s.db.SaveFileWithReport(s.cfg.DBPath)
+	rep, err := s.db.SaveFile(s.cfg.DBPath)
 	if err != nil {
 		return err
 	}
