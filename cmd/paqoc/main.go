@@ -40,6 +40,7 @@ import (
 	"paqoc/internal/circuit"
 	"paqoc/internal/device"
 	"paqoc/internal/grape"
+	"paqoc/internal/latency"
 	"paqoc/internal/obs"
 	"paqoc/internal/paqoc"
 	"paqoc/internal/pulse"
@@ -59,7 +60,7 @@ func run() error {
 	var (
 		benchName   = flag.String("bench", "", "compile a built-in Table I benchmark instead of a file")
 		mFlag       = flag.String("m", "0", "APA-basis gate budget: 0, inf, tuned, or a positive integer")
-		maxN        = flag.Int("maxn", 3, "maximum qubits per customized gate")
+		maxN        = flag.Int("maxn", 3, fmt.Sprintf("maximum qubits per customized gate (1 to %d)", latency.MaxQubits))
 		topK        = flag.Int("topk", 1, "merges applied per search iteration")
 		fidelity    = flag.Float64("fidelity", 0.99, "per-gate fidelity target")
 		useGrape    = flag.Bool("grape", false, "emit final pulses with the real GRAPE optimizer (slower)")
@@ -76,6 +77,11 @@ func run() error {
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "pulse-generation worker pool size (1 = serial, bit-identical to the single-threaded pipeline)")
 	)
 	flag.Parse()
+	if *maxN < 1 || *maxN > latency.MaxQubits {
+		// Merges are ranked with the analytical model, which estimates
+		// groups of at most latency.MaxQubits qubits.
+		return fmt.Errorf("bad -maxn %d (want 1 to %d)", *maxN, latency.MaxQubits)
+	}
 
 	// Observability backends. The tracer also powers the per-stage summary,
 	// so it is enabled whenever any observability flag is set.

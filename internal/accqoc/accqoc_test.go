@@ -98,7 +98,6 @@ func TestPartitionBlockOrderIsLinearExtension(t *testing.T) {
 				}
 			}
 		}
-		dag.TopoOrder()
 	}
 }
 

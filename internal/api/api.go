@@ -59,7 +59,9 @@ type CompileRequest struct {
 	// Mode forces "sync" or "async"; "" / "auto" picks sync for circuits at
 	// or under the server's sync gate limit.
 	Mode string `json:"mode,omitempty"`
-	// MaxN caps customized-gate width (default 3).
+	// MaxN caps customized-gate width: 1 to latency.MaxQubits (3, the
+	// widest group the ranking model estimates), or 0 for the default 3.
+	// Other values are rejected with 400 and code "invalid_argument".
 	MaxN int `json:"max_n,omitempty"`
 	// MinSupport overrides the APA miner's recurrence threshold for this
 	// request (default 2). Negative values are rejected with 400 and error

@@ -193,118 +193,20 @@ func TestDAGNoDuplicateEdgeForTwoSharedQubits(t *testing.T) {
 	}
 }
 
+// TestTopoOrderIsLinearExtension: every dependence edge points forward,
+// so gate order is already topological. The critical-path sweeps in
+// internal/critical rest on this.
 func TestTopoOrderIsLinearExtension(t *testing.T) {
 	f := func(seed int64) bool {
-		c := randomCircuit(seed, 5, 30)
-		d := BuildDAG(c)
-		pos := make([]int, d.NumGates)
-		for idx, v := range d.TopoOrder() {
-			pos[v] = idx
-		}
+		d := BuildDAG(randomCircuit(seed, 5, 30))
 		for u, ss := range d.Succs {
 			for _, s := range ss {
-				if pos[u] >= pos[s] {
+				if s <= u {
 					return false
 				}
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCriticalPathUnitWeights(t *testing.T) {
-	c := New(3)
-	c.Add("h", 0)
-	c.Add("cx", 0, 1)
-	c.Add("cx", 1, 2)
-	d := BuildDAG(c)
-	w := []float64{1, 1, 1}
-	if got := d.CriticalPathLength(w); got != 3 {
-		t.Errorf("CP = %g, want 3", got)
-	}
-	if got := float64(c.Depth()); got != 3 {
-		t.Errorf("Depth = %g", got)
-	}
-}
-
-func TestCriticalPathWeighted(t *testing.T) {
-	// Two parallel chains; the heavier one is critical.
-	c := New(4)
-	c.Add("h", 0)     // 0: weight 10
-	c.Add("h", 1)     // 1: weight 1
-	c.Add("cx", 2, 3) // 2: weight 2
-	d := BuildDAG(c)
-	w := []float64{10, 1, 2}
-	if got := d.CriticalPathLength(w); got != 10 {
-		t.Errorf("CP = %g, want 10", got)
-	}
-	on := d.OnCriticalPath(w)
-	if !on[0] || on[1] || on[2] {
-		t.Errorf("OnCriticalPath = %v", on)
-	}
-}
-
-func TestOnCriticalPathChain(t *testing.T) {
-	c := New(2)
-	c.Add("h", 0)
-	c.Add("cx", 0, 1)
-	c.Add("h", 1)
-	c.Add("x", 0) // off-critical if weights make the h-chain longer
-	d := BuildDAG(c)
-	w := []float64{5, 5, 5, 1}
-	on := d.OnCriticalPath(w)
-	if !on[0] || !on[1] || !on[2] {
-		t.Error("chain should be critical")
-	}
-	if on[3] {
-		t.Error("light x gate should be off the critical path")
-	}
-}
-
-func TestReaches(t *testing.T) {
-	c := New(3)
-	c.Add("h", 0)     // 0
-	c.Add("cx", 0, 1) // 1
-	c.Add("cx", 1, 2) // 2
-	c.Add("h", 2)     // 3
-	c.Add("x", 0)     // 4 (depends on 1)
-	d := BuildDAG(c)
-	if !d.Reaches(0, 3) {
-		t.Error("0 should reach 3")
-	}
-	if d.Reaches(3, 0) {
-		t.Error("3 should not reach 0")
-	}
-	if d.Reaches(4, 2) {
-		t.Error("4 should not reach 2")
-	}
-}
-
-func TestLongestPathFromMatchesTo(t *testing.T) {
-	f := func(seed int64) bool {
-		c := randomCircuit(seed, 4, 25)
-		if len(c.Gates) == 0 {
-			return true
-		}
-		d := BuildDAG(c)
-		w := make([]float64, len(c.Gates))
-		rng := rand.New(rand.NewSource(seed ^ 0x5a))
-		for i := range w {
-			w[i] = 1 + rng.Float64()*9
-		}
-		// Max over LongestPathTo == max over LongestPathFrom == CP length.
-		var mxTo, mxFrom float64
-		for _, v := range d.LongestPathTo(w) {
-			mxTo = math.Max(mxTo, v)
-		}
-		for _, v := range d.LongestPathFrom(w) {
-			mxFrom = math.Max(mxFrom, v)
-		}
-		cp := d.CriticalPathLength(w)
-		return math.Abs(mxTo-cp) < 1e-9 && math.Abs(mxFrom-cp) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -389,19 +291,6 @@ func BenchmarkBuildDAG(b *testing.B) {
 	}
 }
 
-func BenchmarkCriticalPath(b *testing.B) {
-	c := randomCircuit(2, 16, 500)
-	d := BuildDAG(c)
-	w := make([]float64, len(c.Gates))
-	for i := range w {
-		w[i] = float64(i%7) + 1
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.OnCriticalPath(w)
-	}
-}
-
 func TestRenderASCII(t *testing.T) {
 	c := New(3)
 	c.Add("h", 0)
@@ -444,22 +333,6 @@ func FuzzParse(f *testing.F) {
 			t.Fatal("round trip not idempotent")
 		}
 	})
-}
-
-func TestDAGDOT(t *testing.T) {
-	c := bell()
-	d := BuildDAG(c)
-	labels := []string{"h 0", "cx 0 1"}
-	dot := d.DOT(labels)
-	for _, want := range []string{"digraph circuit", `n0 [label="h 0"]`, "n0 -> n1"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q:\n%s", want, dot)
-		}
-	}
-	// Missing labels fall back to indices.
-	if !strings.Contains(d.DOT(nil), `n1 [label="g1"]`) {
-		t.Error("fallback labels missing")
-	}
 }
 
 func TestCompact(t *testing.T) {

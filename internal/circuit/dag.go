@@ -1,14 +1,12 @@
 package circuit
 
-import (
-	"fmt"
-	"strings"
-)
+import "slices"
 
 // DAG is the gate dependence graph of a circuit: node i is Gates[i], and
 // there is an edge u→v when v is the next gate after u on some shared
 // qubit. Only immediate per-wire successors are stored, which is exactly
-// the dependence structure the criticality analysis (§V-A) needs.
+// the dependence structure the merge rules of §V-A read. Every edge points
+// forward (u < v), so index order is already topological.
 type DAG struct {
 	NumGates int
 	Succs    [][]int // Succs[i]: gates immediately depending on gate i
@@ -40,159 +38,13 @@ func BuildQubitDAG(numQubits int, qubitSets [][]int) *DAG {
 		last[i] = -1
 	}
 	for i, qs := range qubitSets {
-		seen := make(map[int]bool)
 		for _, q := range qs {
-			if p := last[q]; p >= 0 && !seen[p] {
+			if p := last[q]; p >= 0 && !slices.Contains(d.Preds[i], p) {
 				d.Succs[p] = append(d.Succs[p], i)
 				d.Preds[i] = append(d.Preds[i], p)
-				seen[p] = true
 			}
 			last[q] = i
 		}
 	}
 	return d
-}
-
-// TopoOrder returns a topological order of the gates. Because circuits are
-// stored in a valid linear extension, this is simply 0..n-1, but the method
-// verifies acyclicity as a safety check and is used by property tests.
-func (d *DAG) TopoOrder() []int {
-	indeg := make([]int, d.NumGates)
-	for _, ss := range d.Succs {
-		for _, s := range ss {
-			indeg[s]++
-		}
-	}
-	queue := make([]int, 0, d.NumGates)
-	for i, deg := range indeg {
-		if deg == 0 {
-			queue = append(queue, i)
-		}
-	}
-	order := make([]int, 0, d.NumGates)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, s := range d.Succs[v] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if len(order) != d.NumGates {
-		panic("circuit: dependence graph has a cycle")
-	}
-	return order
-}
-
-// LongestPathTo computes, for each gate, the weighted longest path from any
-// source ending at (and including) that gate. weight[i] is the latency of
-// gate i.
-func (d *DAG) LongestPathTo(weight []float64) []float64 {
-	dist := make([]float64, d.NumGates)
-	for _, v := range d.TopoOrder() {
-		best := 0.0
-		for _, p := range d.Preds[v] {
-			if dist[p] > best {
-				best = dist[p]
-			}
-		}
-		dist[v] = best + weight[v]
-	}
-	return dist
-}
-
-// LongestPathFrom computes, for each gate, the weighted longest path
-// starting at (and including) that gate to any sink. This is CP(X)+L(X) in
-// the paper's notation.
-func (d *DAG) LongestPathFrom(weight []float64) []float64 {
-	order := d.TopoOrder()
-	dist := make([]float64, d.NumGates)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		best := 0.0
-		for _, s := range d.Succs[v] {
-			if dist[s] > best {
-				best = dist[s]
-			}
-		}
-		dist[v] = best + weight[v]
-	}
-	return dist
-}
-
-// CriticalPathLength returns the weighted critical-path length of the whole
-// circuit.
-func (d *DAG) CriticalPathLength(weight []float64) float64 {
-	var mx float64
-	for _, v := range d.LongestPathTo(weight) {
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
-}
-
-// OnCriticalPath marks every gate that lies on at least one weighted
-// critical path.
-func (d *DAG) OnCriticalPath(weight []float64) []bool {
-	to := d.LongestPathTo(weight)
-	from := d.LongestPathFrom(weight)
-	total := d.CriticalPathLength(weight)
-	on := make([]bool, d.NumGates)
-	const eps = 1e-9
-	for i := 0; i < d.NumGates; i++ {
-		// to[i] includes weight[i]; from[i] includes weight[i] too.
-		if to[i]+from[i]-weight[i] >= total-eps {
-			on[i] = true
-		}
-	}
-	return on
-}
-
-// Reaches reports whether there is a directed path from u to v (u ≠ v).
-// Used to reject merges that would create dependence cycles.
-func (d *DAG) Reaches(u, v int) bool {
-	if u == v {
-		return true
-	}
-	seen := make([]bool, d.NumGates)
-	stack := []int{u}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range d.Succs[x] {
-			if s == v {
-				return true
-			}
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return false
-}
-
-// DOT renders the dependence DAG in Graphviz format, labelling each node
-// with its gate string. Useful for inspecting merge decisions.
-func (d *DAG) DOT(labels []string) string {
-	var b strings.Builder
-	b.WriteString("digraph circuit {\n  rankdir=LR;\n")
-	for i := 0; i < d.NumGates; i++ {
-		label := fmt.Sprintf("g%d", i)
-		if i < len(labels) {
-			label = labels[i]
-		}
-		fmt.Fprintf(&b, "  n%d [label=%q];\n", i, label)
-	}
-	for u, ss := range d.Succs {
-		for _, s := range ss {
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", u, s)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

@@ -6,7 +6,7 @@ package critical
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"paqoc/internal/circuit"
 	"paqoc/internal/pulse"
@@ -21,7 +21,7 @@ import (
 // rewrite of Qubits or Params works on a Gate.Clone.
 type Block struct {
 	Gates   []circuit.Gate
-	Qubits  []int   // sorted
+	Qubits  []int   // a gate's operand order (cx 3,1: [3 1]); ascending once merged
 	Latency float64 // current pulse latency estimate in dt
 	Gen     *pulse.Generated
 	APA     bool  // true when the block came from an APA-basis replacement
@@ -47,24 +47,25 @@ func (b *Block) NumQubits() int { return len(b.Qubits) }
 func Merge(a, b *Block) *Block {
 	gates := make([]circuit.Gate, 0, len(a.Gates)+len(b.Gates))
 	gates = append(append(gates, a.Gates...), b.Gates...)
-	set := map[int]bool{}
-	for _, q := range a.Qubits {
-		set[q] = true
-	}
-	for _, q := range b.Qubits {
-		set[q] = true
-	}
-	qs := make([]int, 0, len(set))
-	for q := range set {
-		qs = append(qs, q)
-	}
-	sort.Ints(qs)
 	origin := append(append([]int(nil), a.Origin...), b.Origin...)
-	return &Block{Gates: gates, Qubits: qs, APA: a.APA && b.APA, Origin: origin}
+	return &Block{Gates: gates, Qubits: union(a.Qubits, b.Qubits), APA: a.APA && b.APA, Origin: origin}
+}
+
+// union returns the distinct qubits of a and b in ascending order. Neither
+// input need be sorted (see Block.Qubits); each holds distinct qubits.
+func union(a, b []int) []int {
+	out := append(make([]int, 0, len(a)+len(b)), a...)
+	for _, q := range b {
+		if !slices.Contains(a, q) {
+			out = append(out, q)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // BlockCircuit is a circuit of blocks in program order (a valid linear
-// extension of the block dependence DAG).
+// extension of the block dependence DAG: every edge points forward).
 type BlockCircuit struct {
 	NumQubits int
 	Blocks    []*Block
@@ -111,22 +112,53 @@ func (bc *BlockCircuit) DAG() *circuit.DAG {
 	return bc.dag
 }
 
-// Weights returns the per-block latency vector.
-func (bc *BlockCircuit) Weights() []float64 {
-	w := make([]float64, len(bc.Blocks))
-	for i, b := range bc.Blocks {
-		w[i] = b.Latency
-	}
-	return w
-}
-
 // CriticalPath returns the current weighted critical-path latency — the
 // circuit latency PAQOC minimizes.
 func (bc *BlockCircuit) CriticalPath() float64 {
-	if len(bc.Blocks) == 0 {
-		return 0
+	_, cp := sweep(bc.NumQubits, bc.Blocks, false)
+	return cp
+}
+
+// LongestPaths returns, for each block, the weighted longest path ending
+// at it (to) and the one starting at it (from, CP(X)+L(X) in the paper's
+// notation). Both include the block's own latency.
+func (bc *BlockCircuit) LongestPaths() (to, from []float64) {
+	to, _ = sweep(bc.NumQubits, bc.Blocks, false)
+	from, _ = sweep(bc.NumQubits, bc.Blocks, true)
+	return to, from
+}
+
+// sweep computes the longest paths of a block list in one pass over
+// per-qubit ready times. Forward, dist[i] is block i's finish time in the
+// as-soon-as-possible schedule, the longest path ending at it, and longest
+// is the critical path; reversed, dist[i] is the longest path from block i
+// to any sink. Every dependence edge points forward, and ready[q] holds
+// the path of exactly the neighbour on q that a walk of the block DAG
+// relaxes, so both match that walk bit for bit (DESIGN.md, "Critical
+// paths by sweep").
+func sweep(numQubits int, blocks []*Block, reverse bool) (dist []float64, longest float64) {
+	dist = make([]float64, len(blocks))
+	ready := make([]float64, numQubits)
+	for k := range blocks {
+		i := k
+		if reverse {
+			i = len(blocks) - 1 - k
+		}
+		start := 0.0
+		for _, q := range blocks[i].Qubits {
+			if ready[q] > start {
+				start = ready[q]
+			}
+		}
+		dist[i] = start + blocks[i].Latency
+		for _, q := range blocks[i].Qubits {
+			ready[q] = dist[i]
+		}
+		if dist[i] > longest {
+			longest = dist[i]
+		}
 	}
-	return bc.DAG().CriticalPathLength(bc.Weights())
+	return dist, longest
 }
 
 // TotalLatency returns the sum of block latencies (the sequential-stitch
@@ -139,9 +171,18 @@ func (bc *BlockCircuit) TotalLatency() float64 {
 	return t
 }
 
-// OnCriticalPath marks blocks lying on a critical path.
+// OnCriticalPath marks blocks lying on at least one weighted critical
+// path.
 func (bc *BlockCircuit) OnCriticalPath() []bool {
-	return bc.DAG().OnCriticalPath(bc.Weights())
+	to, total := sweep(bc.NumQubits, bc.Blocks, false)
+	from, _ := sweep(bc.NumQubits, bc.Blocks, true)
+	on := make([]bool, len(bc.Blocks))
+	const eps = 1e-9
+	for i, b := range bc.Blocks {
+		// to[i] and from[i] both include the block's own latency.
+		on[i] = to[i]+from[i]-b.Latency >= total-eps
+	}
+	return on
 }
 
 // Generated collects the pulse results of all blocks (nil entries for
@@ -156,16 +197,23 @@ func (bc *BlockCircuit) Generated() []*pulse.Generated {
 
 // ReplaceMerge replaces blocks i and j (i before j in program order, j
 // directly depending on i, with no other i⇝j path — see ValidMerge) with
-// their merged block. To keep the block list a linear extension of the new
-// DAG, blocks strictly between i and j are partitioned: those reachable
-// from i move after the merged block, the rest move before it.
+// their merged block, in the order mergedOrder gives.
 func (bc *BlockCircuit) ReplaceMerge(i, j int, m *Block, lat float64, gen *pulse.Generated) {
-	if i >= j || j >= len(bc.Blocks) {
-		panic("critical: ReplaceMerge wants i < j within range")
-	}
 	m.Latency = lat
 	m.Gen = gen
+	bc.Blocks = bc.mergedOrder(i, j, m)
+	bc.dirty = true
+}
 
+// mergedOrder returns the block list with blocks i and j replaced by m.
+// To keep the list a linear extension of the new DAG, blocks strictly
+// between i and j are partitioned: those reachable from i move after m,
+// the rest move before it. ReplaceMerge applies this order and CPIfMerged
+// predicts from it, so the two cannot disagree.
+func (bc *BlockCircuit) mergedOrder(i, j int, m *Block) []*Block {
+	if i >= j || j >= len(bc.Blocks) {
+		panic("critical: merge wants i < j within range")
+	}
 	dag := bc.DAG()
 	reach := make([]bool, len(bc.Blocks))
 	reach[i] = true
@@ -179,23 +227,20 @@ func (bc *BlockCircuit) ReplaceMerge(i, j int, m *Block, lat float64, gen *pulse
 			}
 		}
 	}
-
-	var before, after []*Block
+	out := make([]*Block, 0, len(bc.Blocks)-1)
+	out = append(out, bc.Blocks[:i]...)
 	for v := i + 1; v < j; v++ {
-		if reach[v] {
-			after = append(after, bc.Blocks[v])
-		} else {
-			before = append(before, bc.Blocks[v])
+		if !reach[v] {
+			out = append(out, bc.Blocks[v])
 		}
 	}
-	rebuilt := make([]*Block, 0, len(bc.Blocks)-1)
-	rebuilt = append(rebuilt, bc.Blocks[:i]...)
-	rebuilt = append(rebuilt, before...)
-	rebuilt = append(rebuilt, m)
-	rebuilt = append(rebuilt, after...)
-	rebuilt = append(rebuilt, bc.Blocks[j+1:]...)
-	bc.Blocks = rebuilt
-	bc.dirty = true
+	out = append(out, m)
+	for v := i + 1; v < j; v++ {
+		if reach[v] {
+			out = append(out, bc.Blocks[v])
+		}
+	}
+	return append(out, bc.Blocks[j+1:]...)
 }
 
 // Split replaces block i with one block per gate, in gate order, and

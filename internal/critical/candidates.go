@@ -1,6 +1,6 @@
 package critical
 
-import "paqoc/internal/circuit"
+import "slices"
 
 // MergeCase classifies a candidate per §V-A1.
 type MergeCase int
@@ -31,9 +31,8 @@ func (c MergeCase) String() string {
 // The merged block itself is built on demand with Merge: a search ranks
 // many candidates from cache and applies few.
 type Candidate struct {
-	I, J  int // block indices, J directly depends on I
-	Case  MergeCase
-	Score float64 // critical-path reduction; filled by the ranking step
+	I, J int // block indices, J directly depends on I
+	Case MergeCase
 }
 
 // ValidMerge reports whether blocks i and j can be fused: j must directly
@@ -54,7 +53,7 @@ func (bc *BlockCircuit) ValidMerge(i, j, maxN int) bool {
 	if !direct {
 		return false
 	}
-	if unionWidth(bc.Blocks[i], bc.Blocks[j]) > maxN {
+	if unionWidth(bc.Blocks[i].Qubits, bc.Blocks[j].Qubits) > maxN {
 		return false
 	}
 	return !bc.hasIndirectPath(i, j)
@@ -119,110 +118,57 @@ func (bc *BlockCircuit) Candidates(maxN int, pruneCaseIII bool) []Candidate {
 	return out
 }
 
-// PreprocessCandidates returns the Observation-1 pre-processing merges of
-// §V-A1 (Fig. 8-c): adjacent pairs where one block's qubit set contains the
-// other's, so fusing cannot create false dependences and is "typically
-// beneficial". The structural side conditions guarantee validity without a
-// reachability check.
-func (bc *BlockCircuit) PreprocessCandidates(maxN int) []Candidate {
+// PreprocessMerge returns the first Observation-1 pre-processing merge of
+// §V-A1 (Fig. 8-c), scanning blocks in order: an adjacent pair where one
+// block's qubit set contains the other's, so fusing cannot create false
+// dependences and is "typically beneficial". The structural side
+// conditions guarantee validity without a reachability check.
+func (bc *BlockCircuit) PreprocessMerge(maxN int) (Candidate, bool) {
 	dag := bc.DAG()
-	var out []Candidate
 	for i := range bc.Blocks {
 		for _, j := range dag.Succs[i] {
-			a, b := bc.Blocks[i], bc.Blocks[j]
+			a, b := bc.Blocks[i].Qubits, bc.Blocks[j].Qubits
 			if unionWidth(a, b) > maxN {
 				continue
 			}
-			jSub := subset(b.Qubits, a.Qubits) && len(dag.Preds[j]) == 1
-			iSub := subset(a.Qubits, b.Qubits) && len(dag.Succs[i]) == 1
+			jSub := subset(b, a) && len(dag.Preds[j]) == 1
+			iSub := subset(a, b) && len(dag.Succs[i]) == 1
 			if jSub || iSub {
-				out = append(out, Candidate{I: i, J: j, Case: CaseI})
+				return Candidate{I: i, J: j}, true
 			}
 		}
 	}
-	return out
+	return Candidate{}, false
 }
 
 // CPIfMerged returns the exact whole-circuit critical path if blocks i and
-// j were merged into one block of latency lab. It reconstructs the
-// dependence structure from qubit sets, so the false dependences the merge
-// introduces (§V-A's Case analysis, Fig. 9) are accounted for exactly.
+// j were merged into one block of latency lab: a forward sweep over the
+// block order ReplaceMerge would produce, so the false dependences the
+// merge introduces (§V-A's Case analysis, Fig. 9) are accounted for
+// exactly.
 func (bc *BlockCircuit) CPIfMerged(i, j int, lab float64) float64 {
-	dag := bc.DAG()
-	n := len(bc.Blocks)
-
-	// Partition the window (i, j) exactly as ReplaceMerge will.
-	reach := make([]bool, n)
-	reach[i] = true
-	for v := i + 1; v < j; v++ {
-		for _, p := range dag.Preds[v] {
-			if reach[p] {
-				reach[v] = true
-				break
-			}
-		}
-	}
-	sets := make([][]int, 0, n-1)
-	weights := make([]float64, 0, n-1)
-	add := func(qs []int, w float64) {
-		sets = append(sets, qs)
-		weights = append(weights, w)
-	}
-	for v := 0; v < i; v++ {
-		add(bc.Blocks[v].Qubits, bc.Blocks[v].Latency)
-	}
-	for v := i + 1; v < j; v++ {
-		if !reach[v] {
-			add(bc.Blocks[v].Qubits, bc.Blocks[v].Latency)
-		}
-	}
-	add(unionQubits(bc.Blocks[i], bc.Blocks[j]), lab)
-	for v := i + 1; v < j; v++ {
-		if reach[v] {
-			add(bc.Blocks[v].Qubits, bc.Blocks[v].Latency)
-		}
-	}
-	for v := j + 1; v < n; v++ {
-		add(bc.Blocks[v].Qubits, bc.Blocks[v].Latency)
-	}
-	return circuit.BuildQubitDAG(bc.NumQubits, sets).CriticalPathLength(weights)
+	m := &Block{Qubits: union(bc.Blocks[i].Qubits, bc.Blocks[j].Qubits), Latency: lab}
+	_, cp := sweep(bc.NumQubits, bc.mergedOrder(i, j, m), false)
+	return cp
 }
 
-func unionWidth(a, b *Block) int { return len(unionQubits(a, b)) }
-
-func unionQubits(a, b *Block) []int {
-	set := map[int]bool{}
-	for _, q := range a.Qubits {
-		set[q] = true
+// unionWidth returns len(union(a, b)) without building the union.
+func unionWidth(a, b []int) int {
+	n := len(a)
+	for _, q := range b {
+		if !slices.Contains(a, q) {
+			n++
+		}
 	}
-	for _, q := range b.Qubits {
-		set[q] = true
-	}
-	out := make([]int, 0, len(set))
-	for q := range set {
-		out = append(out, q)
-	}
-	sortInts(out)
-	return out
+	return n
 }
 
+// subset reports whether every qubit of inner is in outer.
 func subset(inner, outer []int) bool {
-	set := map[int]bool{}
-	for _, q := range outer {
-		set[q] = true
-	}
 	for _, q := range inner {
-		if !set[q] {
+		if !slices.Contains(outer, q) {
 			return false
 		}
 	}
 	return true
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && s[k] < s[k-1]; k-- {
-			s[k], s[k-1] = s[k-1], s[k]
-		}
-	}
 }

@@ -51,6 +51,11 @@ func (m *Model) couplingBound() float64 {
 	return m.Params.CouplingBound()
 }
 
+// MaxQubits is the widest customized gate the model estimates: the
+// evaluation's maxN (§VI-c). Every search ranks merges with the model, so
+// no compile can use a wider cap.
+const MaxQubits = 3
+
 // Calibration constants (dt units unless noted).
 const (
 	baseOverhead1Q = 3.0  // pulse ramp overhead, single-qubit gates
@@ -195,7 +200,7 @@ func (m *Model) estimate(cg *pulse.CustomGate, u *linalg.Matrix, key string) (fl
 	case 3:
 		return m.estimate3Q(cg, key, jitter)
 	default:
-		return 0, fmt.Errorf("latency: %d-qubit groups unsupported (maxN is 3 in the evaluation)", cg.NumQubits())
+		return 0, fmt.Errorf("latency: %d-qubit groups unsupported (the model estimates at most %d)", cg.NumQubits(), MaxQubits)
 	}
 }
 

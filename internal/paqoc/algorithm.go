@@ -58,9 +58,7 @@ func (cp *Compiler) optimize(ctx context.Context, bc *critical.BlockCircuit) (in
 			break
 		}
 		dag := bc.DAG()
-		w := bc.Weights()
-		to := dag.LongestPathTo(w)
-		from := dag.LongestPathFrom(w)
+		to, from := bc.LongestPaths()
 
 		type scoredCand struct {
 			a, b  *critical.Block
@@ -196,11 +194,10 @@ func (cp *Compiler) optimize(ctx context.Context, bc *critical.BlockCircuit) (in
 func (cp *Compiler) preprocess(ctx context.Context, bc *critical.BlockCircuit) error {
 	preCtr := obs.MetricsFrom(ctx).Counter("paqoc.merge.preprocessed")
 	for {
-		pre := bc.PreprocessCandidates(cp.Cfg.MaxN)
-		if len(pre) == 0 {
+		cand, ok := bc.PreprocessMerge(cp.Cfg.MaxN)
+		if !ok {
 			return nil
 		}
-		cand := pre[0]
 		if !bc.ValidMerge(cand.I, cand.J, cp.Cfg.MaxN) {
 			// Structural conditions should guarantee validity; fail safe.
 			return nil

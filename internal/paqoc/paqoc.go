@@ -58,7 +58,9 @@ type Config struct {
 	// Enabled by default via New.
 	PruneCaseIII bool
 	// ProbeCaseII asks the real generator (not just the analytical model)
-	// for Case II candidates, as §V-A prescribes.
+	// for the latency of every merge the search applies, whatever its
+	// case. §V-A prescribes the probe for Case II merges; probing only
+	// applied merges keeps its cost proportional to merges performed.
 	ProbeCaseII bool
 	// Mining bounds the pattern search.
 	Mining mining.Options

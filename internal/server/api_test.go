@@ -14,7 +14,7 @@ import (
 // every client-addressable error is {"error":{"code","message"}} with a
 // machine-readable code, and the transport status matches the code.
 func TestErrorEnvelopeShape(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 
 	cases := []struct {
 		name     string
@@ -25,15 +25,26 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		{"no source", api.CompileRequest{}, http.StatusBadRequest, api.CodeBadRequest},
 		{"unknown backend", api.CompileRequest{Circuit: tinyCircuit, Backend: "ion-trap-9000"}, http.StatusBadRequest, api.CodeUnknownBackend},
 		{"bad priority", api.CompileRequest{Circuit: tinyCircuit, Priority: "urgent"}, http.StatusBadRequest, api.CodeBadRequest},
+		{"max_n 4", api.CompileRequest{Circuit: tinyCircuit, MaxN: 4}, http.StatusBadRequest, api.CodeInvalidArgument},
+		{"max_n -1", api.CompileRequest{Circuit: tinyCircuit, MaxN: -1}, http.StatusBadRequest, api.CodeInvalidArgument},
 	}
 	for _, tc := range cases {
-		code, raw := postCompileRaw(t, ts, tc.req)
-		if code != tc.wantCode {
-			t.Errorf("%s: HTTP %d, want %d", tc.name, code, tc.wantCode)
-		}
-		if e := errorEnvelope(t, raw); e.Code != tc.wantErr || e.Message == "" {
-			t.Errorf("%s: envelope %+v, want code %q with a message", tc.name, e, tc.wantErr)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			code, raw := postCompileRaw(t, ts, tc.req)
+			if code != tc.wantCode {
+				t.Errorf("HTTP %d, want %d", code, tc.wantCode)
+			}
+			if e := errorEnvelope(t, raw); e.Code != tc.wantErr || e.Message == "" {
+				t.Errorf("envelope %+v, want code %q with a message", e, tc.wantErr)
+			}
+		})
+	}
+	// Every case is refused before admission: none reaches a worker.
+	if got := s.reg.Counter("server.bad_requests").Value(); got != int64(len(cases)) {
+		t.Errorf("server.bad_requests = %d, want %d", got, len(cases))
+	}
+	if got := s.reg.Counter("server.jobs_failed").Value(); got != 0 {
+		t.Errorf("server.jobs_failed = %d, want 0", got)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/nope")

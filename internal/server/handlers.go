@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"paqoc/internal/api"
+	"paqoc/internal/latency"
 	"paqoc/internal/mining"
 )
 
@@ -90,6 +91,15 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	case "", "normal", "high":
 	default:
 		s.badRequest(w, fmt.Errorf("bad priority %q (want normal or high)", req.Priority))
+		return
+	}
+	if req.MaxN < 0 || req.MaxN > latency.MaxQubits {
+		// Every search ranks merges with the analytical model, which
+		// estimates groups of at most latency.MaxQubits qubits: refuse a
+		// cap it cannot serve before admission, not mid-compile.
+		s.reg.Counter("server.bad_requests").Inc()
+		api.WriteError(w, http.StatusBadRequest, api.CodeInvalidArgument,
+			fmt.Sprintf("max_n %d out of range (want 1 to %d, or 0 for the default)", req.MaxN, latency.MaxQubits))
 		return
 	}
 	if req.MinSupport != 0 {
