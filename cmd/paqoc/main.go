@@ -62,7 +62,7 @@ func run() error {
 		mFlag       = flag.String("m", "0", "APA-basis gate budget: 0, inf, tuned, or a positive integer")
 		maxN        = flag.Int("maxn", 3, fmt.Sprintf("maximum qubits per customized gate (1 to %d)", latency.MaxQubits))
 		topK        = flag.Int("topk", 1, "merges applied per search iteration")
-		fidelity    = flag.Float64("fidelity", 0.99, "per-gate fidelity target")
+		fidelity    = flag.Float64("fidelity", 0.99, "per-gate fidelity target (above 0 and below 1)")
 		useGrape    = flag.Bool("grape", false, "emit final pulses with the real GRAPE optimizer (slower)")
 		backend     = flag.String("backend", device.DefaultName, "device profile: a registered name (see internal/device) or a dynamic one like xy-grid-3x4, linear-chain-8, heavy-hex-2")
 		showGroups  = flag.Bool("groups", false, "print the final customized-gate grouping")
@@ -81,6 +81,11 @@ func run() error {
 		// Merges are ranked with the analytical model, which estimates
 		// groups of at most latency.MaxQubits qubits.
 		return fmt.Errorf("bad -maxn %d (want 1 to %d)", *maxN, latency.MaxQubits)
+	}
+	if !(*fidelity > 0 && *fidelity < 1) {
+		// A target of 1 or more is unreachable: GRAPE would search every
+		// duration before failing each gate.
+		return fmt.Errorf("bad -fidelity %v (want above 0 and below 1)", *fidelity)
 	}
 
 	// Observability backends. The tracer also powers the per-stage summary,

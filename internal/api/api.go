@@ -50,7 +50,9 @@ type CompileRequest struct {
 	// server's shared warm pulse database; off uses the calibrated
 	// analytical model.
 	Grape bool `json:"grape,omitempty"`
-	// Fidelity is the per-gate target (default 0.999).
+	// Fidelity is the per-gate target: above 0 and below 1, or 0 for the
+	// default 0.999. Other values are rejected with 400 and code
+	// "invalid_argument".
 	Fidelity float64 `json:"fidelity,omitempty"`
 	// TimeoutMs bounds the job's run time; 0 selects the server default.
 	// The deadline is threaded as a context deadline into the GRAPE and

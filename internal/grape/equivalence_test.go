@@ -65,7 +65,7 @@ func TestOptimizeMatchesReference(t *testing.T) {
 // TestSharedArenaMatchesFresh drives one arena through a MinimumTime-style
 // sequence of probe sizes (grow, shrink, regrow, shrink) and checks each
 // result is bit-identical to a fresh arena's. This is the invariant that
-// lets MinimumTimeCtx reuse buffers across binary-search probes.
+// lets MinimumTimeCtx reuse buffers across duration probes.
 func TestSharedArenaMatchesFresh(t *testing.T) {
 	sys := hamiltonian.XYTransmon(2, [][2]int{{0, 1}})
 	target := quantum.MatCX

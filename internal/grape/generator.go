@@ -3,9 +3,11 @@ package grape
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"paqoc/internal/hamiltonian"
+	"paqoc/internal/latency"
 	"paqoc/internal/linalg"
 	"paqoc/internal/obs"
 	"paqoc/internal/pulse"
@@ -15,7 +17,9 @@ import (
 // Generator adapts GRAPE to the pulse.Generator interface used by PAQOC:
 // it consolidates a customized gate into one unitary, consults the pulse
 // database (exact and permuted hits return instantly; near misses warm the
-// initial guess), and otherwise runs the minimum-time search.
+// initial guess and start the duration search at their length), and
+// otherwise runs the minimum-time search from the analytical model's
+// duration estimate.
 type Generator struct {
 	Opts Options
 	DB   *pulse.DB
@@ -173,6 +177,15 @@ func (g *Generator) optimize(ctx context.Context, cg *pulse.CustomGate, u *linal
 				opts.HintSlices = sched.NumSlices()
 				reg.Counter("grape.warm_starts").Inc()
 			}
+		}
+	}
+	if opts.HintSlices == 0 {
+		// Cold search: start at the analytical model's duration for this
+		// block on this backend. On a model error the search starts at
+		// its lower bound.
+		model := latency.Model{Topo: g.Topo, Params: sys.Params}
+		if est, err := model.Estimate(cg); err == nil {
+			opts.HintSlices = int(math.Ceil(est / sliceDt))
 		}
 	}
 

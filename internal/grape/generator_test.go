@@ -10,6 +10,7 @@ import (
 	"paqoc/internal/hamiltonian"
 	"paqoc/internal/obs"
 	"paqoc/internal/pulse"
+	"paqoc/internal/pulsesim"
 )
 
 // fullSchedule builds a schedule carrying every control channel of
@@ -125,11 +126,12 @@ func TestPermutedHitMissingChannelRegenerates(t *testing.T) {
 	}
 }
 
-// TestUnreachableMergedBlockReturnsSentinel: a SWAP-class merged block
-// that the analytical model accepts but GRAPE cannot realize at 0.99
-// within MaxSlices on xy-grid-2x2 (the failing request of the
-// serve_replay benchmark) returns pulse.ErrFidelityUnreachable, so the
-// paqoc emitter can split it instead of failing the compile.
+// TestUnreachableMergedBlockReturnsSentinel: serve_replay's novel18
+// request merges a SWAP-class block on xy-grid-2x2. Given a duration
+// budget it cannot meet, the Generator returns pulse.ErrFidelityUnreachable,
+// so the paqoc emitter can split the block instead of failing the compile.
+// At the default budget the search realizes it, and its schedule replays
+// to the target on the device's own system.
 func TestUnreachableMergedBlockReturnsSentinel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full minimum-time search")
@@ -138,9 +140,12 @@ func TestUnreachableMergedBlockReturnsSentinel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := NewGenerator(DefaultOptions())
-	gen.Topo = prof.Topology()
-	gen.System = prof.SystemBuilder()
+	newGen := func(opts Options) *Generator {
+		gen := NewGenerator(opts)
+		gen.Topo = prof.Topology()
+		gen.System = prof.SystemBuilder()
+		return gen
+	}
 	c := circuit.New(2)
 	c.Add("sx", 1)
 	c.AddParam("rz", []float64{2.17891}, 1)
@@ -150,8 +155,31 @@ func TestUnreachableMergedBlockReturnsSentinel(t *testing.T) {
 	c.Add("cx", 0, 1)
 	c.Add("cx", 1, 0)
 	c.Add("cx", 0, 1)
-	_, err = gen.GenerateCtx(context.Background(), pulse.NewCustomGate(c.Gates), 0.99)
+	block := pulse.NewCustomGate(c.Gates)
+	const target = 0.99
+
+	tight := DefaultOptions()
+	tight.MaxSlices = 16
+	_, err = newGen(tight).GenerateCtx(context.Background(), block, target)
 	if !errors.Is(err, pulse.ErrFidelityUnreachable) {
-		t.Fatalf("error %v, want pulse.ErrFidelityUnreachable in its chain", err)
+		t.Fatalf("at %d slices: error %v, want pulse.ErrFidelityUnreachable in its chain", tight.MaxSlices, err)
+	}
+
+	gen := newGen(DefaultOptions())
+	got, err := gen.GenerateCtx(context.Background(), block, target)
+	if err != nil {
+		t.Fatalf("default budget: %v", err)
+	}
+	sys := prof.System(block.NumQubits(), Couplings(gen.Topo, block))
+	realized, err := pulsesim.EvolveCtx(context.Background(), sys, got.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := block.Unitary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := pulsesim.GateFidelity(u, realized); f < target {
+		t.Errorf("replayed fidelity %.6f below %v (GRAPE reported %.6f at %v dt)", f, target, got.Fidelity, got.Latency)
 	}
 }

@@ -2,8 +2,11 @@
 // al.; Leung et al. [31]) from scratch: piecewise-constant controls, exact
 // slice propagators, the first-order fidelity gradient, ADAM updates
 // (the optimizer the paper selects, §VI-d), amplitude clipping to hardware
-// bounds, and a binary search for the minimum pulse duration achieving a
-// target fidelity — which is exactly the latency PAQOC minimizes.
+// bounds, and a search for the minimum pulse duration achieving a target
+// fidelity — which is exactly the latency PAQOC minimizes. The search
+// starts at a duration prior (the Generator supplies the analytical
+// model's estimate), doubles until a probe reaches the target, and then
+// descends one slice at a time to the first miss (MinimumTimeCtx).
 //
 // The inner loop runs on the destination-passing linalg kernels: one
 // arena of propagator/gradient buffers is allocated per optimization
@@ -36,16 +39,17 @@ type Options struct {
 	MaxIter        int     // ADAM iterations per duration trial (default 300)
 	TargetFidelity float64 // success threshold (default 0.999)
 	Seed           int64   // RNG seed for the initial guess
-	MaxSlices      int     // binary-search upper bound (default 128)
+	MaxSlices      int     // minimum-time search upper bound (default 128)
 	InitialGuess   *pulse.Schedule
 	// Deprecated: has no effect. The inner loop always runs serially;
 	// concurrency comes from optimizing independent blocks at once.
 	Workers int
-	// HintSlices, when positive, starts the minimum-time doubling bracket
-	// at this slice count instead of the lower bound (clamped to the
-	// search range) — the duration prior carried by a near-miss cache hit.
-	// Probes below a failed hint are skipped under the same monotonicity
-	// assumption the binary search itself makes.
+	// HintSlices, when positive, is the slice count the minimum-time
+	// search probes first instead of the lower bound (clamped to the
+	// search range): the duration prior. The Generator sets it from a
+	// near-miss cache hit's schedule, or else from the analytical model's
+	// estimate. Probes below a failed hint are skipped, under the same
+	// monotonicity assumption the descent itself makes.
 	HintSlices int
 	// OnIteration, when non-nil, is invoked with every iteration's
 	// convergence point.
@@ -79,7 +83,7 @@ type Result struct {
 }
 
 // arena holds the reusable buffers of the GRAPE inner loop for one
-// optimization call — or, via MinimumTimeCtx, for a whole binary search,
+// optimization call — or, via MinimumTimeCtx, for a whole duration search,
 // where every duration probe reuses the same storage (buffers grow to
 // the largest slice count seen and shrink by reslicing). An arena is
 // owned by a single goroutine and never escapes into a Result: best-so-
@@ -455,19 +459,32 @@ func copyAmps(dst, src [][]float64) {
 	}
 }
 
-// MinimumTimeCtx binary-searches the smallest slice count whose optimized
-// fidelity reaches the target (§V-B: "the minimum duration of the control
-// pulses of a customized gate by binary search"). It returns the winning
-// schedule, its latency in dt, and the achieved fidelity, with
-// observability: one
-// span per duration probe ("grape.binsearch.probe", tagged with the slice
-// count and achieved fidelity) under a "grape.binsearch" span, plus probe
-// counters. All duration probes share one buffer arena, so the search
+// MinimumTimeCtx finds the smallest slice count whose optimized fidelity
+// reaches the target (§V-B: "the minimum duration of the control pulses
+// of a customized gate"). It returns the winning schedule, its latency in
+// dt, and the achieved fidelity.
+//
+// The search starts at opts.HintSlices (minSlices when unset), clamped to
+// [minSlices, MaxSlices]. It doubles the slice count until a probe reaches
+// the target, then descends one slice per probe from that hit and returns
+// the last hit before the first miss. A slice count already missed while
+// doubling bounds the descent from below. Every probe after the first is
+// seeded with its predecessor's best amplitudes, so a probe one slice
+// below a hit starts close to the target and a hit there takes few
+// iterations, while a miss always runs the whole budget. A miss at
+// MaxSlices returns pulse.ErrFidelityUnreachable.
+//
+// Observability: one span per duration probe ("grape.binsearch.probe",
+// tagged with the slice count and achieved fidelity) under a
+// "grape.binsearch" span, the grape.binsearch.probes counter, and
+// grape.binsearch.missed_iterations, the iterations run in probes that
+// missed. All duration probes share one buffer arena, so the search
 // allocates per distinct slice-count high-water mark, not per probe.
 func MinimumTimeCtx(ctx context.Context, sys *hamiltonian.System, target *linalg.Matrix, opts Options) (*pulse.Schedule, float64, float64, error) {
 	opts.fill()
 	reg := obs.MetricsFrom(ctx)
 	probeCtr := reg.Counter("grape.binsearch.probes")
+	missedCtr := reg.Counter("grape.binsearch.missed_iterations")
 	ctx, bsSpan := obs.StartSpan(ctx, "grape.binsearch")
 	bsSpan.SetAttr("dim", sys.Dim)
 	defer bsSpan.End()
@@ -477,7 +494,13 @@ func MinimumTimeCtx(ctx context.Context, sys *hamiltonian.System, target *linalg
 	// carry each probe's best amplitudes into the next as a resampled
 	// seed, and let target-reached probes donate their slice propagators.
 	ar.reuseProbes = true
-	run := func(slices int) *Result {
+	// run probes one slice count. Each probe is bracketed by cancellation
+	// checks so a cancelled fleet stops between (and, via optimize,
+	// inside) duration probes.
+	run := func(slices int) (*Result, bool, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
 		probeCtr.Inc()
 		probeCtx, span := obs.StartSpan(ctx, "grape.binsearch.probe")
 		res := optimize(probeCtx, sys, target, slices, opts, ar)
@@ -485,65 +508,55 @@ func MinimumTimeCtx(ctx context.Context, sys *hamiltonian.System, target *linalg
 		span.SetAttr("fidelity", res.Fidelity)
 		span.SetAttr("iters", res.Iters)
 		span.End()
-		return res
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
+		hit := res.Fidelity >= opts.TargetFidelity
+		if !hit {
+			// optimize returns early only on a hit or a cancellation.
+			missedCtr.Add(int64(opts.MaxIter))
+		}
+		return res, hit, nil
 	}
 
-	// Find a feasible upper bound by doubling. Each probe is bracketed by a
-	// cancellation check so a cancelled fleet stops between (and, via
-	// OptimizeCtx, inside) duration probes. A HintSlices prior (typically
-	// a near-miss cache hit's slice count) starts the bracket there
-	// instead of minSlices, skipping the doubling probes below it; the
-	// binary search still descends to minSlices afterwards, so minimality
-	// is unchanged.
 	start := minSlices
 	if opts.HintSlices > 0 {
-		start = opts.HintSlices
-		if start < minSlices {
-			start = minSlices
-		}
-		if start > opts.MaxSlices {
-			start = opts.MaxSlices
-		}
+		start = max(minSlices, min(opts.HintSlices, opts.MaxSlices))
 		bsSpan.SetAttr("hint", start)
 	}
+
+	// Bracket: double from start until a probe hits; lo rises past every
+	// slice count that missed.
 	lo, hi := minSlices, start
 	var hiRes *Result
 	for {
-		if err := ctx.Err(); err != nil {
+		res, hit, err := run(hi)
+		if err != nil {
 			return nil, 0, 0, err
 		}
-		hiRes = run(hi)
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-		if hiRes.Fidelity >= opts.TargetFidelity {
+		if hit {
+			hiRes = res
 			break
 		}
 		if hi >= opts.MaxSlices {
 			return nil, 0, 0, fmt.Errorf("grape: fidelity %.6f below target %.6f at max duration %d slices: %w",
-				hiRes.Fidelity, opts.TargetFidelity, hi, pulse.ErrFidelityUnreachable)
+				res.Fidelity, opts.TargetFidelity, hi, pulse.ErrFidelityUnreachable)
 		}
 		lo = hi + 1
-		hi *= 2
-		if hi > opts.MaxSlices {
-			hi = opts.MaxSlices
-		}
+		hi = min(2*hi, opts.MaxSlices)
 	}
 
-	// Binary search in (lo-1, hi] for the smallest feasible slice count.
+	// Descent: one slice fewer per probe, down to the first miss or lo.
 	bestSlices, bestRes := hi, hiRes
-	for lo < hi {
-		if err := ctx.Err(); err != nil {
+	for bestSlices > lo {
+		res, hit, err := run(bestSlices - 1)
+		if err != nil {
 			return nil, 0, 0, err
 		}
-		mid := (lo + hi) / 2
-		res := run(mid)
-		if res.Fidelity >= opts.TargetFidelity {
-			bestSlices, bestRes = mid, res
-			hi = mid
-		} else {
-			lo = mid + 1
+		if !hit {
+			break
 		}
+		bestSlices, bestRes = bestSlices-1, res
 	}
 
 	names := make([]string, len(sys.Controls))

@@ -62,7 +62,7 @@ func TestMinimumTimeX(t *testing.T) {
 		t.Errorf("fidelity %.6f", fid)
 	}
 	// Quantum speed limit: a π rotation at the bounded drive needs
-	// ≈ 22.5 dt; the binary search should land close to it (within one
+	// ≈ 22.5 dt; the minimum-time search should land close to it (within one
 	// doubling step of slack).
 	if latency < 20 || latency > 48 {
 		t.Errorf("X latency %g dt outside plausible window", latency)

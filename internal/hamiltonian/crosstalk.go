@@ -30,6 +30,7 @@ func (s *System) WithZZCrosstalk(pairs [][2]int, zeta float64) (*System, error) 
 		Dim:       s.Dim,
 		Drift:     s.Drift.Clone(),
 		Controls:  append([]Control(nil), s.Controls...),
+		Params:    s.Params,
 	}
 	half := complex(0.5, 0)
 	for _, p := range pairs {
@@ -52,5 +53,6 @@ func (s *System) IdealTwin() *System {
 		Dim:       s.Dim,
 		Drift:     linalg.New(s.Dim, s.Dim),
 		Controls:  append([]Control(nil), s.Controls...),
+		Params:    s.Params,
 	}
 }

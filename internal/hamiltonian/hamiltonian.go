@@ -109,6 +109,11 @@ type System struct {
 	Dim       int
 	Drift     *linalg.Matrix
 	Controls  []Control
+	// Params records the device parameters the constructor derived the
+	// control bounds from, so code that estimates durations for this
+	// system (the minimum-time search's prior) uses the same backend. Only
+	// the constructors set it.
+	Params Params
 }
 
 // XYTransmon builds the paper's platform Hamiltonian for n qubits: X and Y
@@ -129,7 +134,7 @@ func XYTransmonWith(params Params, n int, pairs [][2]int) *System {
 	driveBound := params.DriveBound()
 	couplingBound := params.CouplingBound()
 	dim := 1 << n
-	sys := &System{NumQubits: n, Dim: dim, Drift: linalg.New(dim, dim)}
+	sys := &System{NumQubits: n, Dim: dim, Drift: linalg.New(dim, dim), Params: params}
 
 	half := complex(0.5, 0)
 	for q := 0; q < n; q++ {

@@ -12,7 +12,8 @@ func PreregisterMetrics(r *obs.Registry) {
 		"paqoc.merge.rounds", "paqoc.merge.candidates", "paqoc.merge.cache_hits",
 		"paqoc.merge.applied", "paqoc.merge.rejected", "paqoc.merge.preprocessed",
 		"paqoc.emit.blocks", "paqoc.emit.split_fallbacks",
-		"grape.iterations", "grape.binsearch.probes", "grape.generated",
+		"grape.iterations", "grape.binsearch.probes", "grape.binsearch.missed_iterations",
+		"grape.generated",
 		"grape.db_hits", "grape.db_permuted_hits", "grape.warm_starts", "grape.expm",
 		"grape.probe_prop_reuse",
 		"pulsesim.slices", "pulsesim.expm", "pulsesim.esp_evals", "pulsesim.esp_gates",

@@ -27,6 +27,9 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		{"bad priority", api.CompileRequest{Circuit: tinyCircuit, Priority: "urgent"}, http.StatusBadRequest, api.CodeBadRequest},
 		{"max_n 4", api.CompileRequest{Circuit: tinyCircuit, MaxN: 4}, http.StatusBadRequest, api.CodeInvalidArgument},
 		{"max_n -1", api.CompileRequest{Circuit: tinyCircuit, MaxN: -1}, http.StatusBadRequest, api.CodeInvalidArgument},
+		{"fidelity 1.5", api.CompileRequest{Circuit: tinyCircuit, Grape: true, Fidelity: 1.5}, http.StatusBadRequest, api.CodeInvalidArgument},
+		{"fidelity 1", api.CompileRequest{Circuit: tinyCircuit, Grape: true, Fidelity: 1}, http.StatusBadRequest, api.CodeInvalidArgument},
+		{"fidelity -2", api.CompileRequest{Circuit: tinyCircuit, Fidelity: -2}, http.StatusBadRequest, api.CodeInvalidArgument},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -102,6 +102,15 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("max_n %d out of range (want 1 to %d, or 0 for the default)", req.MaxN, latency.MaxQubits))
 		return
 	}
+	if req.Fidelity < 0 || req.Fidelity >= 1 {
+		// A gate fidelity of 1 or more is unreachable, so GRAPE would
+		// search every duration before failing: refuse it before
+		// admission. A negative target is meaningless, not the default.
+		s.reg.Counter("server.bad_requests").Inc()
+		api.WriteError(w, http.StatusBadRequest, api.CodeInvalidArgument,
+			fmt.Sprintf("fidelity %v out of range (want above 0 and below 1, or 0 for the default)", req.Fidelity))
+		return
+	}
 	if req.MinSupport != 0 {
 		// Validate the mining knob against the same rules the miner itself
 		// enforces: an invalid value is a distinct "invalid_argument", not
