@@ -11,9 +11,11 @@ import (
 	"fmt"
 	"log"
 
+	"paqoc/internal/circuit"
 	"paqoc/internal/grape"
 	"paqoc/internal/hamiltonian"
 	"paqoc/internal/linalg"
+	"paqoc/internal/pulse"
 	"paqoc/internal/quantum"
 )
 
@@ -26,7 +28,13 @@ func main() {
 	}
 	ideal := noisy.IdealTwin()
 	target := quantum.MatCX.Clone()
+	c := circuit.New(2)
+	c.Add("cx", 0, 1)
+	cx := pulse.NewCustomGate(c.Gates)
+	// Each search starts at the analytical model's duration for CX, as a
+	// grape.Generator's cold search does.
 	opts := grape.DefaultOptions()
+	opts.HintSlices = grape.PriorSlices(ideal, nil, cx)
 
 	naive, _, naiveFid, err := grape.MinimumTimeCtx(context.Background(), ideal, target, opts)
 	if err != nil {
@@ -43,6 +51,7 @@ func main() {
 	}
 	onHW := linalg.TraceFidelity(target, u)
 
+	opts.HintSlices = grape.PriorSlices(noisy, nil, cx)
 	awareSched, awareLat, awareFid, err := grape.MinimumTimeCtx(context.Background(), noisy, target, opts)
 	if err != nil {
 		log.Fatal(err)

@@ -9,16 +9,24 @@ import (
 	"fmt"
 	"log"
 
+	"paqoc/internal/circuit"
 	"paqoc/internal/grape"
 	"paqoc/internal/hamiltonian"
+	"paqoc/internal/pulse"
 	"paqoc/internal/pulsesim"
 	"paqoc/internal/quantum"
 )
 
 func main() {
+	// Each search starts at the analytical model's duration for its gates,
+	// as a grape.Generator's cold search does.
+	c := circuit.New(2)
+	c.Add("h", 0)
+	c.Add("cx", 0, 1)
 	opts := grape.DefaultOptions()
 
 	sys1 := hamiltonian.XYTransmon(1, nil)
+	opts.HintSlices = grape.PriorSlices(sys1, nil, pulse.NewCustomGate(c.Gates[:1]))
 	_, hLat, hFid, err := grape.MinimumTimeCtx(context.Background(), sys1, quantum.MatH.Clone(), opts)
 	if err != nil {
 		log.Fatal(err)
@@ -26,6 +34,7 @@ func main() {
 	fmt.Printf("H pulse:        %3.0f dt at fidelity %.4f\n", hLat, hFid)
 
 	sys2 := hamiltonian.XYTransmon(2, hamiltonian.LinearChain(2))
+	opts.HintSlices = grape.PriorSlices(sys2, nil, pulse.NewCustomGate(c.Gates[1:]))
 	cxSched, cxLat, cxFid, err := grape.MinimumTimeCtx(context.Background(), sys2, quantum.MatCX.Clone(), opts)
 	if err != nil {
 		log.Fatal(err)
@@ -33,6 +42,7 @@ func main() {
 	fmt.Printf("CX pulse:       %3.0f dt at fidelity %.4f\n", cxLat, cxFid)
 
 	merged := quantum.MatCX.Mul(quantum.MatH.Kron(quantum.MatI))
+	opts.HintSlices = grape.PriorSlices(sys2, nil, pulse.NewCustomGate(c.Gates))
 	mSched, mLat, mFid, err := grape.MinimumTimeCtx(context.Background(), sys2, merged, opts)
 	if err != nil {
 		log.Fatal(err)

@@ -29,7 +29,8 @@ type CompileRequest struct {
 	// Backend names the device profile to compile against (a registered
 	// profile or a dynamic name like "xy-grid-3x4"); empty selects the
 	// server's default backend. Unknown names are rejected with 400 and
-	// error code "unknown_backend".
+	// error code "unknown_backend"; a circuit with more qubits than the
+	// backend's topology, with 400 and code "invalid_argument".
 	Backend string `json:"backend,omitempty"`
 
 	// Tenant identifies the submitting principal for per-tenant quota

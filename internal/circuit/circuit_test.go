@@ -3,6 +3,7 @@ package circuit
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -282,6 +283,76 @@ func randomCircuit(seed int64, nq, gates int) *Circuit {
 }
 
 var _ = linalg.Identity // keep import for doc examples
+
+// wireWalkDAG is an independent oracle for BuildQubitDAG: gate i depends
+// on the previous gate of each of its wires, listed in qubit order without
+// repeats, and each gate's successors are listed in gate order.
+func wireWalkDAG(c *Circuit) (preds, succs [][]int) {
+	wires := make([][]int, c.NumQubits)
+	preds = make([][]int, len(c.Gates))
+	succs = make([][]int, len(c.Gates))
+	for i, g := range c.Gates {
+		for _, q := range g.Qubits {
+			if w := wires[q]; len(w) > 0 && !slices.Contains(preds[i], w[len(w)-1]) {
+				preds[i] = append(preds[i], w[len(w)-1])
+			}
+			wires[q] = append(wires[q], i)
+		}
+	}
+	for i, ps := range preds {
+		for _, p := range ps {
+			succs[p] = append(succs[p], i)
+		}
+	}
+	return preds, succs
+}
+
+// TestFillQubitDAGReusesStorage: refilling one DAG with circuits of
+// different sizes gives, each time, the lists of the wire-walk oracle.
+func TestFillQubitDAGReusesStorage(t *testing.T) {
+	d := &DAG{}
+	last := make([]int, 6)
+	for seed := int64(0); seed < 30; seed++ {
+		c := randomCircuit(seed, 6, 5+int(seed*7%60))
+		sets := make([][]int, len(c.Gates))
+		for i, g := range c.Gates {
+			sets[i] = g.Qubits
+		}
+		FillQubitDAG(d, last, sets)
+		preds, succs := wireWalkDAG(c)
+		if d.NumGates != len(c.Gates) || len(d.Preds) != len(c.Gates) || len(d.Succs) != len(c.Gates) {
+			t.Fatalf("seed %d: %d nodes, want %d", seed, d.NumGates, len(c.Gates))
+		}
+		for i := range c.Gates {
+			if !slices.Equal(d.Preds[i], preds[i]) || !slices.Equal(d.Succs[i], succs[i]) {
+				t.Fatalf("seed %d gate %d: preds %v succs %v, want %v %v", seed, i, d.Preds[i], d.Succs[i], preds[i], succs[i])
+			}
+		}
+	}
+}
+
+// TestDAGAppendCannotOverwriteNeighbour: every list's capacity ends at its
+// own storage, so a caller's append to one gate's Succs or Preds leaves
+// every other list as it was.
+func TestDAGAppendCannotOverwriteNeighbour(t *testing.T) {
+	c := randomCircuit(3, 5, 60)
+	d := BuildDAG(c)
+	preds, succs := wireWalkDAG(c)
+	for i := range c.Gates {
+		d.Succs[i] = append(d.Succs[i], -1, -2, -3)
+		d.Preds[i] = append(d.Preds[i], -4, -5, -6)
+		for k := range c.Gates {
+			if k == i {
+				continue
+			}
+			if !slices.Equal(d.Preds[k], preds[k]) || !slices.Equal(d.Succs[k], succs[k]) {
+				t.Fatalf("appending to gate %d's lists changed gate %d's: preds %v succs %v, want %v %v",
+					i, k, d.Preds[k], d.Succs[k], preds[k], succs[k])
+			}
+		}
+		d.Succs[i], d.Preds[i] = d.Succs[i][:len(succs[i])], d.Preds[i][:len(preds[i])]
+	}
+}
 
 func BenchmarkBuildDAG(b *testing.B) {
 	c := randomCircuit(1, 16, 500)

@@ -11,6 +11,8 @@ type DAG struct {
 	NumGates int
 	Succs    [][]int // Succs[i]: gates immediately depending on gate i
 	Preds    [][]int // Preds[i]: gates gate i immediately depends on
+
+	edges []int // backing array of every Preds and Succs list
 }
 
 // BuildDAG constructs the dependence DAG of a circuit.
@@ -27,15 +29,45 @@ func BuildDAG(c *Circuit) *DAG {
 // operation i depends on the most recent earlier operation touching each of
 // its qubits.
 func BuildQubitDAG(numQubits int, qubitSets [][]int) *DAG {
+	d := &DAG{}
+	FillQubitDAG(d, make([]int, numQubits), qubitSets)
+	return d
+}
+
+// FillQubitDAG makes d the dependence DAG of qubitSets, as BuildQubitDAG
+// builds it, reusing d's arrays when they are large enough. last is
+// per-qubit scratch with one entry per qubit; its contents are
+// overwritten.
+//
+// Every list lives in one flat array of 2 × the total qubit count: node
+// i's Preds and then its Succs, each with capacity len(qubitSets[i]),
+// which is the most either can hold (each qubit has one previous and one
+// next user). A caller that appends past that capacity gets a copy, so it
+// cannot overwrite a neighbour's list. The lists stay valid until the
+// next fill of d.
+func FillQubitDAG(d *DAG, last []int, qubitSets [][]int) {
 	n := len(qubitSets)
-	d := &DAG{
-		NumGates: n,
-		Succs:    make([][]int, n),
-		Preds:    make([][]int, n),
+	total := 0
+	for _, qs := range qubitSets {
+		total += len(qs)
 	}
-	last := make([]int, numQubits)
-	for i := range last {
-		last[i] = -1
+	if cap(d.edges) < 2*total {
+		d.edges = make([]int, 2*total)
+	}
+	if cap(d.Preds) < n {
+		d.Preds = make([][]int, n)
+		d.Succs = make([][]int, n)
+	}
+	d.NumGates, d.Preds, d.Succs = n, d.Preds[:n], d.Succs[:n]
+	off := 0
+	for i, qs := range qubitSets {
+		k := len(qs)
+		d.Preds[i] = d.edges[off : off : off+k]
+		d.Succs[i] = d.edges[off+k : off+k : off+2*k]
+		off += 2 * k
+	}
+	for q := range last {
+		last[q] = -1
 	}
 	for i, qs := range qubitSets {
 		for _, q := range qs {
@@ -46,5 +78,4 @@ func BuildQubitDAG(numQubits int, qubitSets [][]int) *DAG {
 			last[q] = i
 		}
 	}
-	return d
 }

@@ -66,19 +66,32 @@ func union(a, b []int) []int {
 
 // BlockCircuit is a circuit of blocks in program order (a valid linear
 // extension of the block dependence DAG: every edge points forward).
+//
+// The merge loop's methods (DAG, ValidMerge, Candidates, PreprocessMerge,
+// CPIfMerged, ReplaceMerge, Split) reuse scratch the block circuit owns,
+// so a BlockCircuit is not safe for concurrent use while it is searched.
+// Code that assigns Blocks directly gets a DAG built on first use.
 type BlockCircuit struct {
 	NumQubits int
 	Blocks    []*Block
 
-	dag   *circuit.DAG // lazily rebuilt
-	dirty bool
+	dag   circuit.DAG // refilled in place after each mutation
+	fresh bool        // dag describes Blocks
+	last  []int       // the DAG fill's per-qubit scratch
+	sets  [][]int     // the blocks' qubit sets, the DAG fill's input
+	reach []bool      // windowReach's marks
+	moved []*Block    // ReplaceMerge's reached window blocks
+	ready []float64   // CPIfMerged's per-qubit ready times
+	seen  []uint32    // hasIndirectPath's visited stamps
+	stamp uint32      // the current stamp in seen
+	stack []int       // hasIndirectPath's depth-first stack
 }
 
 // FromCircuit builds the initial block circuit: one block per gate, with
 // latencies from the generator-independent estimator est (may be nil,
 // leaving latencies zero).
 func FromCircuit(c *circuit.Circuit, est func(*pulse.CustomGate) (float64, error)) (*BlockCircuit, error) {
-	bc := &BlockCircuit{NumQubits: c.NumQubits, dirty: true}
+	bc := &BlockCircuit{NumQubits: c.NumQubits}
 	for gi, g := range c.Gates {
 		b := NewBlock(g, 0)
 		b.Origin = []int{gi}
@@ -94,71 +107,110 @@ func FromCircuit(c *circuit.Circuit, est func(*pulse.CustomGate) (float64, error
 	return bc, nil
 }
 
-// ReleaseDAG drops the cached dependence DAG; the next call that needs it
-// rebuilds it. Compilers call it on the block circuits they return, which
-// callers keep long after the search is over.
-func (bc *BlockCircuit) ReleaseDAG() { bc.dag, bc.dirty = nil, true }
+// ReleaseDAG drops the dependence DAG and every scratch buffer of the
+// merge loop; the next call that needs them rebuilds them. Compilers call
+// it on the block circuits they return, which callers keep long after the
+// search is over, so a result pins no search storage and no merged-away
+// block.
+func (bc *BlockCircuit) ReleaseDAG() {
+	*bc = BlockCircuit{NumQubits: bc.NumQubits, Blocks: bc.Blocks}
+}
 
-// DAG returns the block dependence DAG, rebuilding it after mutations.
+// DAG returns the block dependence DAG, refilling it in place after a
+// mutation. Its lists are valid until the next mutation of the block
+// circuit (ReplaceMerge or Split), which overwrites them. Once warm a
+// refill allocates nothing: merges never grow the total qubit count the
+// storage is sized by; only Split can.
 func (bc *BlockCircuit) DAG() *circuit.DAG {
-	if bc.dirty || bc.dag == nil {
-		sets := make([][]int, len(bc.Blocks))
-		for i, b := range bc.Blocks {
-			sets[i] = b.Qubits
+	if !bc.fresh {
+		bc.sets = bc.sets[:0]
+		for _, b := range bc.Blocks {
+			bc.sets = append(bc.sets, b.Qubits)
 		}
-		bc.dag = circuit.BuildQubitDAG(bc.NumQubits, sets)
-		bc.dirty = false
+		if len(bc.last) != bc.NumQubits {
+			bc.last = make([]int, bc.NumQubits)
+		}
+		circuit.FillQubitDAG(&bc.dag, bc.last, bc.sets)
+		bc.fresh = true
 	}
-	return bc.dag
+	return &bc.dag
 }
 
 // CriticalPath returns the current weighted critical-path latency — the
 // circuit latency PAQOC minimizes.
 func (bc *BlockCircuit) CriticalPath() float64 {
-	_, cp := sweep(bc.NumQubits, bc.Blocks, false)
-	return cp
+	return sweep(make([]float64, bc.NumQubits), bc.Blocks, nil, false)
 }
 
 // LongestPaths returns, for each block, the weighted longest path ending
 // at it (to) and the one starting at it (from, CP(X)+L(X) in the paper's
-// notation). Both include the block's own latency.
+// notation). Both include the block's own latency. The caller owns both
+// arrays.
 func (bc *BlockCircuit) LongestPaths() (to, from []float64) {
-	to, _ = sweep(bc.NumQubits, bc.Blocks, false)
-	from, _ = sweep(bc.NumQubits, bc.Blocks, true)
+	to = make([]float64, len(bc.Blocks))
+	from = make([]float64, len(bc.Blocks))
+	ready := make([]float64, bc.NumQubits)
+	sweep(ready, bc.Blocks, to, false)
+	clear(ready)
+	sweep(ready, bc.Blocks, from, true)
 	return to, from
 }
 
 // sweep computes the longest paths of a block list in one pass over
-// per-qubit ready times. Forward, dist[i] is block i's finish time in the
-// as-soon-as-possible schedule, the longest path ending at it, and longest
-// is the critical path; reversed, dist[i] is the longest path from block i
-// to any sink. Every dependence edge points forward, and ready[q] holds
-// the path of exactly the neighbour on q that a walk of the block DAG
-// relaxes, so both match that walk bit for bit (DESIGN.md, "Critical
-// paths by sweep").
-func sweep(numQubits int, blocks []*Block, reverse bool) (dist []float64, longest float64) {
-	dist = make([]float64, len(blocks))
-	ready := make([]float64, numQubits)
+// per-qubit ready times, which start zeroed. Forward, dist[i] is block
+// i's finish time in the as-soon-as-possible schedule, the longest path
+// ending at it, and the result is the critical path; reversed, dist[i] is
+// the longest path from block i to any sink. dist may be nil. Every
+// dependence edge points forward, and ready[q] holds the path of exactly
+// the neighbour on q that a walk of the block DAG relaxes, so both match
+// that walk bit for bit (DESIGN.md, "Critical paths by sweep").
+func sweep(ready []float64, blocks []*Block, dist []float64, reverse bool) (longest float64) {
 	for k := range blocks {
 		i := k
 		if reverse {
 			i = len(blocks) - 1 - k
 		}
-		start := 0.0
-		for _, q := range blocks[i].Qubits {
-			if ready[q] > start {
-				start = ready[q]
-			}
+		end := finish(ready, blocks[i].Qubits, nil, blocks[i].Latency)
+		if dist != nil {
+			dist[i] = end
 		}
-		dist[i] = start + blocks[i].Latency
-		for _, q := range blocks[i].Qubits {
-			ready[q] = dist[i]
-		}
-		if dist[i] > longest {
-			longest = dist[i]
+		longest = longer(longest, end)
+	}
+	return longest
+}
+
+// longer returns the longer of a running critical path and a finish time,
+// keeping the running value on ties (and on NaN, as the DAG walk did).
+func longer(longest, end float64) float64 {
+	if end > longest {
+		return end
+	}
+	return longest
+}
+
+// finish schedules one block on the qubits of a and b (b may be nil or
+// overlap a) at its earliest start, records its finish as their ready
+// time and returns it.
+func finish(ready []float64, a, b []int, lat float64) float64 {
+	start := 0.0
+	for _, q := range a {
+		if ready[q] > start {
+			start = ready[q]
 		}
 	}
-	return dist, longest
+	for _, q := range b {
+		if ready[q] > start {
+			start = ready[q]
+		}
+	}
+	end := start + lat
+	for _, q := range a {
+		ready[q] = end
+	}
+	for _, q := range b {
+		ready[q] = end
+	}
+	return end
 }
 
 // TotalLatency returns the sum of block latencies (the sequential-stitch
@@ -174,8 +226,11 @@ func (bc *BlockCircuit) TotalLatency() float64 {
 // OnCriticalPath marks blocks lying on at least one weighted critical
 // path.
 func (bc *BlockCircuit) OnCriticalPath() []bool {
-	to, total := sweep(bc.NumQubits, bc.Blocks, false)
-	from, _ := sweep(bc.NumQubits, bc.Blocks, true)
+	to, from := bc.LongestPaths()
+	var total float64
+	for _, v := range to {
+		total = longer(total, v)
+	}
 	on := make([]bool, len(bc.Blocks))
 	const eps = 1e-9
 	for i, b := range bc.Blocks {
@@ -197,50 +252,66 @@ func (bc *BlockCircuit) Generated() []*pulse.Generated {
 
 // ReplaceMerge replaces blocks i and j (i before j in program order, j
 // directly depending on i, with no other i⇝j path — see ValidMerge) with
-// their merged block, in the order mergedOrder gives.
+// their merged block, in place. To keep the list a linear extension of
+// the new DAG, the blocks strictly between i and j are partitioned
+// (windowReach): those i reaches move after m, the rest move before it,
+// each group in its old order. The tail moves down one slot. CPIfMerged
+// sweeps exactly this order, so the two cannot disagree.
 func (bc *BlockCircuit) ReplaceMerge(i, j int, m *Block, lat float64, gen *pulse.Generated) {
 	m.Latency = lat
 	m.Gen = gen
-	bc.Blocks = bc.mergedOrder(i, j, m)
-	bc.dirty = true
+	reach := bc.windowReach(i, j)
+	bc.moved = scratch(bc.moved, len(bc.Blocks))
+	w := i
+	for v := i + 1; v < j; v++ {
+		if reach[v-i-1] {
+			bc.moved = append(bc.moved, bc.Blocks[v])
+		} else {
+			bc.Blocks[w] = bc.Blocks[v]
+			w++
+		}
+	}
+	bc.Blocks[w] = m
+	copy(bc.Blocks[w+1:], bc.moved)
+	n := len(bc.Blocks)
+	copy(bc.Blocks[j:], bc.Blocks[j+1:])
+	bc.Blocks[n-1] = nil
+	bc.Blocks = bc.Blocks[:n-1]
+	bc.fresh = false
 }
 
-// mergedOrder returns the block list with blocks i and j replaced by m.
-// To keep the list a linear extension of the new DAG, blocks strictly
-// between i and j are partitioned: those reachable from i move after m,
-// the rest move before it. ReplaceMerge applies this order and CPIfMerged
-// predicts from it, so the two cannot disagree.
-func (bc *BlockCircuit) mergedOrder(i, j int, m *Block) []*Block {
+// windowReach marks which blocks of the merge window (i, j) block i
+// reaches: reach[v-i-1] for i < v < j. Successors always have larger
+// indices in a linear extension, so one forward pass over the window's
+// predecessor lists suffices. The marks live in a buffer the block
+// circuit reuses, valid until the next call.
+func (bc *BlockCircuit) windowReach(i, j int) []bool {
 	if i >= j || j >= len(bc.Blocks) {
 		panic("critical: merge wants i < j within range")
 	}
 	dag := bc.DAG()
-	reach := make([]bool, len(bc.Blocks))
-	reach[i] = true
-	// Forward reachability from i restricted to indices < j (successors
-	// always have larger indices in a linear extension).
+	reach := scratch(bc.reach, len(bc.Blocks))
 	for v := i + 1; v < j; v++ {
+		r := false
 		for _, p := range dag.Preds[v] {
-			if reach[p] {
-				reach[v] = true
+			if p == i || p > i && reach[p-i-1] {
+				r = true
 				break
 			}
 		}
+		reach = append(reach, r)
 	}
-	out := make([]*Block, 0, len(bc.Blocks)-1)
-	out = append(out, bc.Blocks[:i]...)
-	for v := i + 1; v < j; v++ {
-		if !reach[v] {
-			out = append(out, bc.Blocks[v])
-		}
+	bc.reach = reach
+	return reach
+}
+
+// scratch returns buf emptied, with room for n elements: a search sizes
+// each buffer by the block count once, and merges only shrink it.
+func scratch[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
 	}
-	out = append(out, m)
-	for v := i + 1; v < j; v++ {
-		if reach[v] {
-			out = append(out, bc.Blocks[v])
-		}
-	}
-	return append(out, bc.Blocks[j+1:]...)
+	return buf[:0]
 }
 
 // Split replaces block i with one block per gate, in gate order, and
@@ -262,13 +333,13 @@ func (bc *BlockCircuit) Split(i int) []*Block {
 	rebuilt = append(rebuilt, parts...)
 	rebuilt = append(rebuilt, bc.Blocks[i+1:]...)
 	bc.Blocks = rebuilt
-	bc.dirty = true
+	bc.fresh = false
 	return parts
 }
 
 // Clone deep-copies the block circuit (generated pulses are shared).
 func (bc *BlockCircuit) Clone() *BlockCircuit {
-	out := &BlockCircuit{NumQubits: bc.NumQubits, dirty: true}
+	out := &BlockCircuit{NumQubits: bc.NumQubits}
 	out.Blocks = make([]*Block, len(bc.Blocks))
 	for i, b := range bc.Blocks {
 		nb := &Block{

@@ -59,33 +59,48 @@ func (bc *BlockCircuit) ValidMerge(i, j, maxN int) bool {
 	return !bc.hasIndirectPath(i, j)
 }
 
-// hasIndirectPath reports an i⇝j path of length ≥ 2.
+// hasIndirectPath reports an i⇝j path of length ≥ 2: a depth-first
+// search from i's other successors below j. It marks blocks as it pushes
+// them, with a generation stamp in a buffer the block circuit reuses, so
+// the stack holds each block at most once and a search allocates nothing
+// once warm; the buffer is cleared only when the stamp wraps.
 func (bc *BlockCircuit) hasIndirectPath(i, j int) bool {
 	dag := bc.DAG()
-	seen := make([]bool, len(bc.Blocks))
-	var stack []int
+	if len(bc.seen) < len(bc.Blocks) {
+		bc.seen = make([]uint32, len(bc.Blocks))
+		bc.stamp = 0
+	}
+	bc.stamp++
+	if bc.stamp == 0 {
+		clear(bc.seen)
+		bc.stamp = 1
+	}
+	seen, stamp := bc.seen, bc.stamp
+	stack := scratch(bc.stack, len(bc.Blocks))
 	for _, s := range dag.Succs[i] {
 		if s != j && s < j { // successors beyond j can't reach back in a DAG ordered list
+			seen[s] = stamp
 			stack = append(stack, s)
 		}
 	}
+	found := false
+search:
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
 		for _, s := range dag.Succs[v] {
 			if s == j {
-				return true
+				found = true
+				break search
 			}
-			if s < j && !seen[s] {
+			if s < j && seen[s] != stamp {
+				seen[s] = stamp
 				stack = append(stack, s)
 			}
 		}
 	}
-	return false
+	bc.stack = stack
+	return found
 }
 
 // Candidates enumerates all valid two-block merges, classifying each by
@@ -119,13 +134,17 @@ func (bc *BlockCircuit) Candidates(maxN int, pruneCaseIII bool) []Candidate {
 }
 
 // PreprocessMerge returns the first Observation-1 pre-processing merge of
-// §V-A1 (Fig. 8-c), scanning blocks in order: an adjacent pair where one
-// block's qubit set contains the other's, so fusing cannot create false
-// dependences and is "typically beneficial". The structural side
-// conditions guarantee validity without a reachability check.
-func (bc *BlockCircuit) PreprocessMerge(maxN int) (Candidate, bool) {
+// §V-A1 (Fig. 8-c), scanning blocks in order from block start: an
+// adjacent pair where one block's qubit set contains the other's, so
+// fusing cannot create false dependences and is "typically beneficial".
+// The structural side conditions guarantee validity without a
+// reachability check.
+//
+// After a pre-merge, a scan from PreprocessResume returns the pair a scan
+// from block 0 returns.
+func (bc *BlockCircuit) PreprocessMerge(maxN, start int) (Candidate, bool) {
 	dag := bc.DAG()
-	for i := range bc.Blocks {
+	for i := start; i < len(bc.Blocks); i++ {
 		for _, j := range dag.Succs[i] {
 			a, b := bc.Blocks[i].Qubits, bc.Blocks[j].Qubits
 			if unionWidth(a, b) > maxN {
@@ -141,15 +160,51 @@ func (bc *BlockCircuit) PreprocessMerge(maxN int) (Candidate, bool) {
 	return Candidate{}, false
 }
 
+// PreprocessResume returns the block at which the pre-pass's next scan
+// resumes after pre-merging (i, j): the smallest of i and the indices in
+// Preds[i] and Preds[j]. Call it before ReplaceMerge. No pair whose first
+// block lies below it can match after the merge unless it matched before
+// (DESIGN.md, "Critical paths by sweep").
+func (bc *BlockCircuit) PreprocessResume(i, j int) int {
+	dag := bc.DAG()
+	start := i
+	for _, p := range dag.Preds[i] {
+		start = min(start, p)
+	}
+	for _, p := range dag.Preds[j] {
+		start = min(start, p)
+	}
+	return start
+}
+
 // CPIfMerged returns the exact whole-circuit critical path if blocks i and
 // j were merged into one block of latency lab: a forward sweep over the
-// block order ReplaceMerge would produce, so the false dependences the
-// merge introduces (§V-A's Case analysis, Fig. 9) are accounted for
-// exactly.
+// block order ReplaceMerge would install (blocks before i, the window
+// blocks i does not reach, a stand-in merged block on both qubit sets,
+// the window blocks i reaches, then the tail), so the false dependences
+// the merge introduces (§V-A's Case analysis, Fig. 9) are accounted for
+// exactly. It builds no list and, once warm, allocates nothing.
 func (bc *BlockCircuit) CPIfMerged(i, j int, lab float64) float64 {
-	m := &Block{Qubits: union(bc.Blocks[i].Qubits, bc.Blocks[j].Qubits), Latency: lab}
-	_, cp := sweep(bc.NumQubits, bc.mergedOrder(i, j, m), false)
-	return cp
+	reach := bc.windowReach(i, j)
+	if len(bc.ready) != bc.NumQubits {
+		bc.ready = make([]float64, bc.NumQubits)
+	}
+	ready := bc.ready
+	clear(ready)
+	cp := sweep(ready, bc.Blocks[:i], nil, false)
+	window := bc.Blocks[i+1 : j]
+	for k, b := range window {
+		if !reach[k] {
+			cp = longer(cp, finish(ready, b.Qubits, nil, b.Latency))
+		}
+	}
+	cp = longer(cp, finish(ready, bc.Blocks[i].Qubits, bc.Blocks[j].Qubits, lab))
+	for k, b := range window {
+		if reach[k] {
+			cp = longer(cp, finish(ready, b.Qubits, nil, b.Latency))
+		}
+	}
+	return longer(cp, sweep(ready, bc.Blocks[j+1:], nil, false))
 }
 
 // unionWidth returns len(union(a, b)) without building the union.

@@ -159,13 +159,13 @@ func TestPreprocessCandidatesNestedQubits(t *testing.T) {
 	// h(0) nests in cx(0,1); once they are fused, t(1) nests in the
 	// merged block. Then nothing is left to pre-merge.
 	for k := 0; k < 2; k++ {
-		cand, ok := bc.PreprocessMerge(3)
+		cand, ok := bc.PreprocessMerge(3, 0)
 		if !ok || cand.I != 0 || cand.J != 1 {
 			t.Fatalf("pre-merge %d = %+v, %v; want (0,1)", k, cand, ok)
 		}
 		bc.ReplaceMerge(0, 1, Merge(bc.Blocks[0], bc.Blocks[1]), 1, nil)
 	}
-	if cand, ok := bc.PreprocessMerge(3); ok {
+	if cand, ok := bc.PreprocessMerge(3, 0); ok {
 		t.Fatalf("pre-merge after fixed point = %+v", cand)
 	}
 	if len(bc.Blocks) != 1 {
@@ -181,7 +181,7 @@ func TestPreprocessCandidatesAlwaysValid(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		bc := randomBlocks(t, rng)
 		for {
-			cand, ok := bc.PreprocessMerge(3)
+			cand, ok := bc.PreprocessMerge(3, 0)
 			if !ok {
 				break
 			}
@@ -206,7 +206,7 @@ func TestPreprocessSkipsAmbiguousDirection(t *testing.T) {
 		c.Add("cx", 1, 2) // 1
 		c.Add("h", 1)     // 2: pred is 1, not 0
 	})
-	if cand, ok := bc.PreprocessMerge(3); !ok || cand.I != 1 || cand.J != 2 {
+	if cand, ok := bc.PreprocessMerge(3, 0); !ok || cand.I != 1 || cand.J != 2 {
 		t.Errorf("pre-merge = %+v, %v; want h(1) paired with its predecessor (1,2)", cand, ok)
 	}
 }

@@ -27,20 +27,28 @@ type Fig2Result struct {
 	MergedLatency float64
 }
 
-// Fig2 runs real GRAPE for the motivating example.
+// Fig2 runs real GRAPE for the motivating example. Each search starts at
+// the analytical model's duration, as a grape.Generator's cold search does.
 func Fig2() (*Fig2Result, error) {
+	c := circuit.New(2)
+	c.Add("h", 0)
+	c.Add("cx", 0, 1)
+	h, cx := pulse.NewCustomGate(c.Gates[:1]), pulse.NewCustomGate(c.Gates[1:])
 	opts := grape.DefaultOptions()
 	sys1 := hamiltonian.XYTransmon(1, nil)
+	opts.HintSlices = grape.PriorSlices(sys1, nil, h)
 	_, hLat, _, err := grape.MinimumTimeCtx(context.Background(), sys1, quantum.MatH.Clone(), opts)
 	if err != nil {
 		return nil, err
 	}
 	sys2 := hamiltonian.XYTransmon(2, hamiltonian.LinearChain(2))
+	opts.HintSlices = grape.PriorSlices(sys2, nil, cx)
 	_, cxLat, _, err := grape.MinimumTimeCtx(context.Background(), sys2, quantum.MatCX.Clone(), opts)
 	if err != nil {
 		return nil, err
 	}
 	merged := quantum.MatCX.Mul(quantum.MatH.Kron(quantum.MatI))
+	opts.HintSlices = grape.PriorSlices(sys2, nil, pulse.NewCustomGate(c.Gates))
 	_, mLat, _, err := grape.MinimumTimeCtx(context.Background(), sys2, merged, opts)
 	if err != nil {
 		return nil, err

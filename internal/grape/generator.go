@@ -180,13 +180,7 @@ func (g *Generator) optimize(ctx context.Context, cg *pulse.CustomGate, u *linal
 		}
 	}
 	if opts.HintSlices == 0 {
-		// Cold search: start at the analytical model's duration for this
-		// block on this backend. On a model error the search starts at
-		// its lower bound.
-		model := latency.Model{Topo: g.Topo, Params: sys.Params}
-		if est, err := model.Estimate(cg); err == nil {
-			opts.HintSlices = int(math.Ceil(est / sliceDt))
-		}
+		opts.HintSlices = PriorSlices(sys, g.Topo, cg)
 	}
 
 	// Live convergence streaming: when the context carries an event ring (a
@@ -220,6 +214,20 @@ func (g *Generator) optimize(ctx context.Context, cg *pulse.CustomGate, u *linal
 		Error:    1 - fid,
 		Cost:     time.Since(start).Seconds(),
 	}, nil
+}
+
+// PriorSlices is a cold minimum-time search's first slice count for cg on
+// sys: the analytical model's duration estimate under the system's own
+// control bounds, rounded up to whole slices. topo restricts the coupled
+// pairs as Generator.Topo does (nil couples every pair). On a model error
+// it returns 0, and the search starts at its lower bound.
+func PriorSlices(sys *hamiltonian.System, topo *topology.Topology, cg *pulse.CustomGate) int {
+	model := latency.Model{Topo: topo, Params: sys.Params}
+	est, err := model.Estimate(cg)
+	if err != nil {
+		return 0
+	}
+	return int(math.Ceil(est / sliceDt))
 }
 
 // system builds the block Hamiltonian via the configured builder, or the

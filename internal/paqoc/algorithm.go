@@ -191,10 +191,15 @@ func (cp *Compiler) optimize(ctx context.Context, bc *critical.BlockCircuit) (in
 // preprocess applies all Observation-1 merges (nested qubit sets) to a
 // fixed point. Merges applied here count toward paqoc.merge.preprocessed,
 // separate from the ranked loop's paqoc.merge.applied.
+//
+// Each scan after the first resumes where the last merge can have made a
+// new match (PreprocessResume), and finds the pair a scan from block 0
+// finds; each call, one per optimize round, starts at block 0.
 func (cp *Compiler) preprocess(ctx context.Context, bc *critical.BlockCircuit) error {
 	preCtr := obs.MetricsFrom(ctx).Counter("paqoc.merge.preprocessed")
+	start := 0
 	for {
-		cand, ok := bc.PreprocessMerge(cp.Cfg.MaxN)
+		cand, ok := bc.PreprocessMerge(cp.Cfg.MaxN, start)
 		if !ok {
 			return nil
 		}
@@ -202,6 +207,7 @@ func (cp *Compiler) preprocess(ctx context.Context, bc *critical.BlockCircuit) e
 			// Structural conditions should guarantee validity; fail safe.
 			return nil
 		}
+		start = bc.PreprocessResume(cand.I, cand.J)
 		m := critical.Merge(bc.Blocks[cand.I], bc.Blocks[cand.J])
 		lat, err := cp.rank(ctx, m)
 		if err != nil {

@@ -30,6 +30,7 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		{"fidelity 1.5", api.CompileRequest{Circuit: tinyCircuit, Grape: true, Fidelity: 1.5}, http.StatusBadRequest, api.CodeInvalidArgument},
 		{"fidelity 1", api.CompileRequest{Circuit: tinyCircuit, Grape: true, Fidelity: 1}, http.StatusBadRequest, api.CodeInvalidArgument},
 		{"fidelity -2", api.CompileRequest{Circuit: tinyCircuit, Fidelity: -2}, http.StatusBadRequest, api.CodeInvalidArgument},
+		{"wider than backend", api.CompileRequest{Circuit: "qubits 30\ncx 0 29\n", Backend: "xy-grid-1x2"}, http.StatusBadRequest, api.CodeInvalidArgument},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -82,6 +82,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, api.CodeUnknownBackend, err.Error())
 		return
 	}
+	if n := prof.Topology().NumQubits; logical.NumQubits > n {
+		// Routing would refuse it mid-compile: refuse it before admission.
+		s.reg.Counter("server.bad_requests").Inc()
+		api.WriteError(w, http.StatusBadRequest, api.CodeInvalidArgument,
+			fmt.Sprintf("circuit has %d qubits but backend %s has %d", logical.NumQubits, prof.Name, n))
+		return
+	}
 	sync, err := s.pickMode(&req, len(logical.Gates))
 	if err != nil {
 		s.badRequest(w, err)
