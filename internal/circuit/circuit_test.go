@@ -390,6 +390,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("qubits 3\nh 0\ncx 0 1\nrz(0.5) 2\n")
 	f.Add("qubits 1\nrz(theta) 0\n")
 	f.Add("# comment\nqubits 2\nswap 0 1\n")
+	f.Add("qubits 7\n() 0")
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := Parse(src)
 		if err != nil {

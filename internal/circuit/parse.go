@@ -58,6 +58,9 @@ func parseGate(fields []string) (Gate, error) {
 			return g, fmt.Errorf("unterminated parameter list in %q", head)
 		}
 		g.Name = head[:open]
+		if g.Name == "" {
+			return g, fmt.Errorf("no gate name before %q", head)
+		}
 		inner := head[open+1 : len(head)-1]
 		for _, tok := range strings.Split(inner, ",") {
 			tok = strings.TrimSpace(tok)

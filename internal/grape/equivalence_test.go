@@ -72,7 +72,7 @@ func TestSharedArenaMatchesFresh(t *testing.T) {
 	opts := Options{MaxIter: 30, Seed: 7, TargetFidelity: 2} // unreachable: full run
 	ar := newArena()
 	for _, slices := range []int{8, 4, 16, 4} {
-		shared := optimize(context.Background(), sys, target, slices, opts, ar)
+		shared := optimize(context.Background(), sys, target, slices, opts, nil, ar)
 		fresh := OptimizeCtx(context.Background(), sys, target, slices, opts)
 		if shared.Fidelity != fresh.Fidelity || shared.Iters != fresh.Iters {
 			t.Fatalf("slices=%d: shared arena (fid %v, iters %d) != fresh (fid %v, iters %d)",
@@ -138,12 +138,12 @@ func TestTraceListsIndexedOncePerArena(t *testing.T) {
 	opts := Options{MaxIter: 2, Seed: 1, TargetFidelity: 2} // unreachable: full run
 	ctx := context.Background()
 	ar := newArena()
-	optimize(ctx, sys, target, 8, opts, ar)
+	optimize(ctx, sys, target, 8, opts, nil, ar)
 
-	warm := testing.AllocsPerRun(5, func() { optimize(ctx, sys, target, 8, opts, ar) })
+	warm := testing.AllocsPerRun(5, func() { optimize(ctx, sys, target, 8, opts, nil, ar) })
 	reindexed := testing.AllocsPerRun(5, func() {
 		ar.traceSys = nil
-		optimize(ctx, sys, target, 8, opts, ar)
+		optimize(ctx, sys, target, 8, opts, nil, ar)
 	})
 	t.Logf("allocs per probe: warm %v, re-indexing %v", warm, reindexed)
 	if warm >= reindexed {

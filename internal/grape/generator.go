@@ -166,9 +166,11 @@ func (g *Generator) optimize(ctx context.Context, cg *pulse.CustomGate, u *linal
 			// Adopt the guess only when every control channel of this
 			// system exists in the stored schedule (matched by name): a
 			// hit recorded under a different coupling graph or profile
-			// must not seed drive amps onto a coupler channel. The
-			// warm_starts counter moves with the check so it counts
-			// guesses actually applied, not Nearest hits later rejected.
+			// must not seed drive amps onto a coupler channel. An
+			// all-zero schedule is not adopted either, nor is its length
+			// taken as the prior. The warm_starts counter moves with the
+			// check so it counts guesses actually applied, not Nearest
+			// hits later rejected.
 			if sched := e.Generated.Schedule; alignGuess(sys, sched) != nil {
 				opts.InitialGuess = sched
 				// The cached entry's duration is the best prior for the

@@ -40,7 +40,13 @@ type Options struct {
 	TargetFidelity float64 // success threshold (default 0.999)
 	Seed           int64   // RNG seed for the initial guess
 	MaxSlices      int     // minimum-time search upper bound (default 128)
-	InitialGuess   *pulse.Schedule
+	// InitialGuess, when set, is the first duration probe's starting
+	// amplitudes: each control takes the channel of the same name,
+	// resampled to the probe's slice count. A schedule missing a control's
+	// channel, with an empty channel, or with every sample zero is ignored
+	// and the probe starts from a random draw. Every later probe of a
+	// minimum-time search starts from its predecessor's best amplitudes.
+	InitialGuess *pulse.Schedule
 	// Deprecated: has no effect. The inner loop always runs serially;
 	// concurrency comes from optimizing independent blocks at once.
 	Workers int
@@ -85,7 +91,9 @@ type Result struct {
 // arena holds the reusable buffers of the GRAPE inner loop for one
 // optimization call — or, via MinimumTimeCtx, for a whole duration search,
 // where every duration probe reuses the same storage (buffers grow to
-// the largest slice count seen and shrink by reslicing). An arena is
+// the largest slice count seen and shrink by reslicing). Nothing a probe
+// computes passes through it to the next probe: a probe's starting
+// amplitudes are optimize's guess argument. An arena is
 // owned by a single goroutine and never escapes into a Result: best-so-
 // far amplitudes are snapshotted into per-call storage.
 type arena struct {
@@ -98,21 +106,6 @@ type arena struct {
 	c, cNext, d, targetDag *linalg.Matrix
 	sliceAmps              []float64
 	amps, grads, m, v      [][]float64
-
-	// Cross-probe reuse, active only when MinimumTimeCtx sets
-	// reuseProbes: seed carries the previous probe's best amplitudes
-	// (seedN slices) as the next probe's resampled initial guess, and
-	// when seedProps is set the active props bank realizes exactly those
-	// amplitudes (the probe returned on the target-reached path, before
-	// any ADAM update), so the next probe's first forward pass can copy
-	// propagators instead of re-exponentiating. propsAlt is the second
-	// propagator bank: the banks swap at probe start so the new probe
-	// never clobbers entries the resampling still reads.
-	reuseProbes bool
-	seed        [][]float64
-	seedN       int
-	seedProps   bool
-	propsAlt    []*linalg.Matrix
 
 	// traces[k] lists control k's nonzero generator entries for the
 	// gradient traces (sparseTrace), indexed once per system: every
@@ -141,8 +134,6 @@ func (ar *arena) ensure(dim, nc, slices int) {
 		ar.d = linalg.New(dim, dim)
 		ar.targetDag = linalg.New(dim, dim)
 		ar.props, ar.fwd = nil, nil
-		// Propagators cached for cross-probe reuse are dim-specific too.
-		ar.propsAlt, ar.seed, ar.seedN, ar.seedProps = nil, nil, 0, false
 	}
 	for len(ar.props) < slices {
 		ar.props = append(ar.props, linalg.New(dim, dim))
@@ -224,48 +215,31 @@ func growRows(rows [][]float64, nc, slices int) [][]float64 {
 // (grape.iterations, grape.expm) and the gradient-norm histogram are
 // updated.
 func OptimizeCtx(ctx context.Context, sys *hamiltonian.System, target *linalg.Matrix, slices int, opts Options) *Result {
-	return optimize(ctx, sys, target, slices, opts, newArena())
+	return optimize(ctx, sys, target, slices, opts, alignGuess(sys, opts.InitialGuess), newArena())
 }
 
-// optimize is the allocation-free inner loop. All per-iteration storage
-// lives in ar; numerical results are bit-identical to OptimizeReference
-// (same operation order, only storage reuse — pinned by
-// TestOptimizeMatchesReference).
-func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matrix, slices int, opts Options, ar *arena) *Result {
+// optimize is the allocation-free inner loop. It starts from guess
+// (per-control samples in control order, each resampled by its own length
+// to the slice count), or from a random draw when guess is nil. All
+// per-iteration storage lives in ar; numerical results are bit-identical
+// to OptimizeReference (same operation order, only storage reuse — pinned
+// by TestOptimizeMatchesReference).
+func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matrix, slices int, opts Options, guess [][]float64, ar *arena) *Result {
 	opts.fill()
 	reg := obs.MetricsFrom(ctx)
 	iterCtr := reg.Counter("grape.iterations")
 	expmCtr := reg.Counter("grape.expm")
-	reuseCtr := reg.Counter("grape.probe_prop_reuse")
 	gradHist := reg.Histogram("grape.grad_norm", []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10})
 	if target.Rows != sys.Dim {
 		panic(fmt.Sprintf("grape: target dim %d does not match system dim %d", target.Rows, sys.Dim))
 	}
 	nc := len(sys.Controls)
-	rng := rand.New(rand.NewSource(opts.Seed + int64(slices)))
-
-	// Cross-probe propagator reuse (MinimumTimeCtx only): when the
-	// previous probe's active props bank realizes exactly the seed
-	// amplitudes, park it in propsAlt before ensure grows the new active
-	// bank — resampled column j of this probe equals seed column
-	// j*seedN/slices, so its propagator can be copied on iteration 1.
-	var prevProps []*linalg.Matrix
-	useProbeSeed := ar.reuseProbes && ar.dim == sys.Dim && ar.seedN > 0 && len(ar.seed) == nc
-	if useProbeSeed && ar.seedProps {
-		ar.props, ar.propsAlt = ar.propsAlt, ar.props
-		prevProps = ar.propsAlt
-	}
 	ar.ensure(sys.Dim, nc, slices)
 	ar.indexTraces(sys)
 	traces := ar.traces
 
 	amps := ar.amps
-	for k := range amps {
-		for j := range amps[k] {
-			amps[k][j] = sys.Controls[k].Bound * 0.2 * (rng.Float64()*2 - 1)
-		}
-	}
-	if guess := alignGuess(sys, opts.InitialGuess); guess != nil {
+	if guess != nil {
 		// Warm start: resample the guess onto this slice count, channel
 		// by channel (per-channel lengths may differ after a snapshot
 		// merge; alignGuess already rejected empty or missing channels).
@@ -276,15 +250,11 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 				amps[k][j] = src[j*srcN/slices]
 			}
 		}
-	}
-	if useProbeSeed {
-		// The previous duration probe's best amplitudes are a better
-		// starting point than any external guess: same system, same
-		// unitary, one slice count over. Resample them on top.
-		for k := 0; k < nc; k++ {
-			src := ar.seed[k]
-			for j := 0; j < slices; j++ {
-				amps[k][j] = src[j*ar.seedN/slices]
+	} else {
+		rng := rand.New(rand.NewSource(opts.Seed + int64(slices)))
+		for k := range amps {
+			for j := range amps[k] {
+				amps[k][j] = sys.Controls[k].Bound * 0.2 * (rng.Float64()*2 - 1)
 			}
 		}
 	}
@@ -315,24 +285,13 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 		}
 		iterCtr.Inc()
 		// Forward pass: slice propagators, then the cumulative products.
-		// On the first iteration after a props-valid duration probe every
-		// propagator is a copy of the previous probe's — each resampled
-		// amplitude column is bit-equal to the column its cached
-		// propagator was exponentiated from.
-		if iter == 1 && prevProps != nil {
-			for j := 0; j < slices; j++ {
-				props[j].CopyFrom(prevProps[j*ar.seedN/slices])
+		for j := 0; j < slices; j++ {
+			for k := 0; k < nc; k++ {
+				ar.sliceAmps[k] = amps[k][j]
 			}
-			reuseCtr.Add(int64(slices))
-		} else {
-			for j := 0; j < slices; j++ {
-				for k := 0; k < nc; k++ {
-					ar.sliceAmps[k] = amps[k][j]
-				}
-				sys.PropagatorInto(props[j], ar.sliceAmps, dt, ar.ws)
-			}
-			expmCtr.Add(int64(slices))
+			sys.PropagatorInto(props[j], ar.sliceAmps, dt, ar.ws)
 		}
+		expmCtr.Add(int64(slices))
 		for j := 0; j < slices; j++ {
 			linalg.MulInto(fwd[j+1], props[j], fwd[j])
 		}
@@ -349,12 +308,6 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 			if fid >= opts.TargetFidelity {
 				if opts.OnIteration != nil {
 					opts.OnIteration(obs.ConvergencePoint{Iter: iter, Fidelity: fid})
-				}
-				if ar.reuseProbes {
-					// Returning before the ADAM update means props still
-					// realize exactly best.Amps: the next probe may both
-					// seed from them and copy their propagators.
-					ar.seed, ar.seedN, ar.seedProps = best.Amps, slices, true
 				}
 				return best
 			}
@@ -408,12 +361,6 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 			opts.OnIteration(obs.ConvergencePoint{Iter: iter, Fidelity: fid, GradNorm: gradNorm, StepSize: maxStep})
 		}
 	}
-	if ar.reuseProbes && best.Amps != nil {
-		// Iteration budget exhausted: the amplitudes are still the best
-		// seed for the next duration probe, but props were overwritten
-		// by later iterations and no longer realize best.Amps.
-		ar.seed, ar.seedN, ar.seedProps = best.Amps, slices, false
-	}
 	return best
 }
 
@@ -422,7 +369,10 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 // returns nil — degrade to a cold start — when the schedule is nil or
 // malformed (channel/amps length mismatch), when any control channel is
 // missing from the schedule (e.g. a hit recorded under a different
-// coupling graph or profile), or when a matched channel has no samples.
+// coupling graph or profile), when a matched channel has no samples, or
+// when every matched sample is zero: such a schedule carries no pulse,
+// and for some targets (CX) it is a stationary point of the fidelity
+// that every probe seeded from it would inherit.
 // Per-channel sample counts may legitimately differ after a snapshot
 // merge; callers resample each channel by its own length.
 func alignGuess(sys *hamiltonian.System, sched *pulse.Schedule) [][]float64 {
@@ -434,12 +384,19 @@ func alignGuess(sys *hamiltonian.System, sched *pulse.Schedule) [][]float64 {
 		byName[name] = sched.Amps[i]
 	}
 	out := make([][]float64, len(sys.Controls))
+	nonzero := false
 	for k, c := range sys.Controls {
 		samples, ok := byName[c.Name]
 		if !ok || len(samples) == 0 {
 			return nil
 		}
 		out[k] = samples
+		for _, a := range samples {
+			nonzero = nonzero || a != 0
+		}
+	}
+	if !nonzero {
+		return nil
 	}
 	return out
 }
@@ -471,7 +428,8 @@ func copyAmps(dst, src [][]float64) {
 // doubling bounds the descent from below. Every probe after the first is
 // seeded with its predecessor's best amplitudes, so a probe one slice
 // below a hit starts close to the target and a hit there takes few
-// iterations, while a miss always runs the whole budget. A miss at
+// iterations, while a miss always runs the whole budget. The first probe
+// starts from opts.InitialGuess, aligned once per search. A miss at
 // MaxSlices returns pulse.ErrFidelityUnreachable.
 //
 // Observability: one span per duration probe ("grape.binsearch.probe",
@@ -490,10 +448,9 @@ func MinimumTimeCtx(ctx context.Context, sys *hamiltonian.System, target *linalg
 	defer bsSpan.End()
 
 	ar := newArena()
-	// Consecutive probes optimize the same unitary on the same system:
-	// carry each probe's best amplitudes into the next as a resampled
-	// seed, and let target-reached probes donate their slice propagators.
-	ar.reuseProbes = true
+	// Consecutive probes optimize the same unitary on the same system, so
+	// each probe's best amplitudes are the next probe's guess.
+	guess := alignGuess(sys, opts.InitialGuess)
 	// run probes one slice count. Each probe is bracketed by cancellation
 	// checks so a cancelled fleet stops between (and, via optimize,
 	// inside) duration probes.
@@ -503,7 +460,8 @@ func MinimumTimeCtx(ctx context.Context, sys *hamiltonian.System, target *linalg
 		}
 		probeCtr.Inc()
 		probeCtx, span := obs.StartSpan(ctx, "grape.binsearch.probe")
-		res := optimize(probeCtx, sys, target, slices, opts, ar)
+		res := optimize(probeCtx, sys, target, slices, opts, guess, ar)
+		guess = res.Amps
 		span.SetAttr("slices", slices)
 		span.SetAttr("fidelity", res.Fidelity)
 		span.SetAttr("iters", res.Iters)

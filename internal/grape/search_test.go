@@ -139,11 +139,11 @@ func TestMinimumTimeDescendsToFirstMiss(t *testing.T) {
 
 // TestGeneratorStartsAtModelPrior: a cold Generator search starts at the
 // analytical model's estimate in slices, a near miss in the pulse DB
-// overrides it with its own length, and neither prior counts as a
-// ranking probe.
+// overrides it with its own length unless every sample is zero, and
+// neither prior counts as a ranking probe.
 func TestGeneratorStartsAtModelPrior(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two minimum-time searches")
+		t.Skip("runs three minimum-time searches")
 	}
 	hintOf := func(tr *obs.Tracer) any {
 		for _, s := range tr.Spans() {
@@ -173,9 +173,9 @@ func TestGeneratorStartsAtModelPrior(t *testing.T) {
 		t.Errorf("the prior counted %d ranking probes, want 0", n)
 	}
 
-	// A near miss: CX after a small Z rotation, stored with a schedule of
-	// small random amplitudes (all-zero ones sit on a saddle of the CX
-	// fidelity) and of a length the model would not predict.
+	// A near miss: CX after a small Z rotation, stored with a 31-slice
+	// schedule whose samples amp draws for each control bound, next to a
+	// fresh search for CX. It returns the search's hint and warm starts.
 	near := pulse.NewCustomGate([]circuit.Gate{
 		{Name: "rz", Params: []float64{0.05}, Qubits: []int{0}},
 		{Name: "cx", Qubits: []int{0, 1}},
@@ -185,31 +185,50 @@ func TestGeneratorStartsAtModelPrior(t *testing.T) {
 		t.Fatal(err)
 	}
 	const nearSlices = 31
-	rng := rand.New(rand.NewSource(5))
-	sched := &pulse.Schedule{SliceDt: sliceDt}
-	for _, c := range hamiltonian.XYTransmon(2, hamiltonian.AllPairs(2)).Controls {
-		amps := make([]float64, nearSlices)
-		for j := range amps {
-			amps[j] = 0.2 * c.Bound * (2*rng.Float64() - 1)
+	nearMiss := func(amp func(bound float64) float64) (any, int64) {
+		sched := &pulse.Schedule{SliceDt: sliceDt}
+		for _, c := range hamiltonian.XYTransmon(2, hamiltonian.AllPairs(2)).Controls {
+			amps := make([]float64, nearSlices)
+			for j := range amps {
+				amps[j] = amp(c.Bound)
+			}
+			sched.Channels = append(sched.Channels, c.Name)
+			sched.Amps = append(sched.Amps, amps)
 		}
-		sched.Channels = append(sched.Channels, c.Name)
-		sched.Amps = append(sched.Amps, amps)
+		gen := NewGenerator(DefaultOptions())
+		gen.DB.Store(u, &pulse.Generated{Schedule: sched, Latency: nearSlices * sliceDt, Fidelity: 0.99, Error: 0.01})
+		reg := obs.NewRegistry()
+		tr := obs.NewTracer()
+		ctx := obs.WithTracer(obs.WithMetrics(context.Background(), reg), tr)
+		if _, err := gen.GenerateCtx(ctx, cx, 0.99); err != nil {
+			t.Fatal(err)
+		}
+		if n := reg.Counter("latency.model.probes").Value(); n != 0 {
+			t.Errorf("the priors counted %d ranking probes, want 0", n)
+		}
+		return hintOf(tr), reg.Counter("grape.warm_starts").Value()
 	}
-	gen := NewGenerator(DefaultOptions())
-	gen.DB.Store(u, &pulse.Generated{Schedule: sched, Latency: nearSlices * sliceDt, Fidelity: 0.99, Error: 0.01})
-	tr = obs.NewTracer()
-	ctx = obs.WithTracer(obs.WithMetrics(context.Background(), reg), tr)
-	if _, err := gen.GenerateCtx(ctx, cx, 0.99); err != nil {
-		t.Fatal(err)
+
+	// Small random amplitudes, of a length the model would not predict:
+	// the near miss is the first probe's guess and its length the prior.
+	rng := rand.New(rand.NewSource(5))
+	hint, warm := nearMiss(func(bound float64) float64 { return 0.2 * bound * (2*rng.Float64() - 1) })
+	if hint != nearSlices {
+		t.Errorf("warm CX search hint = %v, want the near miss's %d slices", hint, nearSlices)
 	}
-	if got := hintOf(tr); got != nearSlices {
-		t.Errorf("warm CX search hint = %v, want the near miss's %d slices", got, nearSlices)
+	if warm != 1 {
+		t.Errorf("grape.warm_starts = %d, want 1", warm)
 	}
-	if n := reg.Counter("grape.warm_starts").Value(); n != 1 {
-		t.Errorf("grape.warm_starts = %d, want 1", n)
+
+	// All-zero amplitudes sit on a saddle of the CX fidelity, which every
+	// probe seeded from them would inherit: the near miss is ignored and
+	// the search starts cold at the model's prior.
+	hint, warm = nearMiss(func(float64) float64 { return 0 })
+	if hint != want {
+		t.Errorf("CX search next to an all-zero near miss: hint = %v, want the cold prior %d", hint, want)
 	}
-	if n := reg.Counter("latency.model.probes").Value(); n != 0 {
-		t.Errorf("the priors counted %d ranking probes, want 0", n)
+	if warm != 0 {
+		t.Errorf("an all-zero near miss counted %d warm starts, want 0", warm)
 	}
 }
 

@@ -2,10 +2,15 @@ package grape
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"testing"
 
 	"paqoc/internal/hamiltonian"
+	"paqoc/internal/linalg"
 	"paqoc/internal/obs"
 	"paqoc/internal/pulse"
 	"paqoc/internal/quantum"
@@ -71,8 +76,9 @@ func TestAlignGuessProperty(t *testing.T) {
 }
 
 // TestAlignGuessRejectsMalformed covers the degenerate shapes that used
-// to panic or mis-seed: nil schedule, channel/amps length mismatch, and
-// an empty channel.
+// to panic or mis-seed: nil schedule, channel/amps length mismatch, an
+// empty channel, and all-zero samples (for CX a stationary point of the
+// fidelity, which stalls every probe seeded from it).
 func TestAlignGuessRejectsMalformed(t *testing.T) {
 	sys := hamiltonian.XYTransmon(1, nil)
 	if alignGuess(sys, nil) != nil {
@@ -86,6 +92,12 @@ func TestAlignGuessRejectsMalformed(t *testing.T) {
 		Amps:     [][]float64{{1, 2}, {}},
 	}) != nil {
 		t.Error("empty channel accepted")
+	}
+	if alignGuess(sys, &pulse.Schedule{
+		Channels: []string{"d0.x", "d0.y"},
+		Amps:     [][]float64{{0, 0, 0}, {math.Copysign(0, -1), 0}},
+	}) != nil {
+		t.Error("all-zero schedule accepted")
 	}
 }
 
@@ -128,27 +140,76 @@ func TestWarmStartChannelMismatchSkipped(t *testing.T) {
 	}
 }
 
-// TestMinimumTimeProbeReuse checks that consecutive duration probes
-// actually reuse cached propagators (the grape.probe_prop_reuse counter)
-// and still produce a target-reaching schedule.
+// TestMinimumTimeProbeReuse pins the bits of three minimum-time searches
+// in which every probe after the first starts from its predecessor's best
+// amplitudes: X on one qubit, CX on two coupled qubits, and X from an
+// InitialGuess, which only the first probe uses. The expected values
+// were captured while the arena still carried each probe's amplitudes
+// and propagators to the next, so they also pin that handing the guess
+// over as an argument moved no bit.
 func TestMinimumTimeProbeReuse(t *testing.T) {
-	reg := obs.NewRegistry()
-	ctx := obs.WithMetrics(context.Background(), reg)
-	sys := hamiltonian.XYTransmon(1, nil)
-	opts := DefaultOptions()
-	opts.MaxIter = 60
-	sched, _, fid, err := MinimumTimeCtx(ctx, sys, quantum.MatX, opts)
-	if err != nil {
-		t.Fatal(err)
+	x := DefaultOptions()
+	x.MaxIter = 60
+
+	cx := DefaultOptions()
+	cx.MaxIter = 120
+	cx.TargetFidelity = 0.99
+	cx.HintSlices = 20
+
+	sys1 := hamiltonian.XYTransmon(1, nil)
+	guessed := x
+	guessed.HintSlices = 12
+	guessed.InitialGuess = &pulse.Schedule{SliceDt: sliceDt}
+	for k, c := range sys1.Controls {
+		amps := make([]float64, 9)
+		for j := range amps {
+			amps[j] = 0.5 * c.Bound * math.Sin(float64(j+1)*float64(k+2)/3)
+		}
+		guessed.InitialGuess.Channels = append(guessed.InitialGuess.Channels, c.Name)
+		guessed.InitialGuess.Amps = append(guessed.InitialGuess.Amps, amps)
 	}
-	if fid < opts.TargetFidelity {
-		t.Fatalf("fidelity %v below target", fid)
-	}
-	if sched == nil || len(sched.Amps) == 0 {
-		t.Fatal("no schedule")
-	}
-	if n := reg.Counter("grape.probe_prop_reuse").Value(); n == 0 {
-		t.Error("no propagators were reused across duration probes")
+
+	for _, tc := range []struct {
+		name    string
+		sys     *hamiltonian.System
+		target  *linalg.Matrix
+		opts    Options
+		latency float64
+		fidBits uint64
+		iters   int64
+		probes  int64
+		amps    string // SHA-256 over every amplitude's bits, little-endian
+	}{
+		{"x", sys1, quantum.MatX, x, 24, 0x3feffdcb8ec7a472, 220, 6,
+			"6f027167f2ba481dc7526fa8c4f195e95ce68a3a3a0ff74ef5abf23f8410fd48"},
+		{"cx", hamiltonian.XYTransmon(2, hamiltonian.LinearChain(2)), quantum.MatCX, cx, 84, 0x3fefaf2691770b40, 424, 21,
+			"1837da9051ca291bb484098d9fee3273ff614e2a6dbf31887ea2cb2aa1facbf3"},
+		{"x-guess", sys1, quantum.MatX, guessed, 24, 0x3feff96a44592938, 199, 8,
+			"7482e24f365788fa3444e959161b08e462df4a910534b9d95e95e1d47036e5a3"},
+	} {
+		reg := obs.NewRegistry()
+		ctx := obs.WithMetrics(context.Background(), reg)
+		sched, lat, fid, err := MinimumTimeCtx(ctx, tc.sys, tc.target, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for _, ch := range sched.Amps {
+			for _, a := range ch {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(a))
+				h.Write(buf[:])
+			}
+		}
+		iters := reg.Counter("grape.iterations").Value()
+		probes := reg.Counter("grape.binsearch.probes").Value()
+		if lat != tc.latency || math.Float64bits(fid) != tc.fidBits || iters != tc.iters || probes != tc.probes {
+			t.Errorf("%s: latency %v, fidelity bits %#x, %d iterations, %d probes; want %v, %#x, %d, %d",
+				tc.name, lat, math.Float64bits(fid), iters, probes, tc.latency, tc.fidBits, tc.iters, tc.probes)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.amps {
+			t.Errorf("%s: amplitude digest %s, want %s", tc.name, got, tc.amps)
+		}
 	}
 }
 

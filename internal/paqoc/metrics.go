@@ -15,7 +15,6 @@ func PreregisterMetrics(r *obs.Registry) {
 		"grape.iterations", "grape.binsearch.probes", "grape.binsearch.missed_iterations",
 		"grape.generated",
 		"grape.db_hits", "grape.db_permuted_hits", "grape.warm_starts", "grape.expm",
-		"grape.probe_prop_reuse",
 		"pulsesim.slices", "pulsesim.expm", "pulsesim.esp_evals", "pulsesim.esp_gates",
 		"mining.subcircuits_enumerated", "mining.pruned_qubit_cap", "mining.patterns",
 		"latency.model.probes", "latency.model.db_hits",

@@ -31,6 +31,7 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		{"fidelity 1", api.CompileRequest{Circuit: tinyCircuit, Grape: true, Fidelity: 1}, http.StatusBadRequest, api.CodeInvalidArgument},
 		{"fidelity -2", api.CompileRequest{Circuit: tinyCircuit, Fidelity: -2}, http.StatusBadRequest, api.CodeInvalidArgument},
 		{"wider than backend", api.CompileRequest{Circuit: "qubits 30\ncx 0 29\n", Backend: "xy-grid-1x2"}, http.StatusBadRequest, api.CodeInvalidArgument},
+		{"gate with no name", api.CompileRequest{Circuit: "qubits 2\n(0.5) 0\n"}, http.StatusBadRequest, api.CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -55,9 +55,10 @@ func TestBackendPerJobSelection(t *testing.T) {
 	}
 }
 
-// TestBackendDBIsolation: jobs on different backends warm different pulse
-// databases — a GRAPE schedule generated under one backend must not be
-// served to another.
+// TestBackendDBIsolation: jobs on different devices warm different pulse
+// databases — a GRAPE schedule generated under one device must not be
+// served to another. linear-chain-3 differs from xy-grid-1x2 in its
+// qubit count, so the two fingerprints differ.
 func TestBackendDBIsolation(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, Backend: "xy-grid-1x2"})
 	req := api.CompileRequest{Circuit: tinyCircuit, Grape: true, Mode: "sync", TimeoutMs: 120_000}
@@ -70,12 +71,12 @@ func TestBackendDBIsolation(t *testing.T) {
 		t.Fatal("default backend DB stayed cold")
 	}
 
-	req.Backend = "linear-chain-2"
+	req.Backend = "linear-chain-3"
 	code, out = postCompile(t, ts, req)
 	if code != http.StatusOK {
-		t.Fatalf("linear-chain-2 compile: HTTP %d: %+v", code, out.JobStatus)
+		t.Fatalf("linear-chain-3 compile: HTTP %d: %+v", code, out.JobStatus)
 	}
-	prof, err := device.Lookup("linear-chain-2")
+	prof, err := device.Lookup("linear-chain-3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +89,32 @@ func TestBackendDBIsolation(t *testing.T) {
 	}
 	if got, want := other.Fingerprint(), prof.Fingerprint(); got != want {
 		t.Fatalf("backend DB fingerprint = %q, want %q", got, want)
+	}
+}
+
+// TestBackendAliasesShareOneStore: profile names that describe the same
+// device share one pulse store. The default backend's alias gets the
+// default (persisted) store, replication RPCs for that fingerprint
+// resolve to it, and two aliases of another device get the same store.
+func TestBackendAliasesShareOneStore(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, Backend: "linear-chain"})
+	lookup := func(name string) *device.Profile {
+		t.Helper()
+		prof, err := device.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prof
+	}
+	alias := lookup("linear-chain-16")
+	if s.dbFor(alias) != s.DB() {
+		t.Error("linear-chain-16 got a store of its own, not the default linear-chain one")
+	}
+	if db, ok := s.dbByFingerprint(alias.Fingerprint()); !ok || db != s.DB() {
+		t.Error("the default device's fingerprint does not resolve to the default store")
+	}
+	if s.dbFor(lookup("heavy-hex")) != s.dbFor(lookup("heavy-hex-4")) {
+		t.Error("heavy-hex and heavy-hex-4 got separate stores")
 	}
 }
 

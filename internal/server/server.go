@@ -88,9 +88,9 @@ type Config struct {
 	// Backend names the default device profile (internal/device registry
 	// or a dynamic name like "xy-grid-3x4"; default device.DefaultName).
 	// Requests may override it per job with their own "backend" field;
-	// each backend gets its own fingerprint-namespaced pulse database, so
-	// schedules never leak across devices. Only the default backend's
-	// database is persisted to DBPath.
+	// each device fingerprint gets one pulse database, shared by every
+	// name for that device, so schedules never leak across devices. Only
+	// the default backend's database is persisted to DBPath.
 	Backend string
 	// JobRetention is how many finished jobs stay queryable (default 512).
 	JobRetention int
@@ -173,9 +173,11 @@ type Server struct {
 	reg     *obs.Registry
 	jobs    *jobStore
 
-	// dbs holds the lazily-created pulse databases of non-default
-	// backends, keyed by profile name. Each is namespaced by its
-	// profile's fingerprint; none of them is persisted.
+	// dbs holds one pulse database per device fingerprint: the default
+	// backend's from New, and one created on first use for each other
+	// device a request names. Profile names that describe the same device
+	// (linear-chain and linear-chain-16) share one store. Replication RPCs
+	// resolve through it too.
 	dbmu sync.Mutex
 	dbs  map[string]*pulse.DB
 
@@ -190,11 +192,8 @@ type Server struct {
 	tenantInflight map[string]int
 
 	// cluster is this replica's membership view (standalone when no peers
-	// are configured); dbsByFP resolves replication RPCs by backend
-	// fingerprint.
+	// are configured).
 	cluster *cluster.Cluster
-	fpmu    sync.Mutex
-	dbsByFP map[string]*pulse.DB
 
 	// miner is the offline APA mining service (nil unless
 	// Config.MineInterval is positive). It observes every compiled
@@ -241,8 +240,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:            cfg,
 		profile:        prof,
 		db:             db,
-		dbs:            make(map[string]*pulse.DB),
-		dbsByFP:        map[string]*pulse.DB{prof.Fingerprint(): db},
+		dbs:            map[string]*pulse.DB{prof.Fingerprint(): db},
 		reg:            obs.NewRegistry(),
 		jobs:           newJobStore(cfg.JobRetention),
 		queue:          make(chan *Job, cfg.QueueDepth),
@@ -339,20 +337,20 @@ func (s *Server) remoteFor(prof *device.Profile) pulse.Remote {
 // fingerprint is refused — a fingerprint is a hash, so the profile it
 // names cannot be reconstructed from it.
 func (s *Server) dbByFingerprint(fp string) (*pulse.DB, bool) {
-	s.fpmu.Lock()
-	defer s.fpmu.Unlock()
-	db, ok := s.dbsByFP[fp]
+	s.dbmu.Lock()
+	defer s.dbmu.Unlock()
+	db, ok := s.dbs[fp]
 	return db, ok
 }
 
-// allDBs snapshots every live database (default backend first).
+// allDBs snapshots every live database.
 func (s *Server) allDBs() []*pulse.DB {
-	out := []*pulse.DB{s.db}
 	s.dbmu.Lock()
+	defer s.dbmu.Unlock()
+	out := make([]*pulse.DB, 0, len(s.dbs))
 	for _, db := range s.dbs {
 		out = append(out, db)
 	}
-	s.dbmu.Unlock()
 	return out
 }
 
@@ -371,29 +369,24 @@ func (s *Server) profileFor(name string) (*device.Profile, error) {
 	return device.Lookup(name)
 }
 
-// dbFor returns the pulse database for a job's backend, lazily creating a
-// fingerprint-namespaced one for non-default backends. Those stay
-// in-memory only: persistence (DBPath) is reserved for the default
-// backend's database, which is also the one most requests warm.
+// dbFor returns the pulse database for a job's backend: the one store of
+// its device fingerprint, created on first use. The default backend's
+// store, which every name for the same device shares, is the only one
+// persisted to DBPath; the others stay in memory.
 func (s *Server) dbFor(prof *device.Profile) *pulse.DB {
-	if prof.Name == s.profile.Name {
-		return s.db
-	}
+	fp := prof.Fingerprint()
 	s.dbmu.Lock()
 	defer s.dbmu.Unlock()
-	db, ok := s.dbs[prof.Name]
+	db, ok := s.dbs[fp]
 	if !ok {
 		db = pulse.NewDB()
-		db.SetFingerprint(prof.Fingerprint())
+		db.SetFingerprint(fp)
 		db.SetMetrics(s.reg)
 		if s.cfg.DBMaxEntries > 0 {
 			db.SetMaxEntries(s.cfg.DBMaxEntries)
 		}
-		s.dbs[prof.Name] = db
-		s.fpmu.Lock()
-		s.dbsByFP[prof.Fingerprint()] = db
-		s.fpmu.Unlock()
-		s.cfg.Logger.Info("pulse DB created", "backend", prof.Name, "fingerprint", prof.Fingerprint())
+		s.dbs[fp] = db
+		s.cfg.Logger.Info("pulse DB created", "backend", prof.Name, "fingerprint", fp)
 	}
 	return db
 }
