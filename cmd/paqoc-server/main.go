@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -62,7 +63,6 @@ func run() error {
 		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
 		backend   = flag.String("backend", device.DefaultName, "default device profile: a registered name or a dynamic one like xy-grid-3x4 (requests may override per job)")
 		pprofAddr = flag.String("pprof", "", "serve /debug/pprof on this separate address (e.g. localhost:6060); empty disables")
-		logLevel  = flag.String("log-level", "info", "structured-log threshold: debug, info, warn, or error")
 
 		peers         = flag.String("peers", "", "comma-separated replica addresses (host:port of each replica's -cluster-listen) forming the warm-store replication group; empty = standalone")
 		clusterListen = flag.String("cluster-listen", "", "serve the internal replication RPC on this separate (private) address; required when -peers is set")
@@ -75,6 +75,8 @@ func run() error {
 		mineCorpusMax  = flag.Int("mine-corpus-max", 256, "bound on the miner's per-backend circuit corpus; past it the oldest circuit is evicted")
 		mineBudget     = flag.Int("mine-budget", 4, "max pulses pre-generated per idle mining run")
 	)
+	var logLevel slog.Level
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "structured-log threshold: debug, info, warn, or error")
 	flag.Parse()
 
 	var peerList []string
@@ -89,7 +91,7 @@ func run() error {
 		self = *clusterListen
 	}
 
-	logger := obs.NewStderrLogger(obs.ParseLevel(*logLevel))
+	logger := obs.NewLogger(os.Stderr, logLevel)
 	srv, err := server.New(server.Config{
 		Workers:           *workers,
 		QueueDepth:        *queue,
@@ -167,7 +169,7 @@ func run() error {
 		return err
 	case <-sigCtx.Done():
 	}
-	logger.Info("signal received, draining", "deadline", *drain)
+	logger.Info("signal received, draining", "deadline", drain.String())
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()

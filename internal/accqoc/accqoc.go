@@ -15,7 +15,6 @@ import (
 
 	"paqoc/internal/circuit"
 	"paqoc/internal/critical"
-	"paqoc/internal/engine"
 	"paqoc/internal/linalg"
 	"paqoc/internal/obs"
 	"paqoc/internal/pulse"
@@ -27,12 +26,6 @@ type Options struct {
 	MaxQubits      int     // per-group qubit cap (3 in accqoc_n3d*)
 	Depth          int     // fixed depth limit (3 or 5)
 	FidelityTarget float64 // per-group fidelity target
-	// Workers bounds the emission worker pool (internal/engine), so
-	// Fig. 10/11 comparisons against the parallel PAQOC pipeline stay
-	// like for like. 0 or 1 emits serially in MST construction order;
-	// higher values fan out (warm starts then depend on completion
-	// timing, exactly as a parallel AccQOC would).
-	Workers int
 }
 
 // N3D3 is the accqoc_n3d3 configuration.
@@ -87,34 +80,22 @@ func CompileCtx(ctx context.Context, c *circuit.Circuit, gen pulse.Generator, op
 	if err != nil {
 		return nil, err
 	}
-	// Emission on the worker pool, submitted in MST order so the serial
-	// case (Workers ≤ 1) preserves the similarity-ordered warm starts
-	// exactly. Each task writes only its own block; costs are reduced in
-	// MST order afterwards so the total is deterministic per worker count.
+	// Serial emission in MST order, so each group's generation can warm
+	// start from the similar groups generated before it.
 	ectx, eSpan := obs.StartSpan(ctx, "accqoc.emit")
 	emitted := reg.Counter("accqoc.emitted")
-	eSpan.SetAttr("workers", opts.Workers)
-	pool, _ := engine.WithContext(ectx, opts.Workers)
-	for _, bi := range order {
-		bi := bi
-		pool.Go(func(ctx context.Context) error {
-			g, err := gen.GenerateCtx(ctx, bc.Blocks[bi].Custom(), opts.FidelityTarget)
-			if err != nil {
-				return fmt.Errorf("accqoc: group %s: %v", bc.Blocks[bi].Custom().Describe(), err)
-			}
-			emitted.Inc()
-			bc.Blocks[bi].Gen = g
-			bc.Blocks[bi].Latency = g.Latency
-			return nil
-		})
-	}
-	if err := pool.Wait(); err != nil {
-		eSpan.End()
-		return nil, err
-	}
 	var cost float64
 	for _, bi := range order {
-		cost += bc.Blocks[bi].Gen.Cost
+		b := bc.Blocks[bi]
+		g, err := gen.GenerateCtx(ectx, b.Custom(), opts.FidelityTarget)
+		if err != nil {
+			eSpan.End()
+			return nil, fmt.Errorf("accqoc: group %s: %v", b.Custom().Describe(), err)
+		}
+		emitted.Inc()
+		b.Gen = g
+		b.Latency = g.Latency
+		cost += g.Cost
 	}
 	eSpan.End()
 

@@ -216,7 +216,6 @@ func TestCompileLeavesInputUntouched(t *testing.T) {
 	c.AddParam("u3", []float64{0.1, 0.2, 0.3}, 2)
 	before := c.Clone()
 	for _, opts := range []Options{N3D3(), N3D5()} {
-		opts.Workers = 2
 		if _, err := CompileCtx(context.Background(), c, latency.NewModel(), opts); err != nil {
 			t.Fatal(err)
 		}

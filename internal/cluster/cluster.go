@@ -16,6 +16,7 @@ package cluster
 
 import (
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
@@ -37,17 +38,18 @@ type Config struct {
 	// the cost of a GRAPE run — a slow peer must never cost more than the
 	// generation it might save.
 	Timeout time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// peer's circuit (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit skips a peer before
-	// allowing a trial request (default 15s).
-	BreakerCooldown time.Duration
 	// Registry receives cluster.* metrics (may be nil).
 	Registry *obs.Registry
 	// Logger receives peer-failure logs (may be nil).
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
+
+// A peer's circuit opens after breakerThreshold consecutive failures and
+// then skips the peer for breakerCooldown before allowing a trial request.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 15 * time.Second
+)
 
 // Cluster is one replica's membership view plus the RPC client state.
 type Cluster struct {
@@ -56,12 +58,10 @@ type Cluster struct {
 	timeout time.Duration
 	client  *http.Client
 	reg     *obs.Registry
-	log     *obs.Logger
+	log     *slog.Logger
 
-	brThreshold int
-	brCooldown  time.Duration
-	mu          sync.Mutex
-	breakers    map[string]*breaker
+	mu       sync.Mutex
+	breakers map[string]*breaker
 }
 
 // New validates the membership and returns the replica's cluster view. A
@@ -98,23 +98,15 @@ func New(cfg Config) (*Cluster, error) {
 	sort.Strings(peers)
 
 	c := &Cluster{
-		self:        strings.TrimSpace(cfg.Self),
-		peers:       peers,
-		timeout:     cfg.Timeout,
-		reg:         cfg.Registry,
-		log:         cfg.Logger,
-		brThreshold: cfg.BreakerThreshold,
-		brCooldown:  cfg.BreakerCooldown,
-		breakers:    map[string]*breaker{},
+		self:     strings.TrimSpace(cfg.Self),
+		peers:    peers,
+		timeout:  cfg.Timeout,
+		reg:      cfg.Registry,
+		log:      cfg.Logger,
+		breakers: map[string]*breaker{},
 	}
 	if c.timeout <= 0 {
 		c.timeout = 2 * time.Second
-	}
-	if c.brThreshold <= 0 {
-		c.brThreshold = 3
-	}
-	if c.brCooldown <= 0 {
-		c.brCooldown = 15 * time.Second
 	}
 	c.client = &http.Client{Timeout: c.timeout}
 	return c, nil
@@ -206,9 +198,9 @@ func (c *Cluster) failure(peer string, err error) {
 	b := c.breakerFor(peer)
 	b.mu.Lock()
 	b.failures++
-	opened := b.failures >= c.brThreshold
+	opened := b.failures >= breakerThreshold
 	if opened {
-		b.openUntil = time.Now().Add(c.brCooldown)
+		b.openUntil = time.Now().Add(breakerCooldown)
 	}
 	b.mu.Unlock()
 	if c.log != nil {

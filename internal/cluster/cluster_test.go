@@ -267,12 +267,10 @@ func TestPeerDownDegradesAndBreakerOpens(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	c, err := New(Config{
-		Self:             "127.0.0.1:1",
-		Peers:            []string{"127.0.0.1:1", dead},
-		Timeout:          300 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour,
-		Registry:         reg,
+		Self:     "127.0.0.1:1",
+		Peers:    []string{"127.0.0.1:1", dead},
+		Timeout:  300 * time.Millisecond,
+		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +278,7 @@ func TestPeerDownDegradesAndBreakerOpens(t *testing.T) {
 	u := gateOwnedBy(t, c, "fp", dead)
 	rem := c.RemoteFor("fp")
 	ctx := context.Background()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if _, ok := rem.FetchPulse(ctx, u); ok {
 			t.Fatal("fetch from a dead peer succeeded")
 		}

@@ -137,6 +137,9 @@ func TestLookupDynamicNames(t *testing.T) {
 		{"xy-grid-2x3", 6},
 		{"linear-chain-7", 7},
 		{"heavy-hex-2", 13},
+		{"xy-grid-32x32", maxDynamicQubits},
+		{"linear-chain-1024", maxDynamicQubits},
+		{"heavy-hex-204", 1023},
 	}
 	for _, c := range cases {
 		p, err := Lookup(c.name)
@@ -151,7 +154,11 @@ func TestLookupDynamicNames(t *testing.T) {
 			t.Errorf("%s: dynamic profile not memoized", c.name)
 		}
 	}
-	for _, bad := range []string{"", "nope", "xy-grid-0x4", "linear-chain-0", "heavy-hex-0", "xy-grid-x", "XY-GRID-5x5"} {
+	for _, bad := range []string{"", "nope", "xy-grid-0x4", "linear-chain-0", "heavy-hex-0", "xy-grid-x", "XY-GRID-5x5",
+		// Too large to build: names arrive in client requests.
+		"xy-grid-33x32", "xy-grid-1x1025", "linear-chain-1025", "heavy-hex-205",
+		"xy-grid-4294967296x4294967296", "linear-chain-99999999999999999999",
+		"heavy-hex-3689348814741910324"} { // 5·cells+3 wraps to 7
 		if _, err := Lookup(bad); err == nil {
 			t.Errorf("Lookup(%q) should fail", bad)
 		}

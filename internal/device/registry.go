@@ -89,12 +89,18 @@ func Lookup(name string) (*Profile, error) {
 	return p, nil
 }
 
+// maxDynamicQubits bounds a dynamic profile. Backend names arrive in
+// client requests, and a profile's topology is built in full on first use.
+const maxDynamicQubits = 1024
+
+// parseDynamic builds a dynamic family profile. An out-of-range number
+// parses as the largest int, so the size checks reject it too.
 func parseDynamic(name string) (*Profile, error) {
 	if m := gridName.FindStringSubmatch(name); m != nil {
 		rows, _ := strconv.Atoi(m[1])
 		cols, _ := strconv.Atoi(m[2])
-		if rows < 1 || cols < 1 {
-			return nil, fmt.Errorf("device: bad grid size in %q", name)
+		if rows < 1 || cols < 1 || rows > maxDynamicQubits/cols {
+			return nil, fmt.Errorf("device: bad grid size in %q (1 to %d qubits)", name, maxDynamicQubits)
 		}
 		return defaultControls(&Profile{
 			Name:        name,
@@ -104,8 +110,8 @@ func parseDynamic(name string) (*Profile, error) {
 	}
 	if m := chainName.FindStringSubmatch(name); m != nil {
 		n, _ := strconv.Atoi(m[1])
-		if n < 1 {
-			return nil, fmt.Errorf("device: bad chain length in %q", name)
+		if n < 1 || n > maxDynamicQubits {
+			return nil, fmt.Errorf("device: bad chain length in %q (1 to %d qubits)", name, maxDynamicQubits)
 		}
 		return defaultControls(&Profile{
 			Name:        name,
@@ -115,8 +121,8 @@ func parseDynamic(name string) (*Profile, error) {
 	}
 	if m := hexName.FindStringSubmatch(name); m != nil {
 		cells, _ := strconv.Atoi(m[1])
-		if cells < 1 {
-			return nil, fmt.Errorf("device: bad heavy-hex cell count in %q", name)
+		if cells < 1 || cells > (maxDynamicQubits-3)/5 { // 5·cells+3 qubits
+			return nil, fmt.Errorf("device: bad heavy-hex cell count in %q (1 to %d qubits)", name, maxDynamicQubits)
 		}
 		return defaultControls(&Profile{
 			Name:        name,

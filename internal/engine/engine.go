@@ -1,5 +1,5 @@
-// Package engine is the concurrent compilation core shared by the pulse
-// emission layers (internal/paqoc, internal/accqoc) and the experiment
+// Package engine is the concurrent compilation core shared by PAQOC's
+// pulse emission and merge ranking (internal/paqoc) and the experiment
 // sweeps (internal/experiments): a bounded worker pool with context
 // cancellation, first-error capture, and panic recovery, built on the
 // standard library only.

@@ -161,8 +161,9 @@ func (g *Generator) optimize(ctx context.Context, cg *pulse.CustomGate, u *linal
 		opts.MaxIter *= n
 	}
 	sys := g.system(cg.NumQubits(), Couplings(g.Topo, cg))
+	guess := alignGuess(sys, opts.InitialGuess)
 	if g.DB != nil {
-		if e, _, ok := g.DB.Nearest(u, similarityDist); ok && e.Generated.Schedule != nil {
+		if e, _, ok := g.DB.Nearest(u, similarityDist); ok {
 			// Adopt the guess only when every control channel of this
 			// system exists in the stored schedule (matched by name): a
 			// hit recorded under a different coupling graph or profile
@@ -171,12 +172,12 @@ func (g *Generator) optimize(ctx context.Context, cg *pulse.CustomGate, u *linal
 			// taken as the prior. The warm_starts counter moves with the
 			// check so it counts guesses actually applied, not Nearest
 			// hits later rejected.
-			if sched := e.Generated.Schedule; alignGuess(sys, sched) != nil {
-				opts.InitialGuess = sched
+			if aligned := alignGuess(sys, e.Generated.Schedule); aligned != nil {
+				guess = aligned
 				// The cached entry's duration is the best prior for the
 				// minimum-time bracket (§V-B): similar unitaries need
 				// similar pulse lengths.
-				opts.HintSlices = sched.NumSlices()
+				opts.HintSlices = e.Generated.Schedule.NumSlices()
 				reg.Counter("grape.warm_starts").Inc()
 			}
 		}
@@ -202,7 +203,7 @@ func (g *Generator) optimize(ctx context.Context, cg *pulse.CustomGate, u *linal
 
 	start := time.Now()
 	reg.Counter("grape.generated").Inc()
-	sched, latency, fid, err := MinimumTimeCtx(ctx, sys, u, opts)
+	sched, latency, fid, err := minimumTime(ctx, sys, u, opts, guess)
 	reg.HistogramVec(obs.StageMetric, obs.LatencyBuckets, "stage").
 		WithLabelValues("grape").
 		Observe(float64(time.Since(start)) / float64(time.Millisecond))

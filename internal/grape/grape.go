@@ -439,6 +439,13 @@ func copyAmps(dst, src [][]float64) {
 // missed. All duration probes share one buffer arena, so the search
 // allocates per distinct slice-count high-water mark, not per probe.
 func MinimumTimeCtx(ctx context.Context, sys *hamiltonian.System, target *linalg.Matrix, opts Options) (*pulse.Schedule, float64, float64, error) {
+	return minimumTime(ctx, sys, target, opts, alignGuess(sys, opts.InitialGuess))
+}
+
+// minimumTime is MinimumTimeCtx with the first probe's starting amplitudes
+// already aligned to sys.Controls (nil for a random start); it ignores
+// opts.InitialGuess.
+func minimumTime(ctx context.Context, sys *hamiltonian.System, target *linalg.Matrix, opts Options, guess [][]float64) (*pulse.Schedule, float64, float64, error) {
 	opts.fill()
 	reg := obs.MetricsFrom(ctx)
 	probeCtr := reg.Counter("grape.binsearch.probes")
@@ -450,7 +457,6 @@ func MinimumTimeCtx(ctx context.Context, sys *hamiltonian.System, target *linalg
 	ar := newArena()
 	// Consecutive probes optimize the same unitary on the same system, so
 	// each probe's best amplitudes are the next probe's guess.
-	guess := alignGuess(sys, opts.InitialGuess)
 	// run probes one slice count. Each probe is bracketed by cancellation
 	// checks so a cancelled fleet stops between (and, via optimize,
 	// inside) duration probes.

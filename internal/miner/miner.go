@@ -19,6 +19,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,13 +62,6 @@ type Config struct {
 	// Budget caps pulses pre-generated per idle run, so one run cannot
 	// monopolize the machine even when the queue stays idle. Default 4.
 	Budget int
-	// FidelityTarget for pre-generated pulses. Default 0.999 (the same
-	// target the compile path requests, so keys and entries line up).
-	FidelityTarget float64
-	// IngestDepth bounds the Observe channel; a full channel drops the
-	// observation (and counts miner.ingest_dropped) rather than stalling
-	// the compile path. Default 256.
-	IngestDepth int
 	// Idle reports whether the job queue is idle; pre-generation runs only
 	// while it returns true and yields as soon as it stops. Nil means
 	// always idle (tests, offline tools).
@@ -79,7 +74,7 @@ type Config struct {
 	// Registry receives the miner.* metric families (nil-safe).
 	Registry *obs.Registry
 	// Logger receives structured mining logs (default stderr at info).
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 func (c *Config) fill() {
@@ -92,19 +87,23 @@ func (c *Config) fill() {
 	if c.Budget <= 0 {
 		c.Budget = 4
 	}
-	if c.FidelityTarget <= 0 {
-		c.FidelityTarget = 0.999
-	}
-	if c.IngestDepth <= 0 {
-		c.IngestDepth = 256
-	}
 	if c.NewGenerator == nil {
 		c.NewGenerator = defaultGenerator
 	}
 	if c.Logger == nil {
-		c.Logger = obs.NewStderrLogger(obs.LevelInfo)
+		c.Logger = obs.NewLogger(os.Stderr, slog.LevelInfo)
 	}
 }
+
+const (
+	// fidelityTarget is the pre-generated pulses' fidelity: the target
+	// the compile path requests, so keys and entries line up.
+	fidelityTarget = 0.999
+	// ingestDepth bounds the Observe channel; a full channel drops the
+	// observation (and counts miner.ingest_dropped) rather than stalling
+	// the compile path.
+	ingestDepth = 256
+)
 
 // defaultGenerator mirrors the server compile path's GRAPE wiring, so the
 // pulses the miner pre-generates land under exactly the keys compile-time
@@ -170,7 +169,7 @@ func New(cfg Config) (*Miner, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Miner{
 		cfg:    cfg,
-		ingest: make(chan observed, cfg.IngestDepth),
+		ingest: make(chan observed, ingestDepth),
 		ctx:    ctx,
 		cancel: cancel,
 		states: map[string]*backendState{},
@@ -411,7 +410,7 @@ func (m *Miner) pregenOne(ctx context.Context, job pregenJob) {
 		pctx = (&obs.Obs{Metrics: reg}).Attach(pctx)
 	}
 	start := time.Now()
-	_, err := job.gen.GenerateCtx(pctx, job.cg, m.cfg.FidelityTarget)
+	_, err := job.gen.GenerateCtx(pctx, job.cg, fidelityTarget)
 	elapsed := time.Since(start)
 	if err != nil {
 		if ctx.Err() != nil || errors.Is(err, context.Canceled) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,7 +47,7 @@ func (f *fakeGen) GenerateCtx(ctx context.Context, cg *pulse.CustomGate, fid flo
 	return g, nil
 }
 
-func quiet() *obs.Logger { return obs.NewLogger(io.Discard, obs.LevelError) }
+func quiet() *slog.Logger { return obs.NewLogger(io.Discard, slog.LevelError) }
 
 // swapCircuit carries one SWAP idiom (3 CX) — the canonical recurring
 // pattern.
@@ -321,13 +322,13 @@ func (f genFunc) GenerateCtx(ctx context.Context, cg *pulse.CustomGate, fid floa
 func TestMinerIngestDropsWhenFull(t *testing.T) {
 	b := testBackend(t)
 	reg := obs.NewRegistry()
-	m := newTestMiner(t, Config{IngestDepth: 2, Registry: reg},
+	m := newTestMiner(t, Config{Registry: reg},
 		func(bk Backend) pulse.Generator { return &fakeGen{db: bk.DB} })
-	for i := 0; i < 5; i++ {
+	for i := 0; i < ingestDepth+3; i++ {
 		m.Observe(b, swapCircuit()) // never drained: Start not called
 	}
 	if got := reg.Counter("miner.ingest_dropped").Value(); got != 3 {
-		t.Errorf("ingest_dropped = %d, want 3 (depth 2, 5 observations)", got)
+		t.Errorf("ingest_dropped = %d, want 3 (depth %d, %d observations)", got, ingestDepth, ingestDepth+3)
 	}
 }
 
@@ -335,7 +336,7 @@ func TestMinerIngestDropsWhenFull(t *testing.T) {
 func TestMinerCorpusBound(t *testing.T) {
 	b := testBackend(t)
 	reg := obs.NewRegistry()
-	m := newTestMiner(t, Config{CorpusMax: 4, IngestDepth: 64, Registry: reg,
+	m := newTestMiner(t, Config{CorpusMax: 4, Registry: reg,
 		Idle: func() bool { return false }}, // fold only
 		func(bk Backend) pulse.Generator { return &fakeGen{db: bk.DB} })
 	for i := 0; i < 10; i++ {

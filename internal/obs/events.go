@@ -61,9 +61,9 @@ type EventRing struct {
 	epoch time.Time
 
 	mu     sync.Mutex
-	buf    []Event // ring storage, len == cap once full
-	start  int     // index of oldest event
-	count  int     // events currently retained
+	buf    []Event // retained events; grows as they arrive, up to max
+	max    int     // retained events at most
+	start  int     // index of the oldest event once buf is full
 	seq    uint64
 	closed bool
 	subs   map[*eventSub]struct{}
@@ -73,15 +73,18 @@ type eventSub struct {
 	ch chan Event
 }
 
+// minEvents is the least capacity of a ring and the storage it starts with.
+const minEvents = 16
+
 // NewEventRing returns a ring retaining at most capacity events (minimum
-// 16). A nil *EventRing is a valid no-op publisher.
+// 16). Its storage starts at 16 events and grows with the events
+// published, so a short job's ring stays small. A nil *EventRing is a
+// valid no-op publisher.
 func NewEventRing(capacity int) *EventRing {
-	if capacity < 16 {
-		capacity = 16
-	}
 	return &EventRing{
 		epoch: time.Now(),
-		buf:   make([]Event, 0, capacity),
+		buf:   make([]Event, 0, minEvents),
+		max:   max(capacity, minEvents),
 		subs:  make(map[*eventSub]struct{}),
 	}
 }
@@ -101,18 +104,17 @@ func (r *EventRing) Publish(ev Event) {
 	ev.Seq = r.seq
 	ev.TsMs = float64(time.Since(r.epoch)) / float64(time.Millisecond)
 
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
-		r.count++
-	} else {
-		if r.count == len(r.buf) {
-			// Full: overwrite the oldest slot.
-			r.buf[r.start] = ev
-			r.start = (r.start + 1) % len(r.buf)
-		} else {
-			r.buf[(r.start+r.count)%len(r.buf)] = ev
-			r.count++
+	if len(r.buf) < r.max {
+		if len(r.buf) == cap(r.buf) {
+			// Double the storage, but never past max: a plain append
+			// would round a full ring up past it.
+			r.buf = append(make([]Event, 0, min(2*cap(r.buf), r.max)), r.buf...)
 		}
+		r.buf = append(r.buf, ev)
+	} else {
+		// Full: overwrite the oldest slot.
+		r.buf[r.start] = ev
+		r.start = (r.start + 1) % len(r.buf)
 	}
 	for s := range r.subs {
 		select {
@@ -137,10 +139,9 @@ func (r *EventRing) Subscribe(buffer int) (history []Event, live <-chan Event, c
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	history = make([]Event, 0, r.count)
-	for i := 0; i < r.count; i++ {
-		history = append(history, r.buf[(r.start+i)%len(r.buf)])
-	}
+	history = make([]Event, 0, len(r.buf))
+	history = append(history, r.buf[r.start:]...)
+	history = append(history, r.buf[:r.start]...)
 	if r.closed {
 		ch := make(chan Event)
 		close(ch)

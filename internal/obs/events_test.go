@@ -72,6 +72,36 @@ func TestEventRingBoundedHistory(t *testing.T) {
 	}
 }
 
+// TestEventRingGrowsAsEventsArrive: a short job's ring holds storage for
+// its own events, not for the whole capacity, and a full ring's storage
+// is exactly its capacity.
+func TestEventRingGrowsAsEventsArrive(t *testing.T) {
+	r := NewEventRing(512)
+	for i := 0; i < 10; i++ {
+		r.PublishStage("s", time.Duration(i))
+	}
+	if c := cap(r.buf); c > 16 {
+		t.Errorf("cap(buf) = %d after 10 events, want at most 16", c)
+	}
+	history, _, cancel := r.Subscribe(1)
+	cancel()
+	if len(history) != 10 || history[0].Seq != 1 || history[9].Seq != 10 {
+		t.Errorf("history = %+v, want seqs 1..10", history)
+	}
+
+	for i := 10; i < 600; i++ {
+		r.PublishStage("s", time.Duration(i))
+	}
+	if c := cap(r.buf); c != 512 {
+		t.Errorf("cap(buf) = %d when full, want 512", c)
+	}
+	history, _, cancel = r.Subscribe(1)
+	cancel()
+	if len(history) != 512 || history[0].Seq != 89 || history[511].Seq != 600 {
+		t.Errorf("window = %d events [%d, %d], want 512 [89, 600]", len(history), history[0].Seq, history[len(history)-1].Seq)
+	}
+}
+
 func TestEventRingSlowSubscriberDoesNotBlock(t *testing.T) {
 	r := NewEventRing(16)
 	_, live, cancel := r.Subscribe(1)

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -29,7 +31,7 @@ func logLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
 
 func TestLoggerJSONShape(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
+	l := NewLogger(&buf, slog.LevelInfo)
 	l.Info("job queued", "job_id", "job-000001", "gates", 12, "sync", true)
 
 	recs := logLines(t, &buf)
@@ -43,23 +45,21 @@ func TestLoggerJSONShape(t *testing.T) {
 	if rec["job_id"] != "job-000001" || rec["gates"] != float64(12) || rec["sync"] != true {
 		t.Errorf("fields = %v", rec)
 	}
-	if _, err := time.Parse(time.RFC3339Nano, rec["ts"].(string)); err != nil {
-		t.Errorf("ts not RFC3339Nano: %v", rec["ts"])
+	ts, err := time.Parse(time.RFC3339Nano, rec["ts"].(string))
+	if err != nil || ts.Location() != time.UTC {
+		t.Errorf("ts not RFC3339Nano in UTC: %v", rec["ts"])
 	}
-	// Fixed fields lead the line so raw logs are scannable.
-	if !strings.HasPrefix(buf.String(), `{"ts":`) {
-		t.Errorf("record does not start with ts: %s", buf.String())
-	}
-	for _, k := range []string{`"level":`, `"msg":`} {
-		if !strings.Contains(buf.String()[:60], k) {
-			t.Errorf("%s not in record head: %s", k, buf.String())
-		}
+	// Fixed fields lead the line so raw logs are scannable; the call's
+	// pairs follow in call order.
+	want := `{"ts":"` + rec["ts"].(string) + `","level":"info","msg":"job queued","job_id":"job-000001","gates":12,"sync":true}` + "\n"
+	if buf.String() != want {
+		t.Errorf("record = %s, want %s", buf.String(), want)
 	}
 }
 
 func TestLoggerLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelWarn)
+	l := NewLogger(&buf, slog.LevelWarn)
 	l.Debug("d")
 	l.Info("i")
 	l.Warn("w")
@@ -68,46 +68,47 @@ func TestLoggerLevelFiltering(t *testing.T) {
 	if len(recs) != 2 || recs[0]["msg"] != "w" || recs[1]["msg"] != "e" {
 		t.Errorf("filtered records = %v", recs)
 	}
-	if l.Enabled(LevelInfo) || !l.Enabled(LevelWarn) {
+	if recs[0]["level"] != "warn" || recs[1]["level"] != "error" {
+		t.Errorf("levels = %v/%v, want warn/error", recs[0]["level"], recs[1]["level"])
+	}
+	ctx := context.Background()
+	if l.Enabled(ctx, slog.LevelInfo) || !l.Enabled(ctx, slog.LevelWarn) {
 		t.Error("Enabled disagrees with filtering")
 	}
 }
 
+// TestLoggerAwkwardValues: an error is written as its message; durations,
+// unmarshalable values and a key with no value follow slog's JSON rules.
 func TestLoggerAwkwardValues(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
-	l.Info("odd",
+	l := NewLogger(&buf, slog.LevelInfo)
+	// go vet rejects a literal key with no value; a slice still reaches
+	// the handler with one.
+	args := []any{
 		"err", errors.New("boom"),
-		"dur", 1500*time.Millisecond,
-		"fn", func() {}, // unmarshalable: falls back to fmt.Sprint
-		"dangling") // key with no value -> null
+		"dur", 1500 * time.Millisecond,
+		"fn", func() {},
+		"dangling",
+	}
+	l.Info("odd", args...)
 	rec := logLines(t, &buf)[0]
 	if rec["err"] != "boom" {
 		t.Errorf("error field = %v, want its Error() string", rec["err"])
 	}
-	if rec["dur"] != "1.5s" {
-		t.Errorf("duration field = %v, want \"1.5s\"", rec["dur"])
+	if rec["dur"] != float64(1500*time.Millisecond) {
+		t.Errorf("duration field = %v, want nanoseconds", rec["dur"])
 	}
-	if _, ok := rec["fn"].(string); !ok {
-		t.Errorf("unmarshalable value = %v, want stringified", rec["fn"])
+	if s, ok := rec["fn"].(string); !ok || !strings.HasPrefix(s, "!ERROR:") {
+		t.Errorf("unmarshalable value = %v, want slog's !ERROR string", rec["fn"])
 	}
-	if v, present := rec["dangling"]; !present || v != nil {
-		t.Errorf("dangling key = %v, want null", v)
-	}
-}
-
-func TestNilLoggerIsNoOp(t *testing.T) {
-	var l *Logger
-	l.Info("x", "k", "v")
-	l.Error("y")
-	if l.Enabled(LevelError) {
-		t.Error("nil logger must report disabled")
+	if rec["!BADKEY"] != "dangling" {
+		t.Errorf("dangling key = %v, want slog's !BADKEY", rec)
 	}
 }
 
 func TestLoggerConcurrentNoInterleaving(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
+	l := NewLogger(&buf, slog.LevelInfo)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -122,17 +123,5 @@ func TestLoggerConcurrentNoInterleaving(t *testing.T) {
 	// Every line must decode cleanly; interleaved writes would not.
 	if got := len(logLines(t, &buf)); got != 800 {
 		t.Errorf("lines = %d, want 800", got)
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "INFO": LevelInfo, "warn": LevelWarn,
-		"Warning": LevelWarn, "error": LevelError, " info ": LevelInfo,
-		"bogus": LevelInfo, "": LevelInfo,
-	} {
-		if got := ParseLevel(in); got != want {
-			t.Errorf("ParseLevel(%q) = %v, want %v", in, got, want)
-		}
 	}
 }

@@ -1,14 +1,38 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"paqoc/internal/api"
 )
+
+// envelopeCases are requests refused before admission, with the status
+// and envelope code each must get.
+var envelopeCases = []struct {
+	name     string
+	req      api.CompileRequest
+	wantCode int
+	wantErr  string
+}{
+	{"no source", api.CompileRequest{}, http.StatusBadRequest, api.CodeBadRequest},
+	{"unknown backend", api.CompileRequest{Circuit: tinyCircuit, Backend: "ion-trap-9000"}, http.StatusBadRequest, api.CodeUnknownBackend},
+	{"oversized backend", api.CompileRequest{Circuit: tinyCircuit, Backend: "xy-grid-4294967296x4294967296"}, http.StatusBadRequest, api.CodeUnknownBackend},
+	{"bad priority", api.CompileRequest{Circuit: tinyCircuit, Priority: "urgent"}, http.StatusBadRequest, api.CodeBadRequest},
+	{"max_n 4", api.CompileRequest{Circuit: tinyCircuit, MaxN: 4}, http.StatusBadRequest, api.CodeInvalidArgument},
+	{"max_n -1", api.CompileRequest{Circuit: tinyCircuit, MaxN: -1}, http.StatusBadRequest, api.CodeInvalidArgument},
+	{"fidelity 1.5", api.CompileRequest{Circuit: tinyCircuit, Grape: true, Fidelity: 1.5}, http.StatusBadRequest, api.CodeInvalidArgument},
+	{"fidelity 1", api.CompileRequest{Circuit: tinyCircuit, Grape: true, Fidelity: 1}, http.StatusBadRequest, api.CodeInvalidArgument},
+	{"fidelity -2", api.CompileRequest{Circuit: tinyCircuit, Fidelity: -2}, http.StatusBadRequest, api.CodeInvalidArgument},
+	{"wider than backend", api.CompileRequest{Circuit: "qubits 30\ncx 0 29\n", Backend: "xy-grid-1x2"}, http.StatusBadRequest, api.CodeInvalidArgument},
+	{"gate with no name", api.CompileRequest{Circuit: "qubits 2\n(0.5) 0\n"}, http.StatusBadRequest, api.CodeBadRequest},
+}
 
 // TestErrorEnvelopeShape pins the versioned wire contract for failures:
 // every client-addressable error is {"error":{"code","message"}} with a
@@ -16,24 +40,7 @@ import (
 func TestErrorEnvelopeShape(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 
-	cases := []struct {
-		name     string
-		req      api.CompileRequest
-		wantCode int
-		wantErr  string
-	}{
-		{"no source", api.CompileRequest{}, http.StatusBadRequest, api.CodeBadRequest},
-		{"unknown backend", api.CompileRequest{Circuit: tinyCircuit, Backend: "ion-trap-9000"}, http.StatusBadRequest, api.CodeUnknownBackend},
-		{"bad priority", api.CompileRequest{Circuit: tinyCircuit, Priority: "urgent"}, http.StatusBadRequest, api.CodeBadRequest},
-		{"max_n 4", api.CompileRequest{Circuit: tinyCircuit, MaxN: 4}, http.StatusBadRequest, api.CodeInvalidArgument},
-		{"max_n -1", api.CompileRequest{Circuit: tinyCircuit, MaxN: -1}, http.StatusBadRequest, api.CodeInvalidArgument},
-		{"fidelity 1.5", api.CompileRequest{Circuit: tinyCircuit, Grape: true, Fidelity: 1.5}, http.StatusBadRequest, api.CodeInvalidArgument},
-		{"fidelity 1", api.CompileRequest{Circuit: tinyCircuit, Grape: true, Fidelity: 1}, http.StatusBadRequest, api.CodeInvalidArgument},
-		{"fidelity -2", api.CompileRequest{Circuit: tinyCircuit, Fidelity: -2}, http.StatusBadRequest, api.CodeInvalidArgument},
-		{"wider than backend", api.CompileRequest{Circuit: "qubits 30\ncx 0 29\n", Backend: "xy-grid-1x2"}, http.StatusBadRequest, api.CodeInvalidArgument},
-		{"gate with no name", api.CompileRequest{Circuit: "qubits 2\n(0.5) 0\n"}, http.StatusBadRequest, api.CodeBadRequest},
-	}
-	for _, tc := range cases {
+	for _, tc := range envelopeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, raw := postCompileRaw(t, ts, tc.req)
 			if code != tc.wantCode {
@@ -45,8 +52,8 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		})
 	}
 	// Every case is refused before admission: none reaches a worker.
-	if got := s.reg.Counter("server.bad_requests").Value(); got != int64(len(cases)) {
-		t.Errorf("server.bad_requests = %d, want %d", got, len(cases))
+	if got := s.reg.Counter("server.bad_requests").Value(); got != int64(len(envelopeCases)) {
+		t.Errorf("server.bad_requests = %d, want %d", got, len(envelopeCases))
 	}
 	if got := s.reg.Counter("server.jobs_failed").Value(); got != 0 {
 		t.Errorf("server.jobs_failed = %d, want 0", got)
@@ -64,6 +71,39 @@ func TestErrorEnvelopeShape(t *testing.T) {
 	if e := errorEnvelope(t, raw); e.Code != api.CodeJobNotFound {
 		t.Errorf("unknown job envelope = %+v, want code %q", e, api.CodeJobNotFound)
 	}
+}
+
+// FuzzCompileRequest posts arbitrary bodies to POST /v1/compile on one
+// server whose compilation is stubbed. No body may panic the handler,
+// every status is one the API documents, and every 400 and 429 carries
+// the error envelope with a code.
+func FuzzCompileRequest(f *testing.F) {
+	for _, tc := range envelopeCases {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	s, _ := newTestServer(f, Config{Workers: 1})
+	s.compileFn = func(ctx context.Context, j *Job) (*api.Result, error) {
+		return &api.Result{Blocks: 1}, nil
+	}
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/compile", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusAccepted, http.StatusBadRequest,
+			http.StatusUnprocessableEntity, http.StatusTooManyRequests,
+			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		default:
+			t.Fatalf("HTTP %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		if rec.Code == http.StatusBadRequest || rec.Code == http.StatusTooManyRequests {
+			errorEnvelope(t, rec.Body.Bytes())
+		}
+	})
 }
 
 // TestTenantQuota: with a per-tenant inflight cap of one, a tenant's

@@ -21,7 +21,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -124,11 +126,11 @@ type Config struct {
 	MineCorpusMax int
 	// MineBudget caps pulses pre-generated per idle mining run (default 4).
 	MineBudget int
-	// Logger receives structured service logs (default: JSON lines on
-	// stderr at info level; tests pass obs.NewLogger(io.Discard, ...)).
-	// Every job lifecycle transition — queued, running, done/failed,
-	// evicted — is logged exactly once with a job_id field.
-	Logger *obs.Logger
+	// Logger receives structured service logs, one JSON object per line
+	// (default: obs.NewLogger on stderr at slog.LevelInfo). Each job's
+	// queued, running, done or failed, and evicted step is logged exactly
+	// once with a job_id field; TestJobLifecycleLoggedOnce pins this.
+	Logger *slog.Logger
 }
 
 func (c *Config) fill() {
@@ -160,7 +162,7 @@ func (c *Config) fill() {
 		c.JobRetention = 512
 	}
 	if c.Logger == nil {
-		c.Logger = obs.NewStderrLogger(obs.LevelInfo)
+		c.Logger = obs.NewLogger(os.Stderr, slog.LevelInfo)
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,10 +21,10 @@ import (
 
 // quiet silences service logs in tests (writing to the test log is unsafe
 // from job goroutines that may outlive a failing test).
-var quiet = obs.NewLogger(io.Discard, obs.LevelError)
+var quiet = obs.NewLogger(io.Discard, slog.LevelError)
 
 // newTestServer builds and starts a server with test-friendly defaults.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = quiet
@@ -368,6 +370,68 @@ func TestJobRetention(t *testing.T) {
 		if _, ok := store.get(id); !ok {
 			t.Errorf("job %s evicted too early", id)
 		}
+	}
+}
+
+// TestJobLifecycleLoggedOnce pins Config.Logger's contract: each job's
+// queued, running, done or failed, and evicted step is one record with
+// its job_id, and every record opens with ts, level and msg.
+func TestJobLifecycleLoggedOnce(t *testing.T) {
+	var buf bytes.Buffer
+	s, ts := newTestServer(t, Config{Workers: 1, JobRetention: 1, Logger: obs.NewLogger(&buf, slog.LevelInfo)})
+	s.compileFn = func(ctx context.Context, j *Job) (*api.Result, error) {
+		if strings.Contains(j.req.Circuit, "# fail") {
+			return nil, errors.New("synthetic compile failure")
+		}
+		return &api.Result{Blocks: 1}, nil
+	}
+	for _, src := range []string{tinyCircuit, tinyCircuit, tinyCircuit + "# fail\n"} {
+		postCompile(t, ts, api.CompileRequest{Circuit: src, Mode: "sync"})
+	}
+	// Both close calls wait for their goroutines, so every record is
+	// written before the buffer is read.
+	ts.Close()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	seen := map[string]map[string]int{} // job_id → msg → records
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if !strings.HasPrefix(line, `{"ts":"`) {
+			t.Fatalf("record does not start with ts: %s", line)
+		}
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("record is not one JSON object: %v\n%s", err, line)
+		}
+		head := fmt.Sprintf(`{"ts":%q,"level":%q,"msg":%q`, rec["ts"], rec["level"], rec["msg"])
+		if !strings.HasPrefix(line, head) {
+			t.Errorf("record does not open with ts, level, msg: %s", line)
+		}
+		if id, ok := rec["job_id"].(string); ok {
+			if seen[id] == nil {
+				seen[id] = map[string]int{}
+			}
+			seen[id][rec["msg"].(string)]++
+		}
+	}
+	want := map[string][]string{
+		"job-000001": {"job queued", "job running", "job done", "job evicted"},
+		"job-000002": {"job queued", "job running", "job done", "job evicted"},
+		"job-000003": {"job queued", "job running", "job failed"},
+	}
+	for id, msgs := range want {
+		for _, msg := range msgs {
+			if n := seen[id][msg]; n != 1 {
+				t.Errorf("%s: %q logged %d times, want once", id, msg, n)
+			}
+		}
+		if len(seen[id]) != len(msgs) {
+			t.Errorf("%s: lifecycle records %v, want exactly %v", id, seen[id], msgs)
+		}
+	}
+	if len(seen) != len(want) {
+		t.Errorf("records name jobs %v, want %d jobs", seen, len(want))
 	}
 }
 
