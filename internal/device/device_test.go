@@ -165,6 +165,39 @@ func TestLookupDynamicNames(t *testing.T) {
 	}
 }
 
+// TestLookupCanonicalSpellings pins that a dynamic device is memoized once
+// under its canonical name however a request spells it: leading zeros
+// must neither mint new profiles nor grow the registry.
+func TestLookupCanonicalSpellings(t *testing.T) {
+	before := len(Names())
+	var first *Profile
+	for i := 0; i < 1000; i++ {
+		name := "xy-grid-" + strings.Repeat("0", i%40) + "4x" + strings.Repeat("0", i/40) + "4"
+		p, err := Lookup(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if first == nil {
+			first = p
+		}
+		if p != first || p.Name != "xy-grid-4x4" {
+			t.Fatalf("%s: profile %p named %q, want %p named xy-grid-4x4", name, p, p.Name, first)
+		}
+	}
+	if grown := len(Names()) - before; grown > 1 {
+		t.Errorf("1,000 spellings of one grid grew the registry by %d names, want at most 1", grown)
+	}
+	for name, canonical := range map[string]string{"linear-chain-007": "linear-chain-7", "heavy-hex-02": "heavy-hex-2", "xy-grid-05x05": DefaultName} {
+		p, err := Lookup(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want, _ := Lookup(canonical); p != want {
+			t.Errorf("Lookup(%q) = %q, want the profile of %q", name, p.Name, canonical)
+		}
+	}
+}
+
 func TestRegisterRejectsDuplicates(t *testing.T) {
 	defer func() {
 		if recover() == nil {

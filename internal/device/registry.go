@@ -66,9 +66,11 @@ var (
 
 // Lookup resolves a backend name: a registered profile, or a dynamic
 // family name (xy-grid-RxC, linear-chain-N, heavy-hex-N) built with the
-// paper's default control parameters. Dynamic profiles are memoized in the
-// registry so repeated lookups return the same *Profile (and share its
-// cached topology and fingerprint).
+// paper's default control parameters. A dynamic profile is named and
+// memoized in the registry by its canonical spelling, with no leading
+// zeros, so every spelling of one device returns the same *Profile (and
+// shares its cached topology and fingerprint) and the registry grows by
+// one entry per device, not per spelling.
 func Lookup(name string) (*Profile, error) {
 	regMu.RLock()
 	p, ok := registry[name]
@@ -82,10 +84,10 @@ func Lookup(name string) (*Profile, error) {
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
-	if prior, ok := registry[name]; ok { // lost a race; keep the first
+	if prior, ok := registry[p.Name]; ok { // registered, or lost a race
 		return prior, nil
 	}
-	registry[name] = p
+	registry[p.Name] = p
 	return p, nil
 }
 
@@ -93,8 +95,9 @@ func Lookup(name string) (*Profile, error) {
 // client requests, and a profile's topology is built in full on first use.
 const maxDynamicQubits = 1024
 
-// parseDynamic builds a dynamic family profile. An out-of-range number
-// parses as the largest int, so the size checks reject it too.
+// parseDynamic builds a dynamic family profile, named by the canonical
+// spelling of the parsed sizes. An out-of-range number parses as the
+// largest int, so the size checks reject it too.
 func parseDynamic(name string) (*Profile, error) {
 	if m := gridName.FindStringSubmatch(name); m != nil {
 		rows, _ := strconv.Atoi(m[1])
@@ -103,7 +106,7 @@ func parseDynamic(name string) (*Profile, error) {
 			return nil, fmt.Errorf("device: bad grid size in %q (1 to %d qubits)", name, maxDynamicQubits)
 		}
 		return defaultControls(&Profile{
-			Name:        name,
+			Name:        fmt.Sprintf("xy-grid-%dx%d", rows, cols),
 			Description: fmt.Sprintf("%d×%d XY-coupled transmon grid", rows, cols),
 			NewTopology: func() *topology.Topology { return topology.Grid(rows, cols) },
 		}), nil
@@ -114,7 +117,7 @@ func parseDynamic(name string) (*Profile, error) {
 			return nil, fmt.Errorf("device: bad chain length in %q (1 to %d qubits)", name, maxDynamicQubits)
 		}
 		return defaultControls(&Profile{
-			Name:        name,
+			Name:        fmt.Sprintf("linear-chain-%d", n),
 			Description: fmt.Sprintf("%d-qubit linear chain", n),
 			NewTopology: func() *topology.Topology { return topology.Line(n) },
 		}), nil
@@ -125,7 +128,7 @@ func parseDynamic(name string) (*Profile, error) {
 			return nil, fmt.Errorf("device: bad heavy-hex cell count in %q (1 to %d qubits)", name, maxDynamicQubits)
 		}
 		return defaultControls(&Profile{
-			Name:        name,
+			Name:        fmt.Sprintf("heavy-hex-%d", cells),
 			Description: fmt.Sprintf("heavy-hex lattice, %d cells (%d qubits)", cells, 5*cells+3),
 			NewTopology: func() *topology.Topology { return topology.HeavyHex(cells) },
 		}), nil

@@ -9,11 +9,13 @@ package mining
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"paqoc/internal/circuit"
 	"paqoc/internal/obs"
@@ -96,113 +98,157 @@ func MineCtx(ctx context.Context, c *circuit.Circuit, opts Options) ([]Pattern, 
 		return nil, err
 	}
 	opts.fill()
-	reg := obs.MetricsFrom(ctx)
-	bySig := enumerateBySig(ctx, c, opts)
+	g := enumerateBySig(ctx, c, opts, opts.MinSupport)
 
+	// Rank the frequent signatures first, so the sort moves no pointers.
+	type frequent struct{ id, k, support int }
 	n := 0
-	for _, l := range bySig {
-		if l.count() >= opts.MinSupport {
+	for id := range g.sigs {
+		if g.count(id) >= opts.MinSupport {
 			n++
 		}
 	}
-	out := make([]Pattern, 0, n)
-	for sig, l := range bySig {
-		// Drop each slab once read, so the slabs and the embeddings
-		// materialized from them are never all live at once.
-		delete(bySig, sig)
-		if l.count() < opts.MinSupport {
-			continue
-		}
-		embeds := l.sorted()
-		disjoint := greedyDisjoint(embeds)
-		if len(disjoint) < opts.MinSupport {
-			continue
-		}
-		qs := map[int]bool{}
-		for _, gi := range embeds[0] {
-			for _, q := range c.Gates[gi].Qubits {
-				qs[q] = true
+	keep := make([]frequent, 0, n)
+	for id := range g.sigs {
+		if g.count(id) >= opts.MinSupport {
+			run, k := g.run(id)
+			if support := g.disjoint(run, k); support >= opts.MinSupport {
+				keep = append(keep, frequent{id, k, support})
+				continue
 			}
 		}
-		out = append(out, Pattern{
-			Signature:  sig,
-			GateCount:  len(embeds[0]),
-			QubitCount: len(qs),
-			Embeddings: embeds,
-			Support:    len(disjoint),
-		})
+		g.sigs[id] = "" // release the signatures no pattern keeps
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Coverage() != out[j].Coverage() {
-			return out[i].Coverage() > out[j].Coverage()
-		}
-		return out[i].Signature < out[j].Signature
+	slices.SortFunc(keep, func(a, b frequent) int {
+		return cmp.Or(cmp.Compare(b.support*b.k, a.support*a.k), strings.Compare(g.sigs[a.id], g.sigs[b.id]))
 	})
-	reg.Counter("mining.patterns").Add(int64(len(out)))
+	out := make([]Pattern, len(keep))
+	for i, f := range keep {
+		run := g.sets[g.start[f.id]:g.start[f.id+1]] // sorted by g.run above
+		out[i] = Pattern{
+			Signature:  g.sigs[f.id],
+			GateCount:  f.k,
+			QubitCount: countQubits(c, run[:f.k]),
+			Embeddings: embeddings(run, f.k),
+			Support:    f.support,
+		}
+	}
+	obs.MetricsFrom(ctx).Counter("mining.patterns").Add(int64(len(out)))
 	return out, nil
 }
 
-// enumerateBySig runs the connected-subcircuit walk on one circuit and
-// groups embeddings by canonical signature — the per-circuit primitive
-// shared by MineCtx, MineCorpus, and the incremental Table, so all three
-// agree on signatures by construction. opts must already be validated and
-// filled.
-func enumerateBySig(ctx context.Context, c *circuit.Circuit, opts Options) map[string]*embedList {
-	reg := obs.MetricsFrom(ctx)
-	enum := newEnumerator(c, opts)
-	enum.enumerated = reg.Counter("mining.subcircuits_enumerated")
-	enum.pruned = reg.Counter("mining.pruned_qubit_cap")
-
-	_, span := obs.StartSpan(ctx, "mining.enumerate")
-	bySig := make(map[string]*embedList)
-	enum.run(func(set []int) {
-		sig := enum.signature(set)
-		l := bySig[string(sig)] // no allocation for the lookup
-		if l == nil {
-			l = &embedList{stride: len(set)}
-			bySig[string(sig)] = l
-		}
-		for _, gi := range set {
-			l.flat = append(l.flat, int32(gi))
-		}
-	})
-	span.SetAttr("signatures", len(bySig))
-	span.SetAttr("overflow", enum.overflow)
-	span.End()
-	if enum.overflow {
-		reg.Counter("mining.enum_overflows").Inc()
-	}
-	return bySig
-}
-
-// embedList holds one signature's embeddings back to back. Every
-// embedding of a signature has the same gate count (stride), so the
-// enumeration table keeps one int32 slab per signature rather than one
-// slice per embedding; callers materialize the embeddings they need.
-type embedList struct {
-	stride int
-	flat   []int32
-}
-
-// count returns the number of embeddings.
-func (l *embedList) count() int { return len(l.flat) / l.stride }
-
-// sorted materializes the embeddings in lexicographic order, as capped
+// embeddings materializes a sorted run of k-gate sets as capped
 // sub-slices of one backing array.
-func (l *embedList) sorted() [][]int {
-	backing := make([]int, len(l.flat))
-	for i, gi := range l.flat {
+func embeddings(run []int32, k int) [][]int {
+	backing := make([]int, len(run))
+	for i, gi := range run {
 		backing[i] = int(gi)
 	}
-	out := make([][]int, l.count())
-	for k := range out {
-		out[k] = backing[k*l.stride : (k+1)*l.stride : (k+1)*l.stride]
+	out := make([][]int, len(run)/k)
+	for i := range out {
+		out[i] = backing[i*k : (i+1)*k : (i+1)*k]
 	}
-	sortEmbeddings(out)
 	return out
 }
 
-// enumerator walks connected gate sets.
+// enumerateBySig runs the connected-subcircuit walk on one circuit and
+// groups the sets by canonical signature — the per-circuit primitive
+// shared by MineCtx, MineCorpus, and the incremental Table, so all three
+// agree on signatures by construction. Signatures with fewer than
+// minCount sets keep an empty run. opts must already be validated and
+// filled.
+func enumerateBySig(ctx context.Context, c *circuit.Circuit, opts Options, minCount int) *groups {
+	reg := obs.MetricsFrom(ctx)
+	_, span := obs.StartSpan(ctx, "mining.enumerate")
+	e := newEnumerator(c, opts)
+	e.run()
+	g := e.group(minCount)
+	span.SetAttr("signatures", len(g.sigs))
+	span.SetAttr("overflow", e.overflow)
+	span.End()
+	reg.Counter("mining.subcircuits_enumerated").Add(e.enumerated)
+	reg.Counter("mining.pruned_qubit_cap").Add(e.pruned)
+	if e.overflow {
+		reg.Counter("mining.enum_overflows").Inc()
+	}
+	return g
+}
+
+// groups is one circuit's enumeration: every distinct signature once, by
+// id, and every set's gate indices back to back in one slab, one run per
+// signature.
+type groups struct {
+	sigs   []string
+	stride []int32 // gates per set, by signature id
+	start  []int   // signature id's run is sets[start[id]:start[id+1]]
+	sets   []int32
+	used   []bool    // per gate: disjoint's scratch, all false between calls
+	sorter runSorter // reused, so sorting a run allocates nothing
+}
+
+// count returns the number of sets with signature id.
+func (g *groups) count(id int) int {
+	return (g.start[id+1] - g.start[id]) / int(g.stride[id])
+}
+
+// run sorts signature id's sets lexicographically, in place, and returns
+// them with their gate count.
+func (g *groups) run(id int) ([]int32, int) {
+	k := int(g.stride[id])
+	r := g.sets[g.start[id]:g.start[id+1]]
+	if len(r) > k {
+		g.sorter = runSorter{r, k}
+		sort.Sort(&g.sorter)
+	}
+	return r, k
+}
+
+// disjoint counts a maximal prefix-greedy family of pairwise-disjoint sets
+// in a sorted run of k-gate sets.
+func (g *groups) disjoint(run []int32, k int) int {
+	n := 0
+next:
+	for r := 0; r < len(run); r += k {
+		set := run[r : r+k]
+		for _, gi := range set {
+			if g.used[gi] {
+				continue next
+			}
+		}
+		for _, gi := range set {
+			g.used[gi] = true
+		}
+		n++
+	}
+	for _, gi := range run {
+		g.used[gi] = false
+	}
+	return n
+}
+
+// runSorter orders a run of k-gate sets lexicographically, in place.
+type runSorter struct {
+	sets []int32
+	k    int
+}
+
+func (s *runSorter) Len() int { return len(s.sets) / s.k }
+
+func (s *runSorter) Less(i, j int) bool {
+	k := s.k
+	return slices.Compare(s.sets[i*k:(i+1)*k], s.sets[j*k:(j+1)*k]) < 0
+}
+
+func (s *runSorter) Swap(i, j int) {
+	a, b := s.sets[i*s.k:(i+1)*s.k], s.sets[j*s.k:(j+1)*s.k]
+	for x := range a {
+		a[x], b[x] = b[x], a[x]
+	}
+}
+
+// enumerator walks connected gate sets and interns their signatures. The
+// set being grown, the candidates at each depth and the qubits at each
+// depth live in buffers sized once per circuit.
 type enumerator struct {
 	c        *circuit.Circuit
 	opts     Options
@@ -210,13 +256,26 @@ type enumerator struct {
 	labels   []string // Gate.Label per gate, computed once
 	budget   int
 	overflow bool
-	emitBuf  []int // the sorted set handed to emit
-	qubits   []int // qubitsWith scratch
-	sig      sigScratch
 
-	enumerated *obs.Counter // connected sets emitted (nil-safe)
-	pruned     *obs.Counter // extensions rejected by the qubit cap
+	sub    []int   // the set being grown, in order of addition: sub[:d] at depth d
+	cands  [][]int // cands[d]: the gates that may extend sub[:d]
+	qubits []int   // distinct qubits of sub[:d], in order of first use: qubits[:nq[d]]
+	nq     []int
+	set    []int // sub sorted ascending, as the signature sees it
+	sig    sigScratch
+
+	ids    map[string]int32 // signature → id
+	sigs   []string         // signature by id
+	stride []int32          // gates per set, by id
+	slab   [][]int32        // chunks of records: signature id, then the set's gates
+
+	enumerated, pruned int64 // added to their counters once the walk ends
 }
+
+// slabChunk is the int32s per full slab chunk: the slab grows without
+// copying, and at most one partly filled chunk is spare. The first four
+// chunks are smaller (1/16, 1/8, 1/4, 1/2), for small circuits.
+const slabChunk = 1 << 12
 
 func newEnumerator(c *circuit.Circuit, opts Options) *enumerator {
 	dag := circuit.BuildDAG(c)
@@ -227,52 +286,62 @@ func newEnumerator(c *circuit.Circuit, opts Options) *enumerator {
 		sort.Ints(adj[i])
 		labels[i] = c.Gates[i].Label()
 	}
-	return &enumerator{c: c, opts: opts, adj: adj, labels: labels, budget: opts.EnumLimit}
+	return &enumerator{
+		c: c, opts: opts, adj: adj, labels: labels, budget: opts.EnumLimit,
+		sub:   make([]int, 0, opts.MaxGates+1),
+		cands: make([][]int, opts.MaxGates+1),
+		nq:    make([]int, opts.MaxGates+1),
+		ids:   make(map[string]int32),
+	}
 }
 
-// run invokes emit for every connected gate set with 2..MaxGates gates and
-// at most MaxQubits qubits, each set exactly once (standard connected-
-// subgraph enumeration anchored at the minimum element). The set is
-// sorted ascending and only valid during the call.
-func (e *enumerator) run(emit func([]int)) {
-	n := len(e.c.Gates)
-	for s := 0; s < n && !e.overflow; s++ {
-		var cand []int
+// run records every connected gate set with 2..MaxGates gates and at most
+// MaxQubits qubits, each set exactly once (standard connected-subgraph
+// enumeration anchored at the minimum element).
+func (e *enumerator) run() {
+	for s := range e.c.Gates {
+		if e.overflow {
+			return
+		}
+		cand := e.cands[1][:0]
 		for _, v := range e.adj[s] {
 			if v > s {
 				cand = append(cand, v)
 			}
 		}
-		e.grow([]int{s}, cand, s, emit)
+		e.cands[1] = cand
+		e.sub = append(e.sub[:0], s)
+		e.qubitsWith(0, s)
+		e.grow(1, s)
 	}
 }
 
-func (e *enumerator) grow(sub, cand []int, anchor int, emit func([]int)) {
-	if e.overflow {
-		return
-	}
-	if len(sub) >= 2 {
+// grow records sub[:d] and extends it by each of cands[d] in turn.
+func (e *enumerator) grow(d, anchor int) {
+	if d >= 2 {
 		e.budget--
 		if e.budget <= 0 {
 			e.overflow = true
 			return
 		}
-		e.emitBuf = append(e.emitBuf[:0], sub...)
-		sort.Ints(e.emitBuf)
-		e.enumerated.Inc()
-		emit(e.emitBuf)
+		e.enumerated++
+		e.record(e.sub[:d])
 	}
-	if len(sub) >= e.opts.MaxGates {
+	if d >= e.opts.MaxGates {
 		return
 	}
+	sub, cand := e.sub[:d], e.cands[d]
 	for i, v := range cand {
-		if e.qubitsWith(sub, v) > e.opts.MaxQubits {
-			e.pruned.Inc()
+		if e.qubitsWith(d, v) > e.opts.MaxQubits {
+			e.pruned++
 			continue
+		}
+		if e.overflow {
+			continue // an overflow still counts this loop's qubit-cap prunes
 		}
 		// New candidate list: remaining candidates plus v's unseen
 		// neighbours above the anchor.
-		next := append([]int(nil), cand[i+1:]...)
+		next := append(e.cands[d+1][:0], cand[i+1:]...)
 		for _, nb := range e.adj[v] {
 			// Skip members, candidates already listed, and neighbours
 			// added above (sets are small: linear scans).
@@ -280,29 +349,95 @@ func (e *enumerator) grow(sub, cand []int, anchor int, emit func([]int)) {
 				next = append(next, nb)
 			}
 		}
-		child := make([]int, len(sub)+1)
-		copy(child, sub)
-		child[len(sub)] = v
-		e.grow(child, next, anchor, emit)
+		e.cands[d+1] = next
+		e.sub = append(e.sub[:d], v)
+		e.grow(d+1, anchor)
 	}
 }
 
-// qubitsWith counts the distinct qubits of sub plus gate extra.
-func (e *enumerator) qubitsWith(sub []int, extra int) int {
-	qs := e.qubits[:0]
-	add := func(gi int) {
-		for _, q := range e.c.Gates[gi].Qubits {
-			if !slices.Contains(qs, q) {
-				qs = append(qs, q)
-			}
+// qubitsWith counts the distinct qubits of sub[:d] plus gate v, leaving
+// them in qubits[:nq[d+1]] for the extension by v.
+func (e *enumerator) qubitsWith(d, v int) int {
+	qs := e.qubits[:e.nq[d]]
+	for _, q := range e.c.Gates[v].Qubits {
+		if !slices.Contains(qs, q) {
+			qs = append(qs, q)
 		}
 	}
-	for _, gi := range sub {
-		add(gi)
-	}
-	add(extra)
 	e.qubits = qs
+	e.nq[d+1] = len(qs)
 	return len(qs)
+}
+
+// record files one set under its interned signature in the slab.
+func (e *enumerator) record(sub []int) {
+	set := append(e.set[:0], sub...)
+	slices.Sort(set)
+	e.set = set
+	sig := e.signature(set)
+	id, ok := e.ids[string(sig)] // no allocation for the lookup
+	if !ok {
+		id = int32(len(e.sigs))
+		s := string(sig)
+		e.ids[s] = id
+		e.sigs = append(e.sigs, s)
+		e.stride = append(e.stride, int32(len(set)))
+	}
+	n := len(e.slab)
+	if n == 0 || cap(e.slab[n-1])-len(e.slab[n-1]) <= len(set) {
+		e.slab = append(e.slab, make([]int32, 0, max(slabChunk>>max(4-n, 0), len(set)+1)))
+		n++
+	}
+	chunk := append(e.slab[n-1], id)
+	for _, gi := range set {
+		chunk = append(chunk, int32(gi))
+	}
+	e.slab[n-1] = chunk
+}
+
+// group counting-sorts the slab into one run per signature, leaving the
+// runs of signatures with fewer than minCount sets empty and their
+// strings released. It releases the intern table before allocating the
+// runs, and each slab chunk once its records are placed.
+func (e *enumerator) group(minCount int) *groups {
+	e.ids = nil
+	n := len(e.sigs)
+	start := make([]int, n+1) // first the length of run id at id+1
+	for _, chunk := range e.slab {
+		for r := 0; r < len(chunk); {
+			id := chunk[r]
+			k := int(e.stride[id])
+			start[id+1] += k
+			r += 1 + k
+		}
+	}
+	for id := range n {
+		if start[id+1] < minCount*int(e.stride[id]) {
+			start[id+1] = 0
+			e.sigs[id] = "" // no signature is empty: marks the run dropped
+		}
+		start[id+1] += start[id]
+	}
+	sets := make([]int32, start[n])
+	// start[id] is the write cursor of id's run; once every record is
+	// placed it has reached the run's end, start[id+1], and shifting the
+	// cursors up by one restores the starts.
+	for i, chunk := range e.slab {
+		for r := 0; r < len(chunk); {
+			id := chunk[r]
+			k := int(e.stride[id])
+			if e.sigs[id] != "" {
+				start[id] += copy(sets[start[id]:], chunk[r+1:r+1+k])
+			}
+			r += 1 + k
+		}
+		e.slab[i] = nil
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	g := &groups{sigs: e.sigs, stride: e.stride, start: start, sets: sets, used: make([]bool, len(e.c.Gates))}
+	e.slab = nil
+	return g
 }
 
 // signature canonicalizes a gate set: a deterministic topological order of
@@ -315,90 +450,105 @@ func (e *enumerator) qubitsWith(sub []int, extra int) int {
 func (e *enumerator) signature(set []int) []byte {
 	s := &e.sig
 	k := len(set)
-	s.preds = append(s.preds[:0], make([]int, k)...)
+	preds := append(s.preds[:0], make([]int, k)...)
 	for len(s.succs) < k {
 		s.succs = append(s.succs, nil)
 	}
+	succs := s.succs[:k]
 	// Induced dependence edges: consecutive set gates on each wire.
-	s.wires = s.wires[:0]
+	wires := s.wires[:0]
 	for p, gi := range set { // set sorted ascending = program order
-		s.succs[p] = s.succs[p][:0]
+		succs[p] = succs[p][:0]
+	qubits:
 		for _, q := range e.c.Gates[gi].Qubits {
-			if i := slices.IndexFunc(s.wires, func(w wire) bool { return w.q == q }); i >= 0 {
-				u := s.wires[i].last
-				s.preds[p]++
-				s.succs[u] = append(s.succs[u], p)
-				s.wires[i].last = p
-			} else {
-				s.wires = append(s.wires, wire{q, p})
+			for i := range wires {
+				if w := &wires[i]; w.q == q {
+					preds[p]++
+					succs[w.last] = append(succs[w.last], p)
+					w.last = p
+					continue qubits
+				}
 			}
+			wires = append(wires, wire{q, p})
 		}
 	}
 
-	s.ready = s.ready[:0]
-	for p := range set {
-		if s.preds[p] == 0 {
-			s.ready = append(s.ready, p)
+	ready := s.ready[:0]
+	for p, n := range preds {
+		if n == 0 {
+			ready = append(ready, p)
 		}
 	}
-	s.local = s.local[:0]
-	s.out = s.out[:0]
-	for len(s.ready) > 0 {
-		// Deterministic choice: minimal canonical key, ties by index.
+	local, out := s.local[:0], s.out[:0]
+	for len(ready) > 0 {
+		// Deterministic choice: minimal canonical key, ties by index. A
+		// lone ready gate needs no key.
 		best := 0
-		s.best = e.appendKey(s.best[:0], set[s.ready[0]])
-		for i := 1; i < len(s.ready); i++ {
-			s.key = e.appendKey(s.key[:0], set[s.ready[i]])
-			if c := bytes.Compare(s.key, s.best); c < 0 || (c == 0 && s.ready[i] < s.ready[best]) {
-				best = i
-				s.key, s.best = s.best, s.key
+		if len(ready) > 1 {
+			s.best = e.appendKey(s.best[:0], set[ready[0]], local)
+			for i := 1; i < len(ready); i++ {
+				s.key = e.appendKey(s.key[:0], set[ready[i]], local)
+				if c := bytes.Compare(s.key, s.best); c < 0 || (c == 0 && ready[i] < ready[best]) {
+					best = i
+					s.key, s.best = s.best, s.key
+				}
 			}
 		}
-		p := s.ready[best]
-		s.ready = append(s.ready[:best], s.ready[best+1:]...)
+		p := ready[best]
+		ready = append(ready[:best], ready[best+1:]...)
 		gi := set[p]
-		if len(s.out) > 0 {
-			s.out = append(s.out, '|')
+		if len(out) > 0 {
+			out = append(out, '|')
 		}
-		s.out = append(s.out, e.labels[gi]...)
-		s.out = append(s.out, ':')
+		out = append(out, e.labels[gi]...)
+		out = append(out, ':')
 		for i, q := range e.c.Gates[gi].Qubits {
-			id := slices.Index(s.local, q)
+			id := slices.Index(local, q)
 			if id < 0 {
-				id = len(s.local)
-				s.local = append(s.local, q)
+				id = len(local)
+				local = append(local, q)
 			}
 			if i > 0 {
-				s.out = append(s.out, ',')
+				out = append(out, ',')
 			}
-			s.out = strconv.AppendInt(s.out, int64(id), 10)
+			out = appendID(out, id)
 		}
-		for _, c := range s.succs[p] {
-			s.preds[c]--
-			if s.preds[c] == 0 {
-				s.ready = append(s.ready, c)
+		for _, c := range succs[p] {
+			preds[c]--
+			if preds[c] == 0 {
+				ready = append(ready, c)
 			}
 		}
 	}
-	return s.out
+	s.preds, s.wires, s.ready, s.local, s.out = preds, wires, ready, local, out
+	return out
 }
 
-// appendKey appends gate gi's ordering key: its label and operand wires,
-// "?" for a wire not yet named (compares equal across embeddings).
-func (e *enumerator) appendKey(b []byte, gi int) []byte {
+// appendKey appends gate gi's ordering key: its label and operand wires
+// by their ids in local, "?" for a wire not yet named (compares equal
+// across embeddings).
+func (e *enumerator) appendKey(b []byte, gi int, local []int) []byte {
 	b = append(b, e.labels[gi]...)
 	b = append(b, ':')
 	for i, q := range e.c.Gates[gi].Qubits {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		if id := slices.Index(e.sig.local, q); id >= 0 {
-			b = strconv.AppendInt(b, int64(id), 10)
+		if id := slices.Index(local, q); id >= 0 {
+			b = appendID(b, id)
 		} else {
 			b = append(b, '?')
 		}
 	}
 	return b
+}
+
+// appendID appends a local wire id in decimal.
+func appendID(b []byte, id int) []byte {
+	if id < 10 {
+		return append(b, byte('0'+id))
+	}
+	return strconv.AppendInt(b, int64(id), 10)
 }
 
 // wire is a physical qubit and the last set position on it.
@@ -413,40 +563,4 @@ type sigScratch struct {
 	ready     []int
 	key, best []byte
 	out       []byte
-}
-
-func sortEmbeddings(embeds [][]int) {
-	sort.Slice(embeds, func(i, j int) bool {
-		a, b := embeds[i], embeds[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-}
-
-// greedyDisjoint picks a maximal prefix-greedy family of pairwise-disjoint
-// embeddings.
-func greedyDisjoint(embeds [][]int) [][]int {
-	used := map[int]bool{}
-	var out [][]int
-	for _, e := range embeds {
-		ok := true
-		for _, gi := range e {
-			if used[gi] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for _, gi := range e {
-			used[gi] = true
-		}
-		out = append(out, e)
-	}
-	return out
 }

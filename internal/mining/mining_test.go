@@ -3,6 +3,7 @@ package mining
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,10 +204,21 @@ func TestConvex(t *testing.T) {
 	c.Add("h", 0)     // 1
 	c.Add("cx", 0, 1) // 2
 	dag := circuit.BuildDAG(c)
-	if Convex(dag, []int{0, 2}) {
+	mark := make([]byte, len(c.Gates))
+	isConvex := func(emb []int) bool {
+		got := convex(dag, emb, mark)
+		if want := refConvex(dag, emb); got != want {
+			t.Errorf("convex(%v) = %v, reference %v", emb, got, want)
+		}
+		if slices.ContainsFunc(mark, func(b byte) bool { return b != 0 }) {
+			t.Fatalf("convex(%v) left marks behind: %v", emb, mark)
+		}
+		return got
+	}
+	if isConvex([]int{0, 2}) {
 		t.Error("{0,2} threads through outside gate 1: not convex")
 	}
-	if !Convex(dag, []int{0, 1}) || !Convex(dag, []int{1, 2}) || !Convex(dag, []int{0, 1, 2}) {
+	if !isConvex([]int{0, 1}) || !isConvex([]int{1, 2}) || !isConvex([]int{0, 1, 2}) {
 		t.Error("contiguous sets should be convex")
 	}
 }

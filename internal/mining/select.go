@@ -1,6 +1,10 @@
 package mining
 
-import "paqoc/internal/circuit"
+import (
+	"slices"
+
+	"paqoc/internal/circuit"
+)
 
 // Selection is one APA-basis gate choice: a pattern plus the disjoint,
 // convex embeddings committed for replacement.
@@ -17,7 +21,8 @@ func (s *Selection) CoveredGates() int { return len(s.Chosen) * s.Pattern.GateCo
 // coverage of the circuit"). m < 0 removes the limit (the paper's
 // paqoc(M=inf)); m == 0 selects nothing (paqoc(M=0)). Only convex
 // embeddings — groupable as a single unit without outside dependences
-// threading through — are committed.
+// threading through — are committed. Each round depends only on the
+// rounds before it, so Select(m) is the first m selections of Select(-1).
 func Select(c *circuit.Circuit, patterns []Pattern, m int, minSupport int) []Selection {
 	if m == 0 {
 		return nil
@@ -25,27 +30,29 @@ func Select(c *circuit.Circuit, patterns []Pattern, m int, minSupport int) []Sel
 	if minSupport <= 0 {
 		minSupport = 2
 	}
-	dag := circuit.BuildDAG(c)
-	covered := make([]bool, len(c.Gates))
+	s := newSelector(c, patterns)
 	var out []Selection
 
 	// Every round re-scores every remaining pattern. The trial commits
 	// share one scratch state and two buffers, swapped when a trial wins;
 	// only the round's winner is copied out.
-	used := make([]bool, len(c.Gates))
 	var chosen, bestChosen [][]int
-	remaining := append([]Pattern(nil), patterns...)
+	remaining := make([]int, len(patterns)) // indices into patterns
+	for i := range remaining {
+		remaining[i] = i
+	}
 	for m < 0 || len(out) < m {
 		bestIdx := -1
 		bestGain := 0
-		for pi, p := range remaining {
-			chosen = commitEmbeddings(dag, p.Embeddings, covered, used, chosen[:0])
+		for ri, pi := range remaining {
+			p := &patterns[pi]
+			chosen = s.commit(pi, chosen[:0])
 			if len(chosen) < minSupport {
 				continue
 			}
 			gain := len(chosen) * p.GateCount
-			if gain > bestGain || (gain == bestGain && bestIdx >= 0 && p.Signature < remaining[bestIdx].Signature) {
-				bestIdx, bestGain = pi, gain
+			if gain > bestGain || (gain == bestGain && bestIdx >= 0 && p.Signature < patterns[remaining[bestIdx]].Signature) {
+				bestIdx, bestGain = ri, gain
 				chosen, bestChosen = bestChosen, chosen
 			}
 		}
@@ -54,11 +61,11 @@ func Select(c *circuit.Circuit, patterns []Pattern, m int, minSupport int) []Sel
 		}
 		for _, emb := range bestChosen {
 			for _, gi := range emb {
-				covered[gi] = true
+				s.covered[gi] = true
 			}
 		}
-		out = append(out, Selection{Pattern: remaining[bestIdx], Chosen: append([][]int(nil), bestChosen...)})
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
+		out = append(out, Selection{Pattern: patterns[remaining[bestIdx]], Chosen: append([][]int(nil), bestChosen...)})
+		remaining = slices.Delete(remaining, bestIdx, bestIdx+1)
 	}
 	return out
 }
@@ -67,48 +74,96 @@ func Select(c *circuit.Circuit, patterns []Pattern, m int, minSupport int) []Sel
 // selections make APA-covered gates the majority of the circuit, or the
 // maximum achievable M when even full selection cannot reach majority.
 func TunedM(c *circuit.Circuit, patterns []Pattern, minSupport int) int {
-	full := Select(c, patterns, -1, minSupport)
-	covered := 0
-	for mIdx, sel := range full {
-		covered += sel.CoveredGates()
-		if 2*covered > len(c.Gates) {
-			return mIdx + 1
-		}
-	}
-	return len(full)
+	return len(SelectTuned(c, patterns, minSupport))
 }
 
-// commitEmbeddings greedily picks pairwise-disjoint, convex embeddings
-// avoiding already-covered gates, appending them to out. used is scratch
-// of one flag per gate, all false on entry and on return.
-func commitEmbeddings(dag *circuit.DAG, embeds [][]int, covered, used []bool, out [][]int) [][]int {
-	for _, emb := range embeds {
-		ok := true
+// SelectTuned is Select(c, patterns, TunedM(c, patterns, minSupport),
+// minSupport) from one selection pass: the tuned prefix of Select(-1),
+// nil when it is empty.
+func SelectTuned(c *circuit.Circuit, patterns []Pattern, minSupport int) []Selection {
+	full := Select(c, patterns, -1, minSupport)
+	covered := 0
+	for i, sel := range full {
+		covered += sel.CoveredGates()
+		if 2*covered > len(c.Gates) {
+			return full[: i+1 : i+1]
+		}
+	}
+	return full
+}
+
+// selector is one Select call's state: the gates covered so far, the
+// scratch flags of a trial commit, and each embedding's convexity,
+// computed on first use (it depends only on the DAG).
+type selector struct {
+	dag      *circuit.DAG
+	patterns []Pattern
+	covered  []bool
+	used     []bool // per gate: commit's scratch, all false between calls
+	mark     []byte // per gate: convex's scratch, all zero between calls
+	first    []int  // pattern pi's embeddings are memo[first[pi]:first[pi+1]]
+	memo     []byte // per embedding: 0 unknown, else convex or notConvex
+}
+
+const (
+	isConvex = 1 + iota
+	notConvex
+)
+
+func newSelector(c *circuit.Circuit, patterns []Pattern) *selector {
+	n := len(c.Gates)
+	first := make([]int, len(patterns)+1)
+	for pi, p := range patterns {
+		first[pi+1] = first[pi] + len(p.Embeddings)
+	}
+	return &selector{
+		dag:      circuit.BuildDAG(c),
+		patterns: patterns,
+		covered:  make([]bool, n),
+		used:     make([]bool, n),
+		mark:     make([]byte, n),
+		first:    first,
+		memo:     make([]byte, first[len(patterns)]),
+	}
+}
+
+// commit greedily picks pattern pi's pairwise-disjoint, convex embeddings
+// that avoid already-covered gates, appending them to out.
+func (s *selector) commit(pi int, out [][]int) [][]int {
+	memo := s.memo[s.first[pi]:s.first[pi+1]]
+next:
+	for j, emb := range s.patterns[pi].Embeddings {
 		for _, gi := range emb {
-			if covered[gi] || used[gi] {
-				ok = false
-				break
+			if s.covered[gi] || s.used[gi] {
+				continue next
 			}
 		}
-		if !ok || !Convex(dag, emb) {
+		if memo[j] == 0 {
+			memo[j] = notConvex
+			if convex(s.dag, emb, s.mark) {
+				memo[j] = isConvex
+			}
+		}
+		if memo[j] == notConvex {
 			continue
 		}
 		for _, gi := range emb {
-			used[gi] = true
+			s.used[gi] = true
 		}
 		out = append(out, emb)
 	}
 	for _, emb := range out {
 		for _, gi := range emb {
-			used[gi] = false
+			s.used[gi] = false
 		}
 	}
 	return out
 }
 
-// Convex reports whether the gate set can be executed as one unit: no
-// dependence path leaves the set and re-enters it. emb must be sorted.
-func Convex(dag *circuit.DAG, emb []int) bool {
+// convex reports whether the gate set can be executed as one unit: no
+// dependence path leaves the set and re-enters it. emb must be sorted;
+// mark holds one zero byte per gate and is left zeroed.
+func convex(dag *circuit.DAG, emb []int, mark []byte) bool {
 	if len(emb) == 0 {
 		return true
 	}
@@ -116,12 +171,14 @@ func Convex(dag *circuit.DAG, emb []int) bool {
 	// One mark per gate in [lo, hi]: in the set, or an outside gate
 	// reachable from it (tainted).
 	const inSet, tainted = 1, 2
-	mark := make([]byte, hi-lo+1)
+	mark = mark[lo : hi+1]
 	for _, gi := range emb {
 		mark[gi-lo] = inSet
 	}
+	ok := true
 	// Forward-mark outside gates in (lo, hi) reachable from the set; if any
 	// marked outside gate feeds back into the set, the set is not convex.
+walk:
 	for v := lo; v <= hi; v++ {
 		mv := mark[v-lo]
 		if mv == 0 {
@@ -135,11 +192,13 @@ func Convex(dag *circuit.DAG, emb []int) bool {
 				mark[s-lo] = tainted
 			} else if mv == tainted {
 				if mark[s-lo] == inSet {
-					return false
+					ok = false
+					break walk
 				}
 				mark[s-lo] = tainted
 			}
 		}
 	}
-	return true
+	clear(mark)
+	return ok
 }

@@ -3,6 +3,7 @@ package mining
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"paqoc/internal/circuit"
@@ -49,57 +50,51 @@ type sigStat struct {
 // (>= 1), because a pattern rare in one circuit may be frequent across the
 // corpus. opts must already be validated and filled.
 func mineStats(ctx context.Context, c *circuit.Circuit, opts Options) map[string]sigStat {
-	bySig := enumerateBySig(ctx, c, opts)
-	out := make(map[string]sigStat, len(bySig))
-	for sig, l := range bySig {
-		delete(bySig, sig) // release each slab once read
-		embeds := l.sorted()
-		disjoint := greedyDisjoint(embeds)
+	g := enumerateBySig(ctx, c, opts, 1)
+	out := make(map[string]sigStat, len(g.sigs))
+	for id, sig := range g.sigs {
+		run, k := g.run(id)
 		out[sig] = sigStat{
-			gateCount:  len(embeds[0]),
-			qubitCount: countQubits(c, embeds[0]),
-			support:    len(disjoint),
-			rep:        localGates(c, embeds[0]),
+			gateCount:  k,
+			qubitCount: countQubits(c, run[:k]),
+			support:    g.disjoint(run, k),
+			rep:        localGates(c, run[:k]),
 		}
 	}
 	return out
 }
 
-func countQubits(c *circuit.Circuit, embed []int) int {
-	qs := map[int]bool{}
+// embedQubits returns the distinct qubits of an embedding's gates,
+// appended to qs.
+func embedQubits(qs []int, c *circuit.Circuit, embed []int32) []int {
 	for _, gi := range embed {
 		for _, q := range c.Gates[gi].Qubits {
-			qs[q] = true
+			if !slices.Contains(qs, q) {
+				qs = append(qs, q)
+			}
 		}
 	}
-	return len(qs)
+	return qs
+}
+
+func countQubits(c *circuit.Circuit, embed []int32) int {
+	var buf [8]int
+	return len(embedQubits(buf[:0], c, embed))
 }
 
 // localGates extracts an embedding's gates re-indexed onto local wires
 // 0..k-1 in sorted-physical-qubit order — the same renumbering
 // pulse.NewCustomGate applies, so a CustomGate built from the result keys
 // the pulse DB identically to an APA block built from the embedding.
-func localGates(c *circuit.Circuit, embed []int) []circuit.Gate {
-	qset := map[int]bool{}
-	for _, gi := range embed {
-		for _, q := range c.Gates[gi].Qubits {
-			qset[q] = true
-		}
-	}
-	qs := make([]int, 0, len(qset))
-	for q := range qset {
-		qs = append(qs, q)
-	}
-	sort.Ints(qs)
-	idx := make(map[int]int, len(qs))
-	for i, q := range qs {
-		idx[q] = i
-	}
+func localGates(c *circuit.Circuit, embed []int32) []circuit.Gate {
+	var buf [8]int
+	qs := embedQubits(buf[:0], c, embed)
+	slices.Sort(qs)
 	out := make([]circuit.Gate, len(embed))
 	for i, gi := range embed { // embed is sorted ascending = program order
 		g := c.Gates[gi].Clone()
 		for j, q := range g.Qubits {
-			g.Qubits[j] = idx[q]
+			g.Qubits[j], _ = slices.BinarySearch(qs, q)
 		}
 		out[i] = g
 	}

@@ -28,9 +28,9 @@ import (
 // MInf requests unlimited APA-basis gates (the paper's paqoc(M=inf)).
 const MInf = -1
 
-// MTuned lets the compiler pick M itself: mining.TunedM over the patterns
-// it mines, the fewest APA-basis gates that cover over half the circuit
-// (the paper's paqoc(M=tuned)).
+// MTuned lets the compiler pick M itself: mining.SelectTuned over the
+// patterns it mines keeps the fewest APA-basis gates that cover over half
+// the circuit (the paper's paqoc(M=tuned)).
 const MTuned = -2
 
 // maxIterations bounds Algorithm 1's outer loop (safety; the loop normally
@@ -237,11 +237,11 @@ func (cp *Compiler) CompileCtx(ctx context.Context, phys *circuit.Circuit) (*Res
 			span.End()
 			return nil, fmt.Errorf("paqoc: %w", err)
 		}
-		m := cp.Cfg.M
-		if m == MTuned {
-			m = mining.TunedM(phys, patterns, cp.Cfg.MinSupport)
+		if cp.Cfg.M == MTuned {
+			selections = mining.SelectTuned(phys, patterns, cp.Cfg.MinSupport)
+		} else {
+			selections = mining.Select(phys, patterns, cp.Cfg.M, cp.Cfg.MinSupport)
 		}
-		selections = mining.Select(phys, patterns, m, cp.Cfg.MinSupport)
 		stageDone("mine", t0)
 		span.SetAttr("patterns", len(patterns))
 		span.SetAttr("selections", len(selections))
