@@ -242,12 +242,16 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 	if guess != nil {
 		// Warm start: resample the guess onto this slice count, channel
 		// by channel (per-channel lengths may differ after a snapshot
-		// merge; alignGuess already rejected empty or missing channels).
+		// merge; alignGuess already rejected empty or missing channels),
+		// and clip it to the control bounds as every ADAM step does. A
+		// snapshot, a merge or a peer may carry any finite amplitude, and
+		// a probe that hits on its first iteration returns its start.
 		for k := 0; k < nc; k++ {
 			src := guess[k]
 			srcN := len(src)
+			bound := sys.Controls[k].Bound
 			for j := 0; j < slices; j++ {
-				amps[k][j] = src[j*srcN/slices]
+				amps[k][j] = clip(src[j*srcN/slices], bound)
 			}
 		}
 	} else {
@@ -346,14 +350,9 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 				m[k][j] = beta1*m[k][j] + (1-beta1)*g
 				v[k][j] = beta2*v[k][j] + (1-beta2)*g*g
 				step := learningRate * (m[k][j] / bc1) / (math.Sqrt(v[k][j]/bc2) + eps)
-				amps[k][j] += step
+				amps[k][j] = clip(amps[k][j]+step, bound)
 				if s := math.Abs(step); s > maxStep {
 					maxStep = s
-				}
-				if amps[k][j] > bound {
-					amps[k][j] = bound
-				} else if amps[k][j] < -bound {
-					amps[k][j] = -bound
 				}
 			}
 		}
@@ -362,6 +361,16 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 		}
 	}
 	return best
+}
+
+// clip limits an amplitude to the control bound ±bound.
+func clip(a, bound float64) float64 {
+	if a > bound {
+		return bound
+	} else if a < -bound {
+		return -bound
+	}
+	return a
 }
 
 // alignGuess maps a stored schedule's channels onto sys.Controls by

@@ -13,7 +13,8 @@ import (
 // value-returning (allocating) linalg kernels with no instrumentation.
 // It is the differential oracle for the zero-allocation path: for any
 // fixed seed, optimize must reproduce its Fidelity, Iters, and Amps
-// bit-for-bit (TestOptimizeMatchesReference). Its figures as the "before"
+// bit-for-bit (TestOptimizeMatchesReference). Its one change since is the
+// warm start's clip to the control bounds, which optimize shares. Its figures as the "before"
 // baseline of the kernel benchmarks are on record in BENCH_003.json.
 func OptimizeReference(sys *hamiltonian.System, target *linalg.Matrix, slices int, opts Options) *Result {
 	opts.fill()
@@ -35,7 +36,7 @@ func OptimizeReference(sys *hamiltonian.System, target *linalg.Matrix, slices in
 			src := guess[k]
 			srcN := len(src)
 			for j := 0; j < slices; j++ {
-				amps[k][j] = src[j*srcN/slices]
+				amps[k][j] = clip(src[j*srcN/slices], sys.Controls[k].Bound)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"paqoc/internal/circuit"
 	"paqoc/internal/hamiltonian"
 	"paqoc/internal/linalg"
 	"paqoc/internal/obs"
@@ -247,4 +248,102 @@ func TestHintSlicesSavesProbes(t *testing.T) {
 	if lat, _ := run(clamped); lat != coldLat {
 		t.Errorf("oversized hint changed the answer: %v vs %v", lat, coldLat)
 	}
+}
+
+// scheduleUnitary replays sched on sys: the unitary its slices realize.
+func scheduleUnitary(sys *hamiltonian.System, sched *pulse.Schedule) *linalg.Matrix {
+	u := linalg.Identity(sys.Dim)
+	amps := make([]float64, len(sys.Controls))
+	for j := 0; j < sched.NumSlices(); j++ {
+		for k := range amps {
+			amps[k] = sched.Amps[k][j]
+		}
+		u = sys.Propagator(amps, sched.SliceDt).Mul(u)
+	}
+	return u
+}
+
+// assertWithinBounds fails when any sample of sched lies outside its
+// control's bound on sys.
+func assertWithinBounds(t *testing.T, name string, sys *hamiltonian.System, sched *pulse.Schedule) {
+	t.Helper()
+	for k, c := range sys.Controls {
+		for j, a := range sched.Amps[k] {
+			if math.Abs(a) > c.Bound {
+				t.Fatalf("%s: %s sample %d is %v, outside its bound ±%v", name, c.Name, j, a, c.Bound)
+			}
+		}
+	}
+}
+
+// TestWarmStartClippedToBounds: a warm start outside the control bounds
+// is clipped as it is loaded, so no search returns a sample beyond its
+// bound, even when the unclipped guess already realizes the target.
+func TestWarmStartClippedToBounds(t *testing.T) {
+	// One qubit: a 2-slice schedule at 3× each bound, handed in as the
+	// first probe's guess with its own unitary as the target.
+	sys1 := hamiltonian.XYTransmon(1, nil)
+	wide := &pulse.Schedule{SliceDt: sliceDt}
+	for _, c := range sys1.Controls {
+		wide.Channels = append(wide.Channels, c.Name)
+		wide.Amps = append(wide.Amps, []float64{3 * c.Bound, 3 * c.Bound})
+	}
+	opts := DefaultOptions()
+	opts.InitialGuess = wide
+	opts.HintSlices = 2
+	sched, _, _, err := MinimumTimeCtx(context.Background(), sys1, scheduleUnitary(sys1, wide), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertWithinBounds(t, "1q guess", sys1, sched)
+	for k, amps := range wide.Amps {
+		for _, a := range amps {
+			if a != 3*sys1.Controls[k].Bound {
+				t.Fatalf("the search wrote %v into the guess", a)
+			}
+		}
+	}
+
+	// Two qubits through the Generator: a CX schedule optimized under 3×
+	// the bounds, stored as a near miss of CX (keyed by CX after a small
+	// Z rotation), seeds a fresh CX search.
+	sys2 := hamiltonian.XYTransmon(2, hamiltonian.AllPairs(2))
+	loose := hamiltonian.XYTransmon(2, hamiltonian.AllPairs(2))
+	for k := range loose.Controls {
+		loose.Controls[k].Bound *= 3
+	}
+	cxOpts := DefaultOptions()
+	cxOpts.TargetFidelity = 0.999
+	fast, lat, _, err := MinimumTimeCtx(context.Background(), loose, quantum.MatCX, cxOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beyond := false
+	for k, c := range sys2.Controls {
+		for _, a := range fast.Amps[k] {
+			beyond = beyond || math.Abs(a) > c.Bound
+		}
+	}
+	if !beyond {
+		t.Fatal("the 3×-bound CX schedule stays inside the real bounds; the case tests nothing")
+	}
+	near, err := pulse.NewCustomGate([]circuit.Gate{
+		{Name: "rz", Params: []float64{0.05}, Qubits: []int{0}},
+		{Name: "cx", Qubits: []int{0, 1}},
+	}).Unitary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := NewGenerator(DefaultOptions())
+	gen.DB.Store(near, &pulse.Generated{Schedule: fast, Latency: lat, Fidelity: 0.999, Error: 0.001})
+	reg := obs.NewRegistry()
+	got, err := gen.GenerateCtx(obs.WithMetrics(context.Background(), reg),
+		pulse.NewCustomGate([]circuit.Gate{{Name: "cx", Qubits: []int{0, 1}}}), 0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("grape.warm_starts").Value(); n != 1 {
+		t.Fatalf("grape.warm_starts = %d, want the near miss as the guess", n)
+	}
+	assertWithinBounds(t, "2q near miss", sys2, got.Schedule)
 }

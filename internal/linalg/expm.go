@@ -87,30 +87,89 @@ func ExpmInto(dst, m *Matrix, ws *Workspace) {
 	ws.ensure(n)
 	scaled, term, tmp := sized(ws.scaled, n), sized(ws.term, n), sized(ws.tmp, n)
 
-	// Scale so the one-norm of the argument is ≤ 0.5, then square back.
-	norm := m.OneNorm()
-	squarings := 0
-	if norm > 0.5 {
-		squarings = int(math.Ceil(math.Log2(norm / 0.5)))
-	}
-	ScaleInto(scaled, m, complex(math.Ldexp(1, -squarings), 0))
+	// Scale so the one-norm of the argument A is ≤ 0.5, then square back.
+	squarings := squaringCount(m)
 
 	// Taylor series: I + A + A²/2! + …; with ‖A‖ ≤ 0.5 convergence is fast.
-	// Each step is one product and one fused pass (taylorStep); the
-	// product lands in tmp, which then becomes the next term.
+	// The first term is A itself: the first step scales a copy of m by the
+	// real 2^-squarings in place and adds it to I. The complex scale by
+	// (2^-squarings, 0) and the product I·A it replaces differ from that
+	// only in the sign of zero parts, which reaches no bit (DESIGN.md,
+	// "Fused Taylor step"). Every later term is one product into buf and
+	// one step scaling it by 1/k; buf and spare then trade places.
+	copy(scaled.Data, m.Data)
 	IdentityInto(dst)
-	IdentityInto(term)
-	for k := 1; k <= 24; k++ {
-		MulInto(tmp, term, scaled)
-		term, tmp = tmp, term
-		if taylorStep(dst.Data, term.Data, 1/float64(k)) {
-			break
+	buf, spare := term, tmp
+	term = scaled
+	r := math.Ldexp(1, -squarings)
+	for k := 1; !stepTerm(dst.Data, term.Data, r) && k < 24; k++ {
+		MulInto(buf, term, scaled)
+		term = buf
+		buf, spare = spare, buf
+		r = 1 / float64(k+1)
+	}
+	// Square by trading dst and tmp; an odd count ends in tmp and pays
+	// the one copy.
+	cur, next := dst, tmp
+	for s := 0; s < squarings; s++ {
+		MulInto(next, cur, cur)
+		cur, next = next, cur
+	}
+	if cur != dst {
+		copy(dst.Data, cur.Data)
+	}
+}
+
+// maxSquarings caps the squaring count at what a finite one-norm can
+// need: every finite norm is below 2^1024, and 1025 halvings bring that
+// to 0.5. An overflowing norm converts to an implementation-defined int:
+// −2^63 on amd64, which squares nothing and keeps that platform's bits,
+// but MaxInt64 on arm64, whose squaring loop would never end.
+const maxSquarings = 1025
+
+// squaringCount returns ExpmInto's squaring count for m: 0 when
+// ‖m‖₁ ≤ 0.5, else min(⌈log₂(‖m‖₁/0.5)⌉, maxSquarings) from OneNorm. It
+// sums √(re²+im²) instead of cmplx.Abs. That norm is within a few ulps
+// of OneNorm, plus 1e-160 where a square underflows, so away from the
+// thresholds 0.5·2^j both norms give one integer, read off the binary
+// exponent. OneNorm and the formula decide within a relative 1e-9 of a
+// power of two, and when a square overflows: a finite cheap norm is below
+// 1e156, far from where the formula's ‖m‖₁/0.5 overflows (DESIGN.md,
+// "Fused Taylor step").
+func squaringCount(m *Matrix) int {
+	norm := sqrtOneNorm(m)
+	if norm < 0.5*(1-1e-9) {
+		return 0
+	}
+	// frac lies in [0.5, 1) for a finite norm; Inf fails both tests.
+	if frac, exp := math.Frexp(norm); frac > 0.5*(1+1e-9) && frac < 1-1e-9 {
+		return exp + 1
+	}
+	return squaringsFor(m.OneNorm())
+}
+
+// squaringsFor is the squaring count of a matrix whose one-norm is norm.
+func squaringsFor(norm float64) int {
+	if norm <= 0.5 {
+		return 0
+	}
+	return min(int(math.Ceil(math.Log2(norm/0.5))), maxSquarings)
+}
+
+// sqrtOneNorm is OneNorm with √(re²+im²) in place of cmplx.Abs.
+func sqrtOneNorm(m *Matrix) float64 {
+	var mx float64
+	for c := 0; c < m.Cols; c++ {
+		var s float64
+		for i := c; i < len(m.Data); i += m.Cols {
+			v := m.Data[i]
+			s += math.Sqrt(real(v)*real(v) + imag(v)*imag(v))
+		}
+		if s > mx {
+			mx = s
 		}
 	}
-	for s := 0; s < squarings; s++ {
-		MulInto(tmp, dst, dst)
-		copy(dst.Data, tmp.Data)
-	}
+	return mx
 }
 
 // taylorStep scales the series term t in place by the real r, adds it into
@@ -142,6 +201,21 @@ func taylorStep(dst, t []complex128, r float64) bool {
 		}
 	}
 	return converged
+}
+
+// termConverged applies taylorStep's stopping rule to a term that is
+// already scaled: it reports whether every entry has modulus below 1e-18.
+func termConverged(t []complex128) bool {
+	for _, v := range t {
+		m := math.Abs(real(v))
+		if a := math.Abs(imag(v)); a > m {
+			m = a
+		}
+		if m >= 1e-18 || m >= 0.5e-18 && cmplx.Abs(v) >= 1e-18 {
+			return false
+		}
+	}
+	return true
 }
 
 // ExpmHermitian returns e^(-i·H·t) for Hermitian H: the unitary propagator

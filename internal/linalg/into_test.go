@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -142,6 +143,20 @@ func TestIntoKernelsZeroAlloc(t *testing.T) {
 			t.Errorf("%s: %v allocs/op with warm buffers, want 0", name, allocs)
 		}
 	}
+
+	// The exponential at every dimension, on the AVX2 step kernel's
+	// lengths and the scalar step's alike, with and without squarings.
+	for n := 1; n <= 16; n++ {
+		a := randomMatrix(n, n, rng.Int63())
+		h := a.Add(a.Dagger()).Scale(0.5)
+		dst := New(n, n)
+		ws := NewWorkspace(n)
+		for _, dt := range []float64{0.01, 3} {
+			if allocs := testing.AllocsPerRun(20, func() { ExpmHermitianInto(dst, h, dt, ws) }); allocs != 0 {
+				t.Errorf("ExpmHermitianInto n=%d t=%v: %v allocs/op with warm buffers, want 0", n, dt, allocs)
+			}
+		}
+	}
 }
 
 // TestWorkspaceServesSmallerDims checks the sized() reslicing path: a
@@ -192,14 +207,21 @@ func BenchmarkExpmHermitianValue(b *testing.B) {
 	}
 }
 
+// BenchmarkExpmHermitianInto is the exponential's layer row at the 1-,
+// 2-, 3- and 4-qubit dimensions: e^(-i·H·0.3) for a random Hermitian H.
 func BenchmarkExpmHermitianInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x := randomMatrix(8, 8, rng.Int63())
-	h := x.Add(x.Dagger()).Scale(0.5)
-	dst := New(8, 8)
-	ws := NewWorkspace(8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ExpmHermitianInto(dst, h, 0.3, ws)
+	for _, n := range []int{2, 4, 8, 16} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			x := randomMatrix(n, n, rng.Int63())
+			h := x.Add(x.Dagger()).Scale(0.5)
+			dst := New(n, n)
+			ws := NewWorkspace(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ExpmHermitianInto(dst, h, 0.3, ws)
+			}
+		})
 	}
 }

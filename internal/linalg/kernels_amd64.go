@@ -48,6 +48,9 @@ func mulInto8AVX2(dst, a, b *complex128)
 //go:noescape
 func mulInto16AVX2(dst, a, b *complex128)
 
+//go:noescape
+func taylorStepAVX2(sum, term *complex128, n int, r float64) float64
+
 // mulIntoFast dispatches to a specialized kernel when the shapes allow,
 // reporting whether it handled the product. Shape checks already ran.
 func mulIntoFast(dst, a, b *Matrix) bool {
@@ -65,4 +68,21 @@ func mulIntoFast(dst, a, b *Matrix) bool {
 		return false
 	}
 	return true
+}
+
+// stepTerm is taylorStep on AVX2 when the length is a multiple of 4, as
+// every term of dimension 2, 4, 8 or 16 is, and taylorStep otherwise. The
+// kernel scales the term by r in place with VMULPD — the two roundings of
+// complex(real(v)*r, imag(v)*r) — adds it into sum with VADDPD, and
+// returns the largest |re| or |im| of the scaled term. At or above 1e-18
+// some entry fails the stopping rule; below 0.5e-18 every entry passes
+// it; in between, taylorStep's own rule decides over the scaled term
+// (DESIGN.md, "Fused Taylor step").
+func stepTerm(sum, t []complex128, r float64) bool {
+	if !hasAVX2 || len(t) == 0 || len(t)%4 != 0 {
+		return taylorStep(sum, t, r)
+	}
+	_ = sum[len(t)-1]
+	m := taylorStepAVX2(&sum[0], &t[0], len(t), r)
+	return m < 0.5e-18 || m < 1e-18 && termConverged(t)
 }

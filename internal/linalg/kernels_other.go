@@ -7,3 +7,5 @@ package linalg
 const hasAVX2 = false
 
 func mulIntoFast(dst, a, b *Matrix) bool { return false }
+
+func stepTerm(sum, t []complex128, r float64) bool { return taylorStep(sum, t, r) }
