@@ -271,64 +271,31 @@ func Couplings(topo *topology.Topology, cg *pulse.CustomGate) [][2]int {
 // remapSchedule relabels a stored schedule's channels for a permuted-hit
 // reuse: stored local qubit i plays the role of the new gate's local qubit
 // perm[i]. The output channel order matches XYTransmon(n, pairs) for the
-// new gate so it can be replayed directly on that system. Returns nil when
-// a required channel does not exist in the stored schedule.
+// new gate so it can be replayed directly on that system; each channel's
+// samples come from the stored channel named for the same control under
+// the inverse permutation. Returns nil when a required channel does not
+// exist in the stored schedule.
 func remapSchedule(src *pulse.Schedule, perm []int, pairs [][2]int) *pulse.Schedule {
 	if src == nil {
 		return nil
 	}
-	byName := make(map[string][]float64, len(src.Channels))
-	for k, name := range src.Channels {
-		byName[name] = src.Amps[k]
-	}
-	// Build the target system's channel list.
 	n := len(perm)
-	sys := hamiltonian.XYTransmon(n, pairs)
 	// inverse permutation: new qubit q ← stored qubit inv[q].
 	inv := make([]int, n)
 	for i, p := range perm {
 		inv[p] = i
 	}
-	out := &pulse.Schedule{SliceDt: src.SliceDt}
-	for _, c := range sys.Controls {
-		var srcName string
-		var q, a, b int
-		switch {
-		case scanChannel(c.Name, "d%d.x", &q):
-			srcName = fmt.Sprintf("d%d.x", inv[q])
-		case scanChannel(c.Name, "d%d.y", &q):
-			srcName = fmt.Sprintf("d%d.y", inv[q])
-		case scanChannel2(c.Name, &a, &b):
-			sa, sb := inv[a], inv[b]
-			if sa > sb {
-				sa, sb = sb, sa
-			}
-			srcName = fmt.Sprintf("c%d.%d.xy", sa, sb)
-		default:
+	names := hamiltonian.ControlNames(n, pairs, nil)
+	out := &pulse.Schedule{SliceDt: src.SliceDt, Channels: names, Amps: make([][]float64, len(names))}
+	for k, name := range hamiltonian.ControlNames(n, pairs, inv) {
+		j := len(src.Channels) - 1 // the last of duplicate names wins
+		for j >= 0 && src.Channels[j] != name {
+			j--
+		}
+		if j < 0 {
 			return nil
 		}
-		samples, ok := byName[srcName]
-		if !ok {
-			return nil
-		}
-		out.Channels = append(out.Channels, c.Name)
-		out.Amps = append(out.Amps, append([]float64(nil), samples...))
+		out.Amps[k] = append([]float64(nil), src.Amps[j]...)
 	}
 	return out
-}
-
-func scanChannel(name, format string, q *int) bool {
-	var rest string
-	k, err := fmt.Sscanf(name, format+"%s", q, &rest)
-	if err == nil && k >= 1 && rest == "" {
-		return true
-	}
-	// Sscanf with trailing %s fails on exact match; retry plain.
-	k, err = fmt.Sscanf(name, format, q)
-	return err == nil && k == 1 && fmt.Sprintf(format, *q) == name
-}
-
-func scanChannel2(name string, a, b *int) bool {
-	k, err := fmt.Sscanf(name, "c%d.%d.xy", a, b)
-	return err == nil && k == 2 && fmt.Sprintf("c%d.%d.xy", *a, *b) == name
 }

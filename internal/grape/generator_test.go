@@ -3,6 +3,8 @@ package grape
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"paqoc/internal/circuit"
@@ -72,6 +74,135 @@ func TestRemapScheduleMissingChannel(t *testing.T) {
 	if out := remapSchedule(weird, []int{0}, nil); out != nil {
 		t.Fatal("remap onto an unrecognized channel name should be nil")
 	}
+}
+
+// remapScheduleReference is remapSchedule before it derived channel names
+// from (n, pairs): it builds the whole target system, parses each control
+// name with fmt.Sscanf and looks the stored channel up in a map.
+func remapScheduleReference(src *pulse.Schedule, perm []int, pairs [][2]int) *pulse.Schedule {
+	if src == nil {
+		return nil
+	}
+	byName := make(map[string][]float64, len(src.Channels))
+	for k, name := range src.Channels {
+		byName[name] = src.Amps[k]
+	}
+	n := len(perm)
+	sys := hamiltonian.XYTransmon(n, pairs)
+	inv := make([]int, n)
+	for i, p := range perm {
+		inv[p] = i
+	}
+	out := &pulse.Schedule{SliceDt: src.SliceDt}
+	for _, c := range sys.Controls {
+		var srcName string
+		var q, a, b int
+		switch {
+		case scanChannel(c.Name, "d%d.x", &q):
+			srcName = fmt.Sprintf("d%d.x", inv[q])
+		case scanChannel(c.Name, "d%d.y", &q):
+			srcName = fmt.Sprintf("d%d.y", inv[q])
+		case scanChannel2(c.Name, &a, &b):
+			sa, sb := inv[a], inv[b]
+			if sa > sb {
+				sa, sb = sb, sa
+			}
+			srcName = fmt.Sprintf("c%d.%d.xy", sa, sb)
+		default:
+			return nil
+		}
+		samples, ok := byName[srcName]
+		if !ok {
+			return nil
+		}
+		out.Channels = append(out.Channels, c.Name)
+		out.Amps = append(out.Amps, append([]float64(nil), samples...))
+	}
+	return out
+}
+
+func scanChannel(name, format string, q *int) bool {
+	var rest string
+	k, err := fmt.Sscanf(name, format+"%s", q, &rest)
+	if err == nil && k >= 1 && rest == "" {
+		return true
+	}
+	k, err = fmt.Sscanf(name, format, q)
+	return err == nil && k == 1 && fmt.Sprintf(format, *q) == name
+}
+
+func scanChannel2(name string, a, b *int) bool {
+	k, err := fmt.Sscanf(name, "c%d.%d.xy", a, b)
+	return err == nil && k == 2 && fmt.Sprintf("c%d.%d.xy", *a, *b) == name
+}
+
+// permutations returns every permutation of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := append(append(append([]int(nil), p[:at]...), n-1), p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestRemapScheduleMatchesReference pins remapSchedule to the code it
+// replaced for every permutation of 1–4 qubits, for every pairing of a
+// stored schedule's and the new gate's couplings among chain, reversed
+// chain and all pairs, and with each stored channel dropped in turn:
+// the same channels in the same order with the same samples, or nil on
+// both sides.
+func TestRemapScheduleMatchesReference(t *testing.T) {
+	compared, refused := 0, 0
+	for n := 1; n <= 4; n++ {
+		var reversed [][2]int
+		for _, p := range hamiltonian.LinearChain(n) {
+			reversed = append(reversed, [2]int{p[1], p[0]})
+		}
+		couplings := [][][2]int{hamiltonian.LinearChain(n), reversed, hamiltonian.AllPairs(n)}
+		for _, stored := range couplings {
+			sys := hamiltonian.XYTransmon(n, stored)
+			full := &pulse.Schedule{SliceDt: 1}
+			for k, c := range sys.Controls {
+				full.Channels = append(full.Channels, c.Name)
+				full.Amps = append(full.Amps, []float64{float64(k), -float64(k) / 3})
+			}
+			srcs := []*pulse.Schedule{full}
+			for drop := range full.Channels {
+				srcs = append(srcs, &pulse.Schedule{
+					SliceDt:  1,
+					Channels: append(append([]string(nil), full.Channels[:drop]...), full.Channels[drop+1:]...),
+					Amps:     append(append([][]float64(nil), full.Amps[:drop]...), full.Amps[drop+1:]...),
+				})
+			}
+			for _, pairs := range couplings {
+				for _, perm := range permutations(n) {
+					for _, src := range srcs {
+						want := remapScheduleReference(src, perm, pairs)
+						got := remapSchedule(src, perm, pairs)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("n=%d stored %v, pairs %v, perm %v, channels %v: got %+v, reference %+v",
+								n, stored, pairs, perm, src.Channels, got, want)
+						}
+						if want == nil {
+							refused++
+						} else {
+							compared++
+						}
+					}
+				}
+			}
+		}
+	}
+	if compared == 0 || refused == 0 {
+		t.Fatalf("%d remaps compared, %d refused: want both", compared, refused)
+	}
+	t.Logf("%d remaps equal to the reference, %d refused on both sides", compared, refused)
 }
 
 // TestPermutedHitMissingChannelRegenerates drives the fallback end to end:

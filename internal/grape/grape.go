@@ -333,8 +333,10 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 				grads[k][j] = g
 				gradSq += g * g
 			}
-			linalg.MulInto(cNext, c, props[j]) // C_{j-1} = C_j·U_j
-			c, cNext = cNext, c
+			if j > 0 { // the next iteration restarts from V†
+				linalg.MulInto(cNext, c, props[j]) // C_{j-1} = C_j·U_j
+				c, cNext = cNext, c
+			}
 		}
 		gradNorm := math.Sqrt(gradSq)
 		gradHist.Observe(gradNorm)

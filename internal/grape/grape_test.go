@@ -249,17 +249,30 @@ func BenchmarkGrapeCXMinimumTime(b *testing.B) {
 }
 
 // BenchmarkGrapeIteration is the cost of one GRAPE iteration on a CX
-// problem (12 slices), reported as ns/iter. The target is unreachable, so
-// every call runs exactly MaxIter iterations; per-call setup is amortized
-// over them.
+// problem (2 qubits, 12 slices) and a CCX problem (3 qubits on a chain,
+// 26 slices, CCX's minimum time at 0.999), reported as ns/iter. The
+// targets are unreachable, so every call runs exactly MaxIter
+// iterations; per-call setup is amortized over them.
 func BenchmarkGrapeIteration(b *testing.B) {
-	sys := hamiltonian.XYTransmon(2, [][2]int{{0, 1}})
-	opts := Options{MaxIter: 40, Seed: 3, TargetFidelity: 2}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		OptimizeCtx(context.Background(), sys, quantum.MatCX, 12, opts)
+	for _, bc := range []struct {
+		name   string
+		n      int
+		target *linalg.Matrix
+		slices int
+	}{
+		{"2q", 2, quantum.MatCX, 12},
+		{"3q", 3, quantum.MatCCX, 26},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sys := hamiltonian.XYTransmon(bc.n, hamiltonian.LinearChain(bc.n))
+			opts := Options{MaxIter: 40, Seed: 3, TargetFidelity: 2}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				OptimizeCtx(context.Background(), sys, bc.target, bc.slices, opts)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*opts.MaxIter), "ns/iter")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*opts.MaxIter), "ns/iter")
 }
 
 func TestGRAPECompensatesZZCrosstalk(t *testing.T) {

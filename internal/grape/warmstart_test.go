@@ -144,10 +144,13 @@ func TestWarmStartChannelMismatchSkipped(t *testing.T) {
 // TestMinimumTimeProbeReuse pins the bits of three minimum-time searches
 // in which every probe after the first starts from its predecessor's best
 // amplitudes: X on one qubit, CX on two coupled qubits, and X from an
-// InitialGuess, which only the first probe uses. The expected values
-// were captured while the arena still carried each probe's amplitudes
-// and propagators to the next, so they also pin that handing the guess
-// over as an argument moved no bit.
+// InitialGuess, which only the first probe uses. Latency, iterations and
+// probes were captured while the arena still carried each probe's
+// amplitudes and propagators to the next, and have not moved since. The
+// fidelity bits and amplitude digests were re-captured when the slice
+// exponential moved from the Taylor loop to the Paterson–Stockmeyer
+// polynomial, which reaches only low-order bits (EXPERIMENTS.md,
+// "Paterson–Stockmeyer exponential").
 func TestMinimumTimeProbeReuse(t *testing.T) {
 	x := DefaultOptions()
 	x.MaxIter = 60
@@ -181,12 +184,12 @@ func TestMinimumTimeProbeReuse(t *testing.T) {
 		probes  int64
 		amps    string // SHA-256 over every amplitude's bits, little-endian
 	}{
-		{"x", sys1, quantum.MatX, x, 24, 0x3feffdcb8ec7a472, 220, 6,
-			"6f027167f2ba481dc7526fa8c4f195e95ce68a3a3a0ff74ef5abf23f8410fd48"},
-		{"cx", hamiltonian.XYTransmon(2, hamiltonian.LinearChain(2)), quantum.MatCX, cx, 84, 0x3fefaf2691770b40, 424, 21,
-			"1837da9051ca291bb484098d9fee3273ff614e2a6dbf31887ea2cb2aa1facbf3"},
-		{"x-guess", sys1, quantum.MatX, guessed, 24, 0x3feff96a44592938, 199, 8,
-			"7482e24f365788fa3444e959161b08e462df4a910534b9d95e95e1d47036e5a3"},
+		{"x", sys1, quantum.MatX, x, 24, 0x3feffdcb8ec7a46e, 220, 6,
+			"65feea4941cc0118f79fd627889c1d8b8e6a3347141e46987997a8562adb280c"},
+		{"cx", hamiltonian.XYTransmon(2, hamiltonian.LinearChain(2)), quantum.MatCX, cx, 84, 0x3fefaf2691770b4d, 424, 21,
+			"db57b3d3b0a28a9d03e6b41ff78da2a34b1f6b68f8710ccea14eb6f49861ee4a"},
+		{"x-guess", sys1, quantum.MatX, guessed, 24, 0x3feff96a4459293e, 199, 8,
+			"f94f06744444ab7e3ff385e558fba1263c8c10f401f0062530e015525eeeef98"},
 	} {
 		reg := obs.NewRegistry()
 		ctx := obs.WithMetrics(context.Background(), reg)

@@ -14,6 +14,7 @@ package hamiltonian
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"paqoc/internal/linalg"
 	"paqoc/internal/quantum"
@@ -137,12 +138,13 @@ func XYTransmonWith(params Params, n int, pairs [][2]int) *System {
 	sys := &System{NumQubits: n, Dim: dim, Drift: linalg.New(dim, dim), Params: params}
 
 	half := complex(0.5, 0)
+	names := ControlNames(n, pairs, nil)
 	for q := 0; q < n; q++ {
 		sys.Controls = append(sys.Controls,
-			newControl(fmt.Sprintf("d%d.x", q), quantum.Embed(quantum.MatX.Scale(half), []int{q}, n), driveBound),
-			newControl(fmt.Sprintf("d%d.y", q), quantum.Embed(quantum.MatY.Scale(half), []int{q}, n), driveBound))
+			newControl(names[2*q], quantum.Embed(quantum.MatX.Scale(half), []int{q}, n), driveBound),
+			newControl(names[2*q+1], quantum.Embed(quantum.MatY.Scale(half), []int{q}, n), driveBound))
 	}
-	for _, p := range pairs {
+	for i, p := range pairs {
 		if p[0] == p[1] || p[0] < 0 || p[1] < 0 || p[0] >= n || p[1] >= n {
 			panic(fmt.Sprintf("hamiltonian: bad coupling pair %v", p))
 		}
@@ -150,9 +152,37 @@ func XYTransmonWith(params Params, n int, pairs [][2]int) *System {
 		yy := quantum.MatY.Kron(quantum.MatY)
 		gen := xx.Add(yy).Scale(half)
 		sys.Controls = append(sys.Controls,
-			newControl(fmt.Sprintf("c%d.%d.xy", p[0], p[1]), quantum.Embed(gen, []int{p[0], p[1]}, n), couplingBound))
+			newControl(names[2*n+i], quantum.Embed(gen, []int{p[0], p[1]}, n), couplingBound))
 	}
 	return sys
+}
+
+// ControlNames returns the control names of XYTransmon(n, pairs), in
+// control order: the X and Y drives "d<q>.x" and "d<q>.y" of every qubit,
+// then "c<a>.<b>.xy" for every coupled pair as given. With a non-nil
+// relabel, qubit q is named relabel[q] and each pair's lower label comes
+// first: the names the same controls carry on a system whose qubits are
+// relabelled.
+func ControlNames(n int, pairs [][2]int, relabel []int) []string {
+	label := func(q int) string {
+		if relabel != nil {
+			q = relabel[q]
+		}
+		return strconv.Itoa(q)
+	}
+	names := make([]string, 0, 2*n+len(pairs))
+	for q := 0; q < n; q++ {
+		d := "d" + label(q)
+		names = append(names, d+".x", d+".y")
+	}
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		if relabel != nil && relabel[a] > relabel[b] {
+			a, b = b, a
+		}
+		names = append(names, "c"+label(a)+"."+label(b)+".xy")
+	}
+	return names
 }
 
 // LinearChain returns the coupling pairs of a 1-D chain over n qubits —
@@ -190,7 +220,7 @@ func (s *System) Hamiltonian(amps []float64) *linalg.Matrix {
 // both parts by the real amplitude a: the embedded Pauli generators are
 // 1/8 to 1/16 nonzero. Against the dense complex accumulate
 // dst += (a+0i)·H_k this can change only the sign of a zero entry, which
-// no propagator reads (DESIGN.md, "Fused Taylor step").
+// no product reads (DESIGN.md, "Sparse assembly and traces").
 func (s *System) HamiltonianInto(dst *linalg.Matrix, amps []float64) {
 	if len(amps) != len(s.Controls) {
 		panic(fmt.Sprintf("hamiltonian: %d amps for %d controls", len(amps), len(s.Controls)))

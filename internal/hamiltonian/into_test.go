@@ -1,7 +1,6 @@
 package hamiltonian
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -109,15 +108,25 @@ func TestHamiltonianIntoRejectsBareControl(t *testing.T) {
 
 // BenchmarkPropagatorInto times one GRAPE slice propagator — Hamiltonian
 // assembly plus exponential — on 2-, 3- and 4-qubit chains at the
-// amplitudes of a cold GRAPE start (a fifth of each control's bound).
+// amplitudes of a cold GRAPE start (a fifth of each control's bound,
+// where a 3-qubit argument needs no squaring), and on 2- and 3-qubit
+// chains at GRAPE's operating point (-bound rows: amplitudes uniform in
+// ±bound, where arguments average about one squaring at 8×8).
 func BenchmarkPropagatorInto(b *testing.B) {
-	for _, n := range []int{2, 3, 4} {
-		b.Run(fmt.Sprintf("%dq", n), func(b *testing.B) {
-			sys := XYTransmon(n, LinearChain(n))
-			rng := rand.New(rand.NewSource(int64(n)))
+	for _, bc := range []struct {
+		n    int
+		frac float64
+		name string
+	}{
+		{2, 0.2, "2q"}, {3, 0.2, "3q"}, {4, 0.2, "4q"},
+		{2, 1, "2q-bound"}, {3, 1, "3q-bound"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sys := XYTransmon(bc.n, LinearChain(bc.n))
+			rng := rand.New(rand.NewSource(int64(bc.n)))
 			amps := make([]float64, len(sys.Controls))
 			for k := range amps {
-				amps[k] = sys.Controls[k].Bound * 0.2 * (rng.Float64()*2 - 1)
+				amps[k] = sys.Controls[k].Bound * bc.frac * (rng.Float64()*2 - 1)
 			}
 			ws := linalg.NewWorkspace(sys.Dim)
 			dst := linalg.New(sys.Dim, sys.Dim)

@@ -12,9 +12,10 @@ import (
 // the zero value is not usable, construct with NewWorkspace. Kernels
 // grow the buffers automatically when handed a larger dimension.
 type Workspace struct {
-	n                      int
-	arg, scaled, term, tmp *Matrix
-	scratch                *Matrix
+	n               int
+	a, a2, a3, a4   *Matrix // the scaled argument A and its powers
+	horner, product *Matrix
+	scratch         *Matrix
 }
 
 // NewWorkspace returns a workspace sized for n×n exponentials.
@@ -30,10 +31,8 @@ func (w *Workspace) ensure(n int) {
 		return
 	}
 	w.n = n
-	w.arg = New(n, n)
-	w.scaled = New(n, n)
-	w.term = New(n, n)
-	w.tmp = New(n, n)
+	w.a, w.a2, w.a3, w.a4 = New(n, n), New(n, n), New(n, n), New(n, n)
+	w.horner, w.product = New(n, n), New(n, n)
 }
 
 // sized returns an n×n view of an n'×n' buffer (n' ≥ n), so one
@@ -57,10 +56,11 @@ func (w *Workspace) Scratch(n int) *Matrix {
 }
 
 // Expm returns the matrix exponential e^m computed by scaling-and-squaring
-// with a Taylor series on the scaled matrix. For the anti-Hermitian
-// arguments that arise from -i·H·t propagators this is accurate to near
-// machine precision at the dimensions used here (≤16). Allocates a fresh
-// result and workspace; see ExpmInto for the destination-passing form.
+// with a degree-16 Taylor polynomial on the scaled matrix. For the
+// anti-Hermitian arguments that arise from -i·H·t propagators this is
+// accurate to near machine precision at the dimensions used here (≤16).
+// Allocates a fresh result and workspace; see ExpmInto for the
+// destination-passing form.
 func Expm(m *Matrix) *Matrix {
 	if !m.IsSquare() {
 		panic("linalg: Expm of non-square matrix")
@@ -70,11 +70,10 @@ func Expm(m *Matrix) *Matrix {
 	return out
 }
 
-// ExpmInto computes e^m into dst, reusing ws's scaling-and-squaring
-// buffers (a nil ws allocates a temporary one). dst must be m-shaped and
-// must not alias m or any workspace buffer; m must not be a workspace
-// buffer other than the one handed out by ExpmHermitianInto. The result
-// is bit-identical to Expm — same operation order, only storage reuse.
+// ExpmInto computes e^m into dst, reusing ws's buffers (a nil ws
+// allocates a temporary one). dst must be m-shaped and must not alias m
+// or a workspace buffer other than ws.Scratch. The result is
+// bit-identical to Expm — same operation order, only storage reuse.
 func ExpmInto(dst, m *Matrix, ws *Workspace) {
 	if !m.IsSquare() {
 		panic("linalg: Expm of non-square matrix")
@@ -85,78 +84,157 @@ func ExpmInto(dst, m *Matrix, ws *Workspace) {
 		ws = NewWorkspace(n)
 	}
 	ws.ensure(n)
-	scaled, term, tmp := sized(ws.scaled, n), sized(ws.term, n), sized(ws.tmp, n)
-
-	// Scale so the one-norm of the argument A is ≤ 0.5, then square back.
-	squarings := squaringCount(m)
-
-	// Taylor series: I + A + A²/2! + …; with ‖A‖ ≤ 0.5 convergence is fast.
-	// The first term is A itself: the first step scales a copy of m by the
-	// real 2^-squarings in place and adds it to I. The complex scale by
-	// (2^-squarings, 0) and the product I·A it replaces differ from that
-	// only in the sign of zero parts, which reaches no bit (DESIGN.md,
-	// "Fused Taylor step"). Every later term is one product into buf and
-	// one step scaling it by 1/k; buf and spare then trade places.
-	copy(scaled.Data, m.Data)
-	IdentityInto(dst)
-	buf, spare := term, tmp
-	term = scaled
-	r := math.Ldexp(1, -squarings)
-	for k := 1; !stepTerm(dst.Data, term.Data, r) && k < 24; k++ {
-		MulInto(buf, term, scaled)
-		term = buf
-		buf, spare = spare, buf
-		r = 1 / float64(k+1)
+	s := squaringsFor(sqrtOneNorm(m))
+	a := sized(ws.a, n)
+	r := math.Ldexp(1, -s)
+	for i, v := range m.Data {
+		a.Data[i] = complex(real(v)*r, imag(v)*r)
 	}
-	// Square by trading dst and tmp; an odd count ends in tmp and pays
-	// the one copy.
-	cur, next := dst, tmp
-	for s := 0; s < squarings; s++ {
+	expmScaled(dst, s, ws)
+}
+
+// ExpmHermitian returns e^(-i·H·t) for Hermitian H: the unitary propagator
+// for evolution time t. Allocates; see ExpmHermitianInto.
+func ExpmHermitian(h *Matrix, t float64) *Matrix {
+	out := New(h.Rows, h.Cols)
+	ExpmHermitianInto(out, h, t, nil)
+	return out
+}
+
+// ExpmHermitianInto computes e^(-i·H·t) into dst without allocating (ws
+// supplies the polynomial's buffers; nil allocates a temporary
+// workspace). dst must not alias h; h may be ws.Scratch. The squaring
+// count comes from |t|·‖H‖, and the argument −i·t·2^-s·H is formed in
+// one pass: each part is one product by the real t·2^-s.
+func ExpmHermitianInto(dst, h *Matrix, t float64, ws *Workspace) {
+	if !h.IsSquare() {
+		panic("linalg: Expm of non-square matrix")
+	}
+	n := h.Rows
+	mustSameShape(dst, h)
+	if ws == nil {
+		ws = NewWorkspace(n)
+	}
+	ws.ensure(n)
+	s := squaringsFor(math.Abs(t) * sqrtOneNorm(h))
+	a := sized(ws.a, n)
+	c := math.Ldexp(t, -s)
+	for i, v := range h.Data {
+		a.Data[i] = complex(c*imag(v), -(c * real(v)))
+	}
+	expmScaled(dst, s, ws)
+}
+
+// invFactorial holds c_k = 1/k!, each rounded once from the exact
+// constant.
+var invFactorial = [17]float64{
+	1, 1, 1.0 / 2, 1.0 / 6, 1.0 / 24, 1.0 / 120, 1.0 / 720, 1.0 / 5040,
+	1.0 / 40320, 1.0 / 362880, 1.0 / 3628800, 1.0 / 39916800,
+	1.0 / 479001600, 1.0 / 6227020800, 1.0 / 87178291200,
+	1.0 / 1307674368000, 1.0 / 20922789888000,
+}
+
+// expmScaled finishes an exponential whose scaled argument A = 2^-s·m is
+// in ws.a: it evaluates the degree-16 Taylor polynomial of A by
+// Paterson–Stockmeyer and squares the result s times into dst. With
+// ‖A‖₁ ≤ 0.5 the truncation error is at most 0.5^17/17!·e^0.5 ≈ 4e-20
+// (DESIGN.md, "Paterson–Stockmeyer exponential").
+//
+// With A2 = A·A, A3 = A2·A, A4 = A2·A2 and
+// B_i = c_{4i}·I + c_{4i+1}·A + c_{4i+2}·A2 + c_{4i+3}·A3, the polynomial
+// is A4·(A4·(A4·(c16·A4 + B3) + B2) + B1) + B0: three products for the
+// powers, three for the Horner steps, six in all.
+func expmScaled(dst *Matrix, s int, ws *Workspace) {
+	n := dst.Rows
+	a, a2, a3, a4 := sized(ws.a, n), sized(ws.a2, n), sized(ws.a3, n), sized(ws.a4, n)
+	h, p := sized(ws.horner, n), sized(ws.product, n)
+	MulInto(a2, a, a)
+	MulInto(a3, a2, a)
+	MulInto(a4, a2, a2)
+	c := &invFactorial
+	combine(h, a4, a, a2, a3, c[16], c[12:16])
+	// The last Horner step writes where s squarings, trading that buffer
+	// and dst, end in dst: dst itself for an even s, else a4, which the
+	// last step's product has finished reading.
+	last := dst
+	if s%2 == 1 {
+		last = a4
+	}
+	for i := 2; i >= 0; i-- {
+		MulInto(p, a4, h)
+		out := h
+		if i == 0 {
+			out = last
+		}
+		combine(out, p, a, a2, a3, 1, c[4*i:4*i+4])
+	}
+	cur, next := last, a4
+	if last == a4 {
+		next = dst
+	}
+	for ; s > 0; s-- {
 		MulInto(next, cur, cur)
 		cur, next = next, cur
 	}
-	if cur != dst {
-		copy(dst.Data, cur.Data)
+}
+
+// combine sets h = ct·t + c[1]·a + c[2]·a2 + c[3]·a3 + c[0]·I. The real
+// coefficients scale real and imaginary parts alike, so the sum runs over
+// float64 lanes in the order ((ct·t + c1·a) + c2·a2) + c3·a3 with every
+// product rounded on its own (combineParts), and c[0] is added to the
+// diagonal's real parts afterwards.
+func combine(h, t, a, a2, a3 *Matrix, ct float64, c []float64) {
+	combineParts(h.Data, t.Data, a.Data, a2.Data, a3.Data, ct, c[1], c[2], c[3])
+	n := h.Rows
+	for d := 0; d < n*n; d += n + 1 {
+		h.Data[d] = complex(real(h.Data[d])+c[0], imag(h.Data[d]))
 	}
 }
 
-// maxSquarings caps the squaring count at what a finite one-norm can
-// need: every finite norm is below 2^1024, and 1025 halvings bring that
-// to 0.5. An overflowing norm converts to an implementation-defined int:
-// −2^63 on amd64, which squares nothing and keeps that platform's bits,
-// but MaxInt64 on arm64, whose squaring loop would never end.
+// combineGeneric is combineParts in Go. The float64 conversions round each
+// product on its own, so no architecture contracts a product and a sum
+// into one FMA and every platform gives the AVX2 kernel's bits.
+func combineGeneric(h, t, a, a2, a3 []complex128, ct, c1, c2, c3 float64) {
+	t, a, a2, a3 = t[:len(h)], a[:len(h)], a2[:len(h)], a3[:len(h)]
+	for i := range h {
+		re := float64(ct*real(t[i])) + float64(c1*real(a[i]))
+		re += float64(c2 * real(a2[i]))
+		re += float64(c3 * real(a3[i]))
+		im := float64(ct*imag(t[i])) + float64(c1*imag(a[i]))
+		im += float64(c2 * imag(a2[i]))
+		im += float64(c3 * imag(a3[i]))
+		h[i] = complex(re, im)
+	}
+}
+
+// maxSquarings is the most squarings any finite one-norm needs: every
+// finite norm is below 2^1024, and 1025 halvings bring that to 0.5. A
+// non-finite norm gets the same count.
 const maxSquarings = 1025
 
-// squaringCount returns ExpmInto's squaring count for m: 0 when
-// ‖m‖₁ ≤ 0.5, else min(⌈log₂(‖m‖₁/0.5)⌉, maxSquarings) from OneNorm. It
-// sums √(re²+im²) instead of cmplx.Abs. That norm is within a few ulps
-// of OneNorm, plus 1e-160 where a square underflows, so away from the
-// thresholds 0.5·2^j both norms give one integer, read off the binary
-// exponent. OneNorm and the formula decide within a relative 1e-9 of a
-// power of two, and when a square overflows: a finite cheap norm is below
-// 1e156, far from where the formula's ‖m‖₁/0.5 overflows (DESIGN.md,
-// "Fused Taylor step").
-func squaringCount(m *Matrix) int {
-	norm := sqrtOneNorm(m)
-	if norm < 0.5*(1-1e-9) {
-		return 0
-	}
-	// frac lies in [0.5, 1) for a finite norm; Inf fails both tests.
-	if frac, exp := math.Frexp(norm); frac > 0.5*(1+1e-9) && frac < 1-1e-9 {
-		return exp + 1
-	}
-	return squaringsFor(m.OneNorm())
-}
-
-// squaringsFor is the squaring count of a matrix whose one-norm is norm.
+// squaringsFor returns the squaring count for an argument of one-norm
+// norm: the smallest s ≥ 0 with 2^-s·norm ≤ 0.5. It is read off the
+// binary exponent, so no float converts to an int, and a norm that is
+// +Inf or NaN gets maxSquarings on every architecture.
 func squaringsFor(norm float64) int {
 	if norm <= 0.5 {
 		return 0
 	}
-	return min(int(math.Ceil(math.Log2(norm/0.5))), maxSquarings)
+	if !(norm <= math.MaxFloat64) {
+		return maxSquarings
+	}
+	// norm = frac·2^exp with frac in [0.5, 1), so 2^(exp-1) ≤ norm < 2^exp.
+	frac, exp := math.Frexp(norm)
+	if frac == 0.5 {
+		return exp
+	}
+	return exp + 1
 }
 
-// sqrtOneNorm is OneNorm with √(re²+im²) in place of cmplx.Abs.
+// sqrtOneNorm is OneNorm with √(re²+im²) in place of cmplx.Abs: within a
+// few ulps of it, plus about 1e-160 per entry where a square underflows.
+// Where a square overflows, a part above about 1.3e154, OneNorm itself
+// decides. Like OneNorm it skips a column whose sum is NaN.
 func sqrtOneNorm(m *Matrix) float64 {
 	var mx float64
 	for c := 0; c < m.Cols; c++ {
@@ -169,75 +247,10 @@ func sqrtOneNorm(m *Matrix) float64 {
 			mx = s
 		}
 	}
+	if math.IsInf(mx, 1) {
+		return m.OneNorm()
+	}
 	return mx
-}
-
-// taylorStep scales the series term t in place by the real r, adds it into
-// dst, and reports whether every scaled entry has modulus below 1e-18 —
-// the stopping rule of a separate ScaleInto(·, complex(r, 0)), AddInPlace
-// and MaxAbs, in one pass and bit for bit (DESIGN.md, "Fused Taylor step"):
-//
-//   - A real scale differs from the complex product by (r, 0) only in the
-//     sign of zero parts, and neither dst (an identity plus sums) nor a
-//     MulInto result ever holds −0, so sums and products come out equal.
-//   - |v| = hypot(re, im) lies in [m, 1.415·m] for m = max(|re|, |im|),
-//     so m ≥ 1e-18 fails the rule and m < 0.5e-18 passes it; only the
-//     entries in between pay for cmplx.Abs.
-func taylorStep(dst, t []complex128, r float64) bool {
-	converged := true
-	dst = dst[:len(t)]
-	for i, v := range t {
-		v = complex(real(v)*r, imag(v)*r)
-		t[i] = v
-		dst[i] += v
-		if converged {
-			m := math.Abs(real(v))
-			if a := math.Abs(imag(v)); a > m {
-				m = a
-			}
-			if m >= 1e-18 || m >= 0.5e-18 && cmplx.Abs(v) >= 1e-18 {
-				converged = false
-			}
-		}
-	}
-	return converged
-}
-
-// termConverged applies taylorStep's stopping rule to a term that is
-// already scaled: it reports whether every entry has modulus below 1e-18.
-func termConverged(t []complex128) bool {
-	for _, v := range t {
-		m := math.Abs(real(v))
-		if a := math.Abs(imag(v)); a > m {
-			m = a
-		}
-		if m >= 1e-18 || m >= 0.5e-18 && cmplx.Abs(v) >= 1e-18 {
-			return false
-		}
-	}
-	return true
-}
-
-// ExpmHermitian returns e^(-i·H·t) for Hermitian H: the unitary propagator
-// for evolution time t. Allocates; see ExpmHermitianInto.
-func ExpmHermitian(h *Matrix, t float64) *Matrix {
-	out := New(h.Rows, h.Cols)
-	ExpmHermitianInto(out, h, t, nil)
-	return out
-}
-
-// ExpmHermitianInto computes e^(-i·H·t) into dst without allocating (ws
-// supplies the argument and series buffers; nil allocates a temporary
-// workspace). dst must not alias h; h may be ws.Scratch — the kernel
-// reads it only while forming its internal -i·t·H argument.
-func ExpmHermitianInto(dst, h *Matrix, t float64, ws *Workspace) {
-	if ws == nil {
-		ws = NewWorkspace(h.Rows)
-	}
-	ws.ensure(h.Rows)
-	arg := sized(ws.arg, h.Rows)
-	ScaleInto(arg, h, complex(0, -t))
-	ExpmInto(dst, arg, ws)
 }
 
 // TraceFidelity returns |tr(A†·B)|² / d², the standard gate fidelity between

@@ -1,5 +1,8 @@
 package linalg
 
-// ExpmIntoThreePass exports the pre-fusion Taylor loop (oracle_test.go) to
-// the external test package, whose propagator oracle needs it.
-var ExpmIntoThreePass = expmIntoThreePass
+// The three-pass Taylor oracle and its tolerance (oracle_test.go), for
+// the external test package's propagator oracle.
+var (
+	ExpmIntoThreePass = expmIntoThreePass
+	ExpmTolerance     = expmTolerance
+)

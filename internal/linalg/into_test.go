@@ -144,8 +144,9 @@ func TestIntoKernelsZeroAlloc(t *testing.T) {
 		}
 	}
 
-	// The exponential at every dimension, on the AVX2 step kernel's
-	// lengths and the scalar step's alike, with and without squarings.
+	// The exponential at every dimension, on the AVX2 combination
+	// kernel's lengths and the Go loop's alike, with and without
+	// squarings.
 	for n := 1; n <= 16; n++ {
 		a := randomMatrix(n, n, rng.Int63())
 		h := a.Add(a.Dagger()).Scale(0.5)

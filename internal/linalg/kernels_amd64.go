@@ -49,7 +49,7 @@ func mulInto8AVX2(dst, a, b *complex128)
 func mulInto16AVX2(dst, a, b *complex128)
 
 //go:noescape
-func taylorStepAVX2(sum, term *complex128, n int, r float64) float64
+func combineAVX2(h, t, a, a2, a3 *complex128, n int, ct, c1, c2, c3 float64)
 
 // mulIntoFast dispatches to a specialized kernel when the shapes allow,
 // reporting whether it handled the product. Shape checks already ran.
@@ -70,19 +70,18 @@ func mulIntoFast(dst, a, b *Matrix) bool {
 	return true
 }
 
-// stepTerm is taylorStep on AVX2 when the length is a multiple of 4, as
-// every term of dimension 2, 4, 8 or 16 is, and taylorStep otherwise. The
-// kernel scales the term by r in place with VMULPD — the two roundings of
-// complex(real(v)*r, imag(v)*r) — adds it into sum with VADDPD, and
-// returns the largest |re| or |im| of the scaled term. At or above 1e-18
-// some entry fails the stopping rule; below 0.5e-18 every entry passes
-// it; in between, taylorStep's own rule decides over the scaled term
-// (DESIGN.md, "Fused Taylor step").
-func stepTerm(sum, t []complex128, r float64) bool {
-	if !hasAVX2 || len(t) == 0 || len(t)%4 != 0 {
-		return taylorStep(sum, t, r)
+// combineParts is combineGeneric on AVX2 when the length is a multiple
+// of 4, as it is at dimensions 2, 4, 8 and 16. The kernel multiplies each
+// float64 lane by its broadcast coefficient with VMULPD and sums in
+// combineGeneric's order with VADDPD, no FMA, so both give one rounding
+// per product and per sum and the same bits (DESIGN.md,
+// "Paterson–Stockmeyer exponential").
+func combineParts(h, t, a, a2, a3 []complex128, ct, c1, c2, c3 float64) {
+	n := len(h)
+	if !hasAVX2 || n == 0 || n%4 != 0 {
+		combineGeneric(h, t, a, a2, a3, ct, c1, c2, c3)
+		return
 	}
-	_ = sum[len(t)-1]
-	m := taylorStepAVX2(&sum[0], &t[0], len(t), r)
-	return m < 0.5e-18 || m < 1e-18 && termConverged(t)
+	_, _, _, _ = t[n-1], a[n-1], a2[n-1], a3[n-1]
+	combineAVX2(&h[0], &t[0], &a[0], &a2[0], &a3[0], n, ct, c1, c2, c3)
 }

@@ -270,50 +270,51 @@ skip16:
 	VZEROUPPER
 	RET
 
-// func taylorStepAVX2(sum, term *complex128, n int, r float64) float64
+// func combineAVX2(h, t, a, a2, a3 *complex128, n int, ct, c1, c2, c3 float64)
 //
-// One Taylor term's pass, four entries (two registers) per iteration;
-// n is a multiple of 4. Each part is scaled by r with one VMULPD rounding
-// and stored back into term, added into sum with one VADDPD rounding, and
-// its |·| folded into two running maxima. VMAXPD returns its second
-// source when either operand is NaN, so with the running maximum as that
-// source a NaN part is skipped, as taylorStep's comparisons skip it.
+// One Paterson–Stockmeyer combination over float64 lanes, four complex
+// entries (two registers) per iteration; n is a multiple of 4. Each lane
+// is ((ct·t + c1·a) + c2·a2) + c3·a3, every product and every sum rounded
+// on its own (VMULPD, VADDPD; no FMA), the order of combineGeneric.
 //
-//   Y0/Y1  scaled term entries   Y2/Y3  new sums
-//   Y12/Y13 running maxima       Y14 sign-clearing mask   Y15 broadcast r
-TEXT ·taylorStepAVX2(SB), NOSPLIT, $0-40
-	MOVQ         sum+0(FP), DI
-	MOVQ         term+8(FP), SI
-	MOVQ         n+16(FP), CX
-	VBROADCASTSD r+24(FP), Y15
-	VPCMPEQQ     Y14, Y14, Y14
-	VPSRLQ       $1, Y14, Y14
-	VXORPD       Y12, Y12, Y12
-	VXORPD       Y13, Y13, Y13
+//   Y0/Y1  running sums   Y2/Y3  products
+//   Y12..Y15  broadcast ct, c1, c2, c3
+TEXT ·combineAVX2(SB), NOSPLIT, $0-80
+	MOVQ         h+0(FP), DI
+	MOVQ         t+8(FP), SI
+	MOVQ         a+16(FP), R8
+	MOVQ         a2+24(FP), R9
+	MOVQ         a3+32(FP), R10
+	MOVQ         n+40(FP), CX
+	VBROADCASTSD ct+48(FP), Y12
+	VBROADCASTSD c1+56(FP), Y13
+	VBROADCASTSD c2+64(FP), Y14
+	VBROADCASTSD c3+72(FP), Y15
 
-step:
-	VMULPD  (SI), Y15, Y0
-	VMULPD  32(SI), Y15, Y1
-	VMOVUPD Y0, (SI)
-	VMOVUPD Y1, 32(SI)
-	VADDPD  (DI), Y0, Y2
-	VADDPD  32(DI), Y1, Y3
-	VMOVUPD Y2, (DI)
-	VMOVUPD Y3, 32(DI)
-	VANDPD  Y14, Y0, Y0
-	VANDPD  Y14, Y1, Y1
-	VMAXPD  Y12, Y0, Y12
-	VMAXPD  Y13, Y1, Y13
+combine:
+	VMULPD  (SI), Y12, Y0
+	VMULPD  32(SI), Y12, Y1
+	VMULPD  (R8), Y13, Y2
+	VMULPD  32(R8), Y13, Y3
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y3, Y1, Y1
+	VMULPD  (R9), Y14, Y2
+	VMULPD  32(R9), Y14, Y3
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y3, Y1, Y1
+	VMULPD  (R10), Y15, Y2
+	VMULPD  32(R10), Y15, Y3
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y3, Y1, Y1
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
 	ADDQ    $64, SI
+	ADDQ    $64, R8
+	ADDQ    $64, R9
+	ADDQ    $64, R10
 	ADDQ    $64, DI
 	SUBQ    $4, CX
-	JNZ     step
+	JNZ     combine
 
-	VMAXPD       Y13, Y12, Y12
-	VEXTRACTF128 $1, Y12, X13
-	VMAXPD       X13, X12, X12
-	VPERMILPD    $1, X12, X13
-	VMAXPD       X13, X12, X12
-	VMOVSD       X12, ret+32(FP)
 	VZEROUPPER
 	RET

@@ -8,4 +8,6 @@ const hasAVX2 = false
 
 func mulIntoFast(dst, a, b *Matrix) bool { return false }
 
-func stepTerm(sum, t []complex128, r float64) bool { return taylorStep(sum, t, r) }
+func combineParts(h, t, a, a2, a3 []complex128, ct, c1, c2, c3 float64) {
+	combineGeneric(h, t, a, a2, a3, ct, c1, c2, c3)
+}

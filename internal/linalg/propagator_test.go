@@ -1,7 +1,9 @@
 package linalg_test
 
 import (
+	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -23,12 +25,11 @@ func denseHamiltonianInto(dst *linalg.Matrix, sys *hamiltonian.System, amps []fl
 	}
 }
 
-// TestPropagatorIntoMatchesDenseOracle pins the GRAPE slice propagator bit
-// for bit against the code it replaced — dense complex assembly and the
-// three-pass Taylor loop — on every registered device profile's 1–4-qubit
-// systems (chain and all-pairs couplings, the high-ZZ profile's drift
-// included), with amplitude vectors that hold exact zeros.
-func TestPropagatorIntoMatchesDenseOracle(t *testing.T) {
+// forEachPropagatorCase runs check on every registered device profile's
+// 1–4-qubit systems (chain and all-pairs couplings, the high-ZZ profile's
+// drift included), 100 amplitude vectors each, which hold exact zeros
+// (trial 0 is the drift alone), at the slice lengths GRAPE uses.
+func forEachPropagatorCase(t *testing.T, check func(sys *hamiltonian.System, amps []float64, dt float64) string) {
 	rng := rand.New(rand.NewSource(14))
 	checked := 0
 	for _, name := range device.Names() {
@@ -39,9 +40,6 @@ func TestPropagatorIntoMatchesDenseOracle(t *testing.T) {
 		for n := 1; n <= 4; n++ {
 			for _, pairs := range [][][2]int{hamiltonian.LinearChain(n), hamiltonian.AllPairs(n)} {
 				sys := prof.System(n, pairs)
-				ws := linalg.NewWorkspace(sys.Dim)
-				h, arg := linalg.New(sys.Dim, sys.Dim), linalg.New(sys.Dim, sys.Dim)
-				got, want := linalg.New(sys.Dim, sys.Dim), linalg.New(sys.Dim, sys.Dim)
 				amps := make([]float64, len(sys.Controls))
 				for trial := 0; trial < 100; trial++ {
 					for k := range amps {
@@ -51,22 +49,52 @@ func TestPropagatorIntoMatchesDenseOracle(t *testing.T) {
 						}
 					}
 					dt := []float64{1, 4, 4, 16}[trial%4]
-					sys.PropagatorInto(got, amps, dt, ws)
-					denseHamiltonianInto(h, sys, amps)
-					linalg.ScaleInto(arg, h, complex(0, -dt))
-					linalg.ExpmIntoThreePass(want, arg)
-					for i := range want.Data {
-						w, g := want.Data[i], got.Data[i]
-						if math.Float64bits(real(w)) != math.Float64bits(real(g)) ||
-							math.Float64bits(imag(w)) != math.Float64bits(imag(g)) {
-							t.Fatalf("%s n=%d pairs=%v trial %d: entry %d is %v, dense oracle %v",
-								name, n, pairs, trial, i, g, w)
-						}
+					if msg := check(sys, amps, dt); msg != "" {
+						t.Fatalf("%s n=%d pairs=%v trial %d: %s", name, n, pairs, trial, msg)
 					}
 					checked++
 				}
 			}
 		}
 	}
-	t.Logf("%d propagators bit-identical", checked)
+	t.Logf("%d propagators checked", checked)
+}
+
+// TestHamiltonianIntoMatchesDenseOracle pins the sparse control assembly
+// bit for bit against the dense complex assembly it replaced.
+func TestHamiltonianIntoMatchesDenseOracle(t *testing.T) {
+	forEachPropagatorCase(t, func(sys *hamiltonian.System, amps []float64, _ float64) string {
+		got, want := linalg.New(sys.Dim, sys.Dim), linalg.New(sys.Dim, sys.Dim)
+		sys.HamiltonianInto(got, amps)
+		denseHamiltonianInto(want, sys, amps)
+		for i := range want.Data {
+			w, g := want.Data[i], got.Data[i]
+			if math.Float64bits(real(w)) != math.Float64bits(real(g)) ||
+				math.Float64bits(imag(w)) != math.Float64bits(imag(g)) {
+				return fmt.Sprintf("entry %d is %v, dense oracle %v", i, g, w)
+			}
+		}
+		return ""
+	})
+}
+
+// TestPropagatorIntoMatchesDenseOracle pins the GRAPE slice propagator
+// against the code it replaced — dense complex assembly and the
+// three-pass Taylor loop — within 1e-15·2^s per entry.
+func TestPropagatorIntoMatchesDenseOracle(t *testing.T) {
+	forEachPropagatorCase(t, func(sys *hamiltonian.System, amps []float64, dt float64) string {
+		h, arg := linalg.New(sys.Dim, sys.Dim), linalg.New(sys.Dim, sys.Dim)
+		got, want := linalg.New(sys.Dim, sys.Dim), linalg.New(sys.Dim, sys.Dim)
+		sys.PropagatorInto(got, amps, dt, nil)
+		denseHamiltonianInto(h, sys, amps)
+		linalg.ScaleInto(arg, h, complex(0, -dt))
+		linalg.ExpmIntoThreePass(want, arg)
+		tol := linalg.ExpmTolerance(arg, h, dt)
+		for i := range want.Data {
+			if d := cmplx.Abs(got.Data[i] - want.Data[i]); !(d <= tol) {
+				return fmt.Sprintf("entry %d is %v, dense oracle %v (tolerance %g)", i, got.Data[i], want.Data[i], tol)
+			}
+		}
+		return ""
+	})
 }
