@@ -191,7 +191,7 @@ func (ar *arena) indexTraces(sys *hamiltonian.System) {
 func sparseTrace(a *linalg.Matrix, h []traceEntry) complex128 {
 	var t complex128
 	for _, e := range h {
-		t += a.Data[e.at] * e.v
+		t += linalg.CMul(a.Data[e.at], e.v)
 	}
 	return t
 }
@@ -258,7 +258,9 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 		rng := rand.New(rand.NewSource(opts.Seed + int64(slices)))
 		for k := range amps {
 			for j := range amps[k] {
-				amps[k][j] = sys.Controls[k].Bound * 0.2 * (rng.Float64()*2 - 1)
+				// Rounded here, or arm64 fuses rand's own scaling into the doubling.
+				u := float64(rng.Float64())
+				amps[k][j] = sys.Controls[k].Bound * 0.2 * (float64(u*2) - 1)
 			}
 		}
 	}
@@ -300,7 +302,7 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 			linalg.MulInto(fwd[j+1], props[j], fwd[j])
 		}
 		overlap := linalg.TraceOverlap(target, fwd[slices]) // tr(V†·X_N)
-		fid := (real(overlap)*real(overlap) + imag(overlap)*imag(overlap)) / (dim * dim)
+		fid := (float64(real(overlap)*real(overlap)) + float64(imag(overlap)*imag(overlap))) / (dim * dim)
 		if fid > best.Fidelity {
 			best.Fidelity = fid
 			best.Iters = iter
@@ -328,10 +330,10 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 			linalg.MulInto(ar.d, fwd[j+1], c) // X_j · C_j
 			for k := 0; k < nc; k++ {
 				t := sparseTrace(ar.d, traces[k])
-				val := complex(0, -dt) * t
-				g := 2 / (dim * dim) * (real(overlap)*real(val) + imag(overlap)*imag(val))
+				val := linalg.CMul(complex(0, -dt), t)
+				g := 2 / (dim * dim) * (float64(real(overlap)*real(val)) + float64(imag(overlap)*imag(val)))
 				grads[k][j] = g
-				gradSq += g * g
+				gradSq += float64(g * g)
 			}
 			if j > 0 { // the next iteration restarts from V†
 				linalg.MulInto(cNext, c, props[j]) // C_{j-1} = C_j·U_j
@@ -349,8 +351,8 @@ func optimize(ctx context.Context, sys *hamiltonian.System, target *linalg.Matri
 			bound := sys.Controls[k].Bound
 			for j := 0; j < slices; j++ {
 				g := grads[k][j]
-				m[k][j] = beta1*m[k][j] + (1-beta1)*g
-				v[k][j] = beta2*v[k][j] + (1-beta2)*g*g
+				m[k][j] = float64(beta1*m[k][j]) + float64((1-beta1)*g)
+				v[k][j] = float64(beta2*v[k][j]) + float64((1-beta2)*g*g)
 				step := learningRate * (m[k][j] / bc1) / (math.Sqrt(v[k][j]/bc2) + eps)
 				amps[k][j] = clip(amps[k][j]+step, bound)
 				if s := math.Abs(step); s > maxStep {

@@ -13,9 +13,11 @@ import (
 // value-returning (allocating) linalg kernels with no instrumentation.
 // It is the differential oracle for the zero-allocation path: for any
 // fixed seed, optimize must reproduce its Fidelity, Iters, and Amps
-// bit-for-bit (TestOptimizeMatchesReference). Its one change since is the
-// warm start's clip to the control bounds, which optimize shares. Its figures as the "before"
-// baseline of the kernel benchmarks are on record in BENCH_003.json.
+// bit-for-bit (TestOptimizeMatchesReference). Its changes since are the
+// warm start's clip to the control bounds and the explicit rounding of
+// every product, so that arm64 fuses none, both of which optimize shares.
+// Its figures as the "before" baseline of the kernel benchmarks are on
+// record in BENCH_003.json.
 func OptimizeReference(sys *hamiltonian.System, target *linalg.Matrix, slices int, opts Options) *Result {
 	opts.fill()
 	if target.Rows != sys.Dim {
@@ -28,7 +30,9 @@ func OptimizeReference(sys *hamiltonian.System, target *linalg.Matrix, slices in
 	for k := range amps {
 		amps[k] = make([]float64, slices)
 		for j := range amps[k] {
-			amps[k][j] = sys.Controls[k].Bound * 0.2 * (rng.Float64()*2 - 1)
+			// Rounded here, or arm64 fuses rand's own scaling into the doubling.
+			u := float64(rng.Float64())
+			amps[k][j] = sys.Controls[k].Bound * 0.2 * (float64(u*2) - 1)
 		}
 	}
 	if guess := alignGuess(sys, opts.InitialGuess); guess != nil {
@@ -67,7 +71,7 @@ func OptimizeReference(sys *hamiltonian.System, target *linalg.Matrix, slices in
 			fwd[j+1] = props[j].Mul(fwd[j])
 		}
 		overlap := linalg.TraceOverlap(target, fwd[slices])
-		fid := (real(overlap)*real(overlap) + imag(overlap)*imag(overlap)) / (dim * dim)
+		fid := (float64(real(overlap)*real(overlap)) + float64(imag(overlap)*imag(overlap))) / (dim * dim)
 		if fid > best.Fidelity {
 			best.Fidelity = fid
 			best.Iters = iter
@@ -87,8 +91,8 @@ func OptimizeReference(sys *hamiltonian.System, target *linalg.Matrix, slices in
 			d := fwd[j+1].Mul(c)
 			for k := 0; k < nc; k++ {
 				t := traceProduct(d, sys.Controls[k].H)
-				val := complex(0, -dt) * t
-				g := 2 / (dim * dim) * (real(overlap)*real(val) + imag(overlap)*imag(val))
+				val := linalg.CMul(complex(0, -dt), t)
+				g := 2 / (dim * dim) * (float64(real(overlap)*real(val)) + float64(imag(overlap)*imag(val)))
 				grads[k][j] = g
 			}
 			c = c.Mul(props[j])
@@ -101,8 +105,8 @@ func OptimizeReference(sys *hamiltonian.System, target *linalg.Matrix, slices in
 			bound := sys.Controls[k].Bound
 			for j := 0; j < slices; j++ {
 				g := grads[k][j]
-				m[k][j] = beta1*m[k][j] + (1-beta1)*g
-				v[k][j] = beta2*v[k][j] + (1-beta2)*g*g
+				m[k][j] = float64(beta1*m[k][j]) + float64((1-beta1)*g)
+				v[k][j] = float64(beta2*v[k][j]) + float64((1-beta2)*g*g)
 				step := learningRate * (m[k][j] / bc1) / (math.Sqrt(v[k][j]/bc2) + eps)
 				amps[k][j] += step
 				if amps[k][j] > bound {
@@ -123,7 +127,7 @@ func traceProduct(a, b *linalg.Matrix) complex128 {
 	n := a.Rows
 	for i := 0; i < n; i++ {
 		for k := 0; k < n; k++ {
-			t += a.Data[i*n+k] * b.Data[k*n+i]
+			t += linalg.CMul(a.Data[i*n+k], b.Data[k*n+i])
 		}
 	}
 	return t

@@ -149,8 +149,9 @@ func TestWarmStartChannelMismatchSkipped(t *testing.T) {
 // amplitudes and propagators to the next, and have not moved since. The
 // fidelity bits and amplitude digests were re-captured when the slice
 // exponential moved from the Taylor loop to the Paterson–Stockmeyer
-// polynomial, which reaches only low-order bits (EXPERIMENTS.md,
-// "Paterson–Stockmeyer exponential").
+// polynomial, and again when the complex product became fused
+// multiply-adds; both reach only low-order bits (EXPERIMENTS.md,
+// "Paterson–Stockmeyer exponential" and "FMA products").
 func TestMinimumTimeProbeReuse(t *testing.T) {
 	x := DefaultOptions()
 	x.MaxIter = 60
@@ -184,12 +185,12 @@ func TestMinimumTimeProbeReuse(t *testing.T) {
 		probes  int64
 		amps    string // SHA-256 over every amplitude's bits, little-endian
 	}{
-		{"x", sys1, quantum.MatX, x, 24, 0x3feffdcb8ec7a46e, 220, 6,
-			"65feea4941cc0118f79fd627889c1d8b8e6a3347141e46987997a8562adb280c"},
-		{"cx", hamiltonian.XYTransmon(2, hamiltonian.LinearChain(2)), quantum.MatCX, cx, 84, 0x3fefaf2691770b4d, 424, 21,
-			"db57b3d3b0a28a9d03e6b41ff78da2a34b1f6b68f8710ccea14eb6f49861ee4a"},
-		{"x-guess", sys1, quantum.MatX, guessed, 24, 0x3feff96a4459293e, 199, 8,
-			"f94f06744444ab7e3ff385e558fba1263c8c10f401f0062530e015525eeeef98"},
+		{"x", sys1, quantum.MatX, x, 24, 0x3feffdcb8ec7a468, 220, 6,
+			"c1a7a360f4627bb6ec9d3db43a3346f0a7cbcae4db462227660d216aadf89282"},
+		{"cx", hamiltonian.XYTransmon(2, hamiltonian.LinearChain(2)), quantum.MatCX, cx, 84, 0x3fefaf2691770b48, 424, 21,
+			"75cb9685550dc740fa0c243061442a69bdc8276456a52aa5313dcbd3232e9d58"},
+		{"x-guess", sys1, quantum.MatX, guessed, 24, 0x3feff96a4459293c, 199, 8,
+			"0e1600c93c18518ccd538d1da21306f978219840d788cb8ceb0e63c61f545330"},
 	} {
 		reg := obs.NewRegistry()
 		ctx := obs.WithMetrics(context.Background(), reg)

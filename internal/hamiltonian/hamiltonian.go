@@ -237,7 +237,7 @@ func (s *System) HamiltonianInto(dst *linalg.Matrix, amps []float64) {
 		h := c.H.Data[:len(dst.Data)]
 		for _, i := range c.nz {
 			v := h[i]
-			dst.Data[i] += complex(a*real(v), a*imag(v))
+			dst.Data[i] += complex(float64(a*real(v)), float64(a*imag(v)))
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package linalg
 
+import "math"
+
 // Destination-passing kernels. Every XxxInto function writes its result
 // into a caller-owned destination instead of allocating, so hot loops
 // (GRAPE iterations, pulse-simulation slice evolution) can reuse one set
@@ -38,10 +40,11 @@ func IdentityInto(dst *Matrix) {
 }
 
 // MulInto computes the matrix product a·b into dst. dst must not alias
-// a or b. Square products of dimension 4, 8, or 16 (the 2/3/4-qubit
+// a or b. Every entry is mulIntoGeneric's fused sum, on every
+// architecture; square products of dimension 2, 4, 8 or 16 (the 1–4-qubit
 // unitary spaces that dominate GRAPE and pulse simulation) dispatch to
-// blocked kernels that are bit-identical to the generic loop; see
-// kernels_amd64.go.
+// AVX2+FMA kernels with the same bits where the host has them (see
+// kernels_amd64.go).
 func MulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic("linalg: MulInto shape mismatch")
@@ -55,31 +58,92 @@ func MulInto(dst, a, b *Matrix) {
 	mulIntoGeneric(dst, a, b)
 }
 
-// mulIntoGeneric is the portable scalar kernel behind MulInto, and the
-// oracle the specialized kernels are tested against.
+// mulIntoGeneric is the portable kernel behind MulInto and the
+// definition of its bits (DESIGN.md, "Destination-passing kernels"). For
+// each entry (r, c) two chains run over k ascending, skipping k where
+// a[r][k] == 0 (±0 skips, NaN never does), each from +0 with one
+// accumulator and one rounding per step:
+//
+//	P ← fma(re a[r][k], (re b[k][c], im b[k][c]), P)
+//	Q ← fma(im a[r][k], (im b[k][c], re b[k][c]), Q)
+//
+// and the entry is (P.re − Q.re, P.im + Q.im).
 func mulIntoGeneric(dst, a, b *Matrix) {
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
+	n := b.Cols
+	var buf [64]int
 	for r := 0; r < a.Rows; r++ {
 		arow := a.Data[r*a.Cols : (r+1)*a.Cols]
-		drow := dst.Data[r*b.Cols : (r+1)*b.Cols]
+		drow := dst.Data[r*n : (r+1)*n]
+		// ks lists the k with a[r][k] != 0, ascending, so a sparse row is
+		// scanned once and not once per entry. A row with more nonzeros
+		// than buf holds is scanned per entry instead (ks == nil).
+		ks := buf[:0]
 		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			krow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for c, bv := range krow {
-				drow[c] += av * bv
+			if av != 0 {
+				if len(ks) == len(buf) {
+					ks = nil
+					break
+				}
+				ks = append(ks, k)
 			}
 		}
+		for c := range drow {
+			var pr, pi, qr, qi float64
+			if ks != nil {
+				for _, k := range ks {
+					av, bv := arow[k], b.Data[k*n+c]
+					pr = fma(real(av), real(bv), pr)
+					pi = fma(real(av), imag(bv), pi)
+					qr = fma(imag(av), imag(bv), qr)
+					qi = fma(imag(av), real(bv), qi)
+				}
+			} else {
+				for k, av := range arow {
+					if av == 0 {
+						continue
+					}
+					bv := b.Data[k*n+c]
+					pr = fma(real(av), real(bv), pr)
+					pi = fma(real(av), imag(bv), pi)
+					qr = fma(imag(av), imag(bv), qr)
+					qi = fma(imag(av), real(bv), qi)
+				}
+			}
+			drow[c] = complex(pr-qr, pi+qi)
+		}
 	}
+}
+
+// fma is x·y + z rounded once, with IEEE 754's sign for a zero result on
+// every host. math.FMA gives it where the hardware fuses (amd64 with
+// FMA3, arm64); Go's software fallback returns x*y + z when z is zero,
+// which turns a negative product that underflows to −0 into +0, so a
+// zero addend is handled here: the product rounded once keeps its sign
+// when it underflows, and otherwise adding the zero is exact.
+func fma(x, y, z float64) float64 {
+	if z != 0 {
+		return math.FMA(x, y, z)
+	}
+	p := float64(x * y)
+	if p == 0 && x != 0 && y != 0 {
+		return p
+	}
+	return p + z
+}
+
+// CMul is Go's complex product a·b, (ar·br − ai·bi, ar·bi + ai·br), with
+// every real product rounded on its own, so no architecture contracts a
+// product with the sum after it into an FMA: amd64's bits everywhere.
+func CMul(a, b complex128) complex128 {
+	return complex(float64(real(a)*real(b))-float64(imag(a)*imag(b)),
+		float64(real(a)*imag(b))+float64(imag(a)*real(b)))
 }
 
 // MulVecInto computes the matrix-vector product m·v into dst. dst must
 // not alias v and must have length m.Rows. Square systems of dimension
 // 4, 8, or 16 dispatch to unrolled kernels with the same accumulation
-// order as the generic loop.
+// order as the generic loop. Every product is rounded on its own (CMul),
+// unfused on every architecture.
 func MulVecInto(dst []complex128, m *Matrix, v []complex128) {
 	if m.Cols != len(v) {
 		panic("linalg: MulVec length mismatch")
@@ -108,7 +172,7 @@ func mulVecIntoGeneric(dst []complex128, m *Matrix, v []complex128) {
 		var s complex128
 		row := m.Data[r*m.Cols : (r+1)*m.Cols]
 		for c, mv := range row {
-			s += mv * v[c]
+			s += CMul(mv, v[c])
 		}
 		dst[r] = s
 	}
@@ -125,10 +189,10 @@ func mulVecInto4(dst []complex128, m *Matrix, v []complex128) {
 	for r := 0; r < 4; r++ {
 		row := md[r*4 : r*4+4 : r*4+4]
 		var s complex128
-		s += row[0] * vv[0]
-		s += row[1] * vv[1]
-		s += row[2] * vv[2]
-		s += row[3] * vv[3]
+		s += CMul(row[0], vv[0])
+		s += CMul(row[1], vv[1])
+		s += CMul(row[2], vv[2])
+		s += CMul(row[3], vv[3])
 		dd[r] = s
 	}
 }
@@ -141,10 +205,10 @@ func mulVecInto8(dst []complex128, m *Matrix, v []complex128) {
 		row := md[r*8 : r*8+8 : r*8+8]
 		var s complex128
 		for c := 0; c < 8; c += 4 {
-			s += row[c] * vv[c]
-			s += row[c+1] * vv[c+1]
-			s += row[c+2] * vv[c+2]
-			s += row[c+3] * vv[c+3]
+			s += CMul(row[c], vv[c])
+			s += CMul(row[c+1], vv[c+1])
+			s += CMul(row[c+2], vv[c+2])
+			s += CMul(row[c+3], vv[c+3])
 		}
 		dd[r] = s
 	}
@@ -158,10 +222,10 @@ func mulVecInto16(dst []complex128, m *Matrix, v []complex128) {
 		row := md[r*16 : r*16+16 : r*16+16]
 		var s complex128
 		for c := 0; c < 16; c += 4 {
-			s += row[c] * vv[c]
-			s += row[c+1] * vv[c+1]
-			s += row[c+2] * vv[c+2]
-			s += row[c+3] * vv[c+3]
+			s += CMul(row[c], vv[c])
+			s += CMul(row[c+1], vv[c+1])
+			s += CMul(row[c+2], vv[c+2])
+			s += CMul(row[c+3], vv[c+3])
 		}
 		dd[r] = s
 	}
@@ -202,7 +266,7 @@ func SubInto(dst, a, b *Matrix) {
 func ScaleInto(dst, m *Matrix, s complex128) {
 	mustSameShape(dst, m)
 	for i := range dst.Data {
-		dst.Data[i] = s * m.Data[i]
+		dst.Data[i] = CMul(s, m.Data[i])
 	}
 }
 
@@ -211,7 +275,7 @@ func AddScaledInto(dst, a, b *Matrix, s complex128) {
 	mustSameShape(a, b)
 	mustSameShape(dst, a)
 	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] + s*b.Data[i]
+		dst.Data[i] = a.Data[i] + CMul(s, b.Data[i])
 	}
 }
 

@@ -1,15 +1,19 @@
 #include "textflag.h"
 
-// AVX2 complex128 matmul kernels. See kernels_amd64.go for the
-// bit-identity contract: vectorization is across columns only, each
-// destination element keeps the scalar ascending-k single-accumulator
-// chain, av == 0 rows are skipped with the same ==0 semantics (NaN
-// never skips, -0 does), and the complex product is VMULPD+VADDSUBPD
-// (naive formula, no FMA).
+// AVX2+FMA complex128 matmul kernels. See mulIntoGeneric for the
+// contract they compute bit for bit: vectorization is across columns
+// only, each destination entry keeps two single-accumulator chains over
+// ascending k, and av == 0 rows are skipped with the same == 0 semantics
+// (NaN never skips, −0 does). Per column block and k, P += re(av)·b and
+// Q += im(av)·b are one VFMADD231PD each; Q holds the second chain with
+// its parts swapped, (Σ im a·re b, Σ im a·im b), so the inner loop needs
+// no shuffle. At row end VPERMILPD swaps Q back and VADDSUBPD forms
+// (P.re − Q.re, P.im + Q.im).
 //
-// Register plan (shared by all three sizes):
-//   Y0..Y7   column-block accumulators for the current output row
-//   Y8/Y9    b row block / its re-im swap
+// Register plan (2×2, 8×8 and 16×16; 4×4 has its own below):
+//   Y0..Y3   P, one column block (two entries) each
+//   Y4..Y7   Q, the same blocks
+//   Y8       b row block
 //   Y10/Y11  broadcast real(av) / imag(av)
 //   X12      zero (for the av == 0 test)
 //   X13/X14  av / compare mask
@@ -33,63 +37,138 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func mulInto4AVX2(dst, a, b *complex128)
-TEXT ·mulInto4AVX2(SB), NOSPLIT, $0-24
+// func mulInto2FMA(dst, a, b *complex128)
+TEXT ·mulInto2FMA(SB), NOSPLIT, $0-24
 	MOVQ   dst+0(FP), DI
 	MOVQ   a+8(FP), SI
 	MOVQ   b+16(FP), DX
 	VXORPD X12, X12, X12
-	MOVQ   $4, R8
+	MOVQ   $2, R8
 
-row4:
+row2:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y4, Y4, Y4
+	MOVQ   DX, BX
+	MOVQ   SI, CX
+	MOVQ   $2, R9
+
+k2:
+	VMOVUPD   (CX), X13
+	VCMPPD    $0, X13, X12, X14
+	VMOVMSKPD X14, AX
+	CMPQ      AX, $3
+	JE        skip2
+
+	VBROADCASTSD (CX), Y10
+	VBROADCASTSD 8(CX), Y11
+
+	VMOVUPD     (BX), Y8
+	VFMADD231PD Y8, Y10, Y0
+	VFMADD231PD Y8, Y11, Y4
+
+skip2:
+	ADDQ $16, CX
+	ADDQ $32, BX
+	DECQ R9
+	JNZ  k2
+
+	VPERMILPD $5, Y4, Y4
+	VADDSUBPD Y4, Y0, Y0
+	VMOVUPD   Y0, (DI)
+	ADDQ      $32, DI
+	ADDQ      $32, SI
+	DECQ      R8
+	JNZ       row2
+
+	VZEROUPPER
+	RET
+
+// func mulInto4FMA(dst, a, b *complex128)
+//
+// One row holds four accumulators, one FMA latency per k apart, so the
+// 4×4 kernel runs rows in pairs: row r in Y0..Y3 and row r+1 in Y4..Y7
+// (P blocks, then Q blocks), each with its own av == 0 test, sharing
+// b's row in Y8/Y9. Row r+1's broadcasts are Y12/Y13, its compare uses
+// X14 against the zero in X15.
+TEXT ·mulInto4FMA(SB), NOSPLIT, $0-24
+	MOVQ   dst+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   b+16(FP), DX
+	VXORPD X15, X15, X15
+	MOVQ   $2, R8
+
+rows4:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
 	MOVQ   DX, BX
 	MOVQ   SI, CX
 	MOVQ   $4, R9
 
 k4:
-	VMOVUPD   (CX), X13
-	VCMPPD    $0, X13, X12, X14
+	VMOVUPD (BX), Y8
+	VMOVUPD 32(BX), Y9
+
+	VMOVUPD   (CX), X14
+	VCMPPD    $0, X14, X15, X14
 	VMOVMSKPD X14, AX
 	CMPQ      AX, $3
-	JE        skip4
+	JE        skip4r0
 
 	VBROADCASTSD (CX), Y10
 	VBROADCASTSD 8(CX), Y11
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y8, Y11, Y2
+	VFMADD231PD  Y9, Y10, Y1
+	VFMADD231PD  Y9, Y11, Y3
 
-	VMOVUPD   (BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y0, Y0
+skip4r0:
+	VMOVUPD   64(CX), X14
+	VCMPPD    $0, X14, X15, X14
+	VMOVMSKPD X14, AX
+	CMPQ      AX, $3
+	JE        skip4r1
 
-	VMOVUPD   32(BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y1, Y1
+	VBROADCASTSD 64(CX), Y12
+	VBROADCASTSD 72(CX), Y13
+	VFMADD231PD  Y8, Y12, Y4
+	VFMADD231PD  Y8, Y13, Y6
+	VFMADD231PD  Y9, Y12, Y5
+	VFMADD231PD  Y9, Y13, Y7
 
-skip4:
+skip4r1:
 	ADDQ $16, CX
 	ADDQ $64, BX
 	DECQ R9
 	JNZ  k4
 
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	ADDQ    $64, DI
-	ADDQ    $64, SI
-	DECQ    R8
-	JNZ     row4
+	VPERMILPD $5, Y2, Y2
+	VADDSUBPD Y2, Y0, Y0
+	VMOVUPD   Y0, (DI)
+	VPERMILPD $5, Y3, Y3
+	VADDSUBPD Y3, Y1, Y1
+	VMOVUPD   Y1, 32(DI)
+	VPERMILPD $5, Y6, Y6
+	VADDSUBPD Y6, Y4, Y4
+	VMOVUPD   Y4, 64(DI)
+	VPERMILPD $5, Y7, Y7
+	VADDSUBPD Y7, Y5, Y5
+	VMOVUPD   Y5, 96(DI)
+	ADDQ      $128, DI
+	ADDQ      $128, SI
+	DECQ      R8
+	JNZ       rows4
 
 	VZEROUPPER
 	RET
 
-// func mulInto8AVX2(dst, a, b *complex128)
-TEXT ·mulInto8AVX2(SB), NOSPLIT, $0-24
+// func mulInto8FMA(dst, a, b *complex128)
+TEXT ·mulInto8FMA(SB), NOSPLIT, $0-24
 	MOVQ   dst+0(FP), DI
 	MOVQ   a+8(FP), SI
 	MOVQ   b+16(FP), DX
@@ -101,6 +180,10 @@ row8:
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
 	MOVQ   DX, BX
 	MOVQ   SI, CX
 	MOVQ   $8, R9
@@ -115,33 +198,18 @@ k8:
 	VBROADCASTSD (CX), Y10
 	VBROADCASTSD 8(CX), Y11
 
-	VMOVUPD   (BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y0, Y0
-
-	VMOVUPD   32(BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y1, Y1
-
-	VMOVUPD   64(BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y2, Y2
-
-	VMOVUPD   96(BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y3, Y3
+	VMOVUPD     (BX), Y8
+	VFMADD231PD Y8, Y10, Y0
+	VFMADD231PD Y8, Y11, Y4
+	VMOVUPD     32(BX), Y8
+	VFMADD231PD Y8, Y10, Y1
+	VFMADD231PD Y8, Y11, Y5
+	VMOVUPD     64(BX), Y8
+	VFMADD231PD Y8, Y10, Y2
+	VFMADD231PD Y8, Y11, Y6
+	VMOVUPD     96(BX), Y8
+	VFMADD231PD Y8, Y10, Y3
+	VFMADD231PD Y8, Y11, Y7
 
 skip8:
 	ADDQ $16, CX
@@ -149,20 +217,32 @@ skip8:
 	DECQ R9
 	JNZ  k8
 
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ    $128, DI
-	ADDQ    $128, SI
-	DECQ    R8
-	JNZ     row8
+	VPERMILPD $5, Y4, Y4
+	VADDSUBPD Y4, Y0, Y0
+	VMOVUPD   Y0, (DI)
+	VPERMILPD $5, Y5, Y5
+	VADDSUBPD Y5, Y1, Y1
+	VMOVUPD   Y1, 32(DI)
+	VPERMILPD $5, Y6, Y6
+	VADDSUBPD Y6, Y2, Y2
+	VMOVUPD   Y2, 64(DI)
+	VPERMILPD $5, Y7, Y7
+	VADDSUBPD Y7, Y3, Y3
+	VMOVUPD   Y3, 96(DI)
+	ADDQ      $128, DI
+	ADDQ      $128, SI
+	DECQ      R8
+	JNZ       row8
 
 	VZEROUPPER
 	RET
 
-// func mulInto16AVX2(dst, a, b *complex128)
-TEXT ·mulInto16AVX2(SB), NOSPLIT, $0-24
+// func mulInto16FMA(dst, a, b *complex128)
+//
+// The sixteen P and Q registers of a whole row would leave none for
+// the broadcasts, so each row runs as two halves of eight columns,
+// each half with its own pass over k.
+TEXT ·mulInto16FMA(SB), NOSPLIT, $0-24
 	MOVQ   dst+0(FP), DI
 	MOVQ   a+8(FP), SI
 	MOVQ   b+16(FP), DX
@@ -170,6 +250,10 @@ TEXT ·mulInto16AVX2(SB), NOSPLIT, $0-24
 	MOVQ   $16, R8
 
 row16:
+	MOVQ DX, R10 // b's first column of this half
+	MOVQ $2, R11
+
+half16:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -178,7 +262,7 @@ row16:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	MOVQ   DX, BX
+	MOVQ   R10, BX
 	MOVQ   SI, CX
 	MOVQ   $16, R9
 
@@ -192,61 +276,18 @@ k16:
 	VBROADCASTSD (CX), Y10
 	VBROADCASTSD 8(CX), Y11
 
-	VMOVUPD   (BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y0, Y0
-
-	VMOVUPD   32(BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y1, Y1
-
-	VMOVUPD   64(BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y2, Y2
-
-	VMOVUPD   96(BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y3, Y3
-
-	VMOVUPD   128(BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y4, Y4
-
-	VMOVUPD   160(BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y5, Y5
-
-	VMOVUPD   192(BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y6, Y6
-
-	VMOVUPD   224(BX), Y8
-	VSHUFPD   $5, Y8, Y8, Y9
-	VMULPD    Y8, Y10, Y8
-	VMULPD    Y9, Y11, Y9
-	VADDSUBPD Y9, Y8, Y8
-	VADDPD    Y8, Y7, Y7
+	VMOVUPD     (BX), Y8
+	VFMADD231PD Y8, Y10, Y0
+	VFMADD231PD Y8, Y11, Y4
+	VMOVUPD     32(BX), Y8
+	VFMADD231PD Y8, Y10, Y1
+	VFMADD231PD Y8, Y11, Y5
+	VMOVUPD     64(BX), Y8
+	VFMADD231PD Y8, Y10, Y2
+	VFMADD231PD Y8, Y11, Y6
+	VMOVUPD     96(BX), Y8
+	VFMADD231PD Y8, Y10, Y3
+	VFMADD231PD Y8, Y11, Y7
 
 skip16:
 	ADDQ $16, CX
@@ -254,18 +295,26 @@ skip16:
 	DECQ R9
 	JNZ  k16
 
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VMOVUPD Y4, 128(DI)
-	VMOVUPD Y5, 160(DI)
-	VMOVUPD Y6, 192(DI)
-	VMOVUPD Y7, 224(DI)
-	ADDQ    $256, DI
-	ADDQ    $256, SI
-	DECQ    R8
-	JNZ     row16
+	VPERMILPD $5, Y4, Y4
+	VADDSUBPD Y4, Y0, Y0
+	VMOVUPD   Y0, (DI)
+	VPERMILPD $5, Y5, Y5
+	VADDSUBPD Y5, Y1, Y1
+	VMOVUPD   Y1, 32(DI)
+	VPERMILPD $5, Y6, Y6
+	VADDSUBPD Y6, Y2, Y2
+	VMOVUPD   Y2, 64(DI)
+	VPERMILPD $5, Y7, Y7
+	VADDSUBPD Y7, Y3, Y3
+	VMOVUPD   Y3, 96(DI)
+	ADDQ      $128, DI
+	ADDQ      $128, R10
+	DECQ      R11
+	JNZ       half16
+
+	ADDQ $256, SI
+	DECQ R8
+	JNZ  row16
 
 	VZEROUPPER
 	RET
@@ -316,5 +365,122 @@ combine:
 	SUBQ    $4, CX
 	JNZ     combine
 
+	VZEROUPPER
+	RET
+
+// The squaring count's column sums, for sqrtOneNorm at dimensions 4, 8
+// and 16. One pass per row: for each group of four columns, VMULPD
+// squares the parts, VHADDPD adds re² + im² within each entry, VSQRTPD
+// takes the four moduli and VADDPD adds them to that group's
+// accumulator, so each column sums its moduli in row order from +0 with
+// one rounding per product, sum and root, as the Go loop does. VHADDPD
+// interleaves two registers' entries, so a group's sums come out as
+// columns 0, 2, 1, 3; only their maximum is read.
+//
+//   Y0..Y3  one accumulator per group of four columns
+//   Y4..Y11 row entries, their squares and moduli
+
+// func sqrtColSums4AVX2(sums *float64, m *complex128)
+TEXT ·sqrtColSums4AVX2(SB), NOSPLIT, $0-16
+	MOVQ sums+0(FP), DI
+	MOVQ m+8(FP), SI
+	VXORPD Y0, Y0, Y0
+	MOVQ $4, R8
+
+rows4:
+	VMOVUPD (SI), Y4
+	VMOVUPD 32(SI), Y5
+	VMULPD  Y4, Y4, Y4
+	VMULPD  Y5, Y5, Y5
+	VHADDPD Y5, Y4, Y4
+	VSQRTPD Y4, Y4
+	VADDPD  Y4, Y0, Y0
+	ADDQ $64, SI
+	DECQ R8
+	JNZ  rows4
+
+	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func sqrtColSums8AVX2(sums *float64, m *complex128)
+TEXT ·sqrtColSums8AVX2(SB), NOSPLIT, $0-16
+	MOVQ sums+0(FP), DI
+	MOVQ m+8(FP), SI
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ $8, R8
+
+rows8:
+	VMOVUPD (SI), Y4
+	VMOVUPD 32(SI), Y5
+	VMULPD  Y4, Y4, Y4
+	VMULPD  Y5, Y5, Y5
+	VHADDPD Y5, Y4, Y4
+	VSQRTPD Y4, Y4
+	VADDPD  Y4, Y0, Y0
+	VMOVUPD 64(SI), Y6
+	VMOVUPD 96(SI), Y7
+	VMULPD  Y6, Y6, Y6
+	VMULPD  Y7, Y7, Y7
+	VHADDPD Y7, Y6, Y6
+	VSQRTPD Y6, Y6
+	VADDPD  Y6, Y1, Y1
+	ADDQ $128, SI
+	DECQ R8
+	JNZ  rows8
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VZEROUPPER
+	RET
+
+// func sqrtColSums16AVX2(sums *float64, m *complex128)
+TEXT ·sqrtColSums16AVX2(SB), NOSPLIT, $0-16
+	MOVQ sums+0(FP), DI
+	MOVQ m+8(FP), SI
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ $16, R8
+
+rows16:
+	VMOVUPD (SI), Y4
+	VMOVUPD 32(SI), Y5
+	VMULPD  Y4, Y4, Y4
+	VMULPD  Y5, Y5, Y5
+	VHADDPD Y5, Y4, Y4
+	VSQRTPD Y4, Y4
+	VADDPD  Y4, Y0, Y0
+	VMOVUPD 64(SI), Y6
+	VMOVUPD 96(SI), Y7
+	VMULPD  Y6, Y6, Y6
+	VMULPD  Y7, Y7, Y7
+	VHADDPD Y7, Y6, Y6
+	VSQRTPD Y6, Y6
+	VADDPD  Y6, Y1, Y1
+	VMOVUPD 128(SI), Y8
+	VMOVUPD 160(SI), Y9
+	VMULPD  Y8, Y8, Y8
+	VMULPD  Y9, Y9, Y9
+	VHADDPD Y9, Y8, Y8
+	VSQRTPD Y8, Y8
+	VADDPD  Y8, Y2, Y2
+	VMOVUPD 192(SI), Y10
+	VMOVUPD 224(SI), Y11
+	VMULPD  Y10, Y10, Y10
+	VMULPD  Y11, Y11, Y11
+	VHADDPD Y11, Y10, Y10
+	VSQRTPD Y10, Y10
+	VADDPD  Y10, Y3, Y3
+	ADDQ $256, SI
+	DECQ R8
+	JNZ  rows16
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
 	VZEROUPPER
 	RET

@@ -105,7 +105,7 @@ func (m *Matrix) Scale(s complex128) *Matrix {
 func (m *Matrix) AddInPlace(o *Matrix, s complex128) {
 	mustSameShape(m, o)
 	for i := range m.Data {
-		m.Data[i] += s * o.Data[i]
+		m.Data[i] += CMul(s, o.Data[i])
 	}
 }
 
@@ -162,7 +162,7 @@ func (m *Matrix) Kron(o *Matrix) *Matrix {
 				base := (r1*o.Rows+r2)*out.Cols + c1*o.Cols
 				orow := o.Data[r2*o.Cols : (r2+1)*o.Cols]
 				for c2, b := range orow {
-					out.Data[base+c2] = a * b
+					out.Data[base+c2] = CMul(a, b)
 				}
 			}
 		}
@@ -187,7 +187,7 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
 	for _, v := range m.Data {
 		re, im := real(v), imag(v)
-		s += re*re + im*im
+		s += float64(re*re) + float64(im*im)
 	}
 	return math.Sqrt(s)
 }

@@ -151,13 +151,13 @@ func TestExpmIntoMatchesThreePass(t *testing.T) {
 }
 
 // TestCombineKernelMatchesGeneric pins combineParts — the AVX2 kernel
-// where the host has AVX2 and the length is a multiple of 4 — against
+// where the host has AVX2 and FMA and the length is a multiple of 4 — against
 // combineGeneric under math.Float64bits at every length 1–256, with the
 // coefficients of the top block and of every Horner step, on operands
 // that hold −0, subnormal parts and planted ±Inf and NaN.
 func TestCombineKernelMatchesGeneric(t *testing.T) {
-	if !hasAVX2 {
-		t.Log("no AVX2: combineParts is combineGeneric itself")
+	if !hasAVX2FMA {
+		t.Log("no AVX2 and FMA: combineParts is combineGeneric itself")
 	}
 	rng := rand.New(rand.NewSource(26))
 	negZero := math.Copysign(0, -1)

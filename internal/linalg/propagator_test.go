@@ -98,3 +98,28 @@ func TestPropagatorIntoMatchesDenseOracle(t *testing.T) {
 		return ""
 	})
 }
+
+// BenchmarkMulSparseLeft times A·A, the exponential's first product, for
+// a GRAPE slice argument A = −i·4·H on 2- and 3-qubit chains at GRAPE's
+// operating point (amplitudes uniform in ±bound): the sparse left
+// operand whose zero entries the product's skip passes over.
+func BenchmarkMulSparseLeft(b *testing.B) {
+	for _, n := range []int{2, 3} {
+		b.Run(fmt.Sprintf("%dq", n), func(b *testing.B) {
+			sys := hamiltonian.XYTransmon(n, hamiltonian.LinearChain(n))
+			rng := rand.New(rand.NewSource(int64(n)))
+			amps := make([]float64, len(sys.Controls))
+			for k := range amps {
+				amps[k] = sys.Controls[k].Bound * (rng.Float64()*2 - 1)
+			}
+			h, a, dst := linalg.New(sys.Dim, sys.Dim), linalg.New(sys.Dim, sys.Dim), linalg.New(sys.Dim, sys.Dim)
+			sys.HamiltonianInto(h, amps)
+			linalg.ScaleInto(a, h, complex(0, -4))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				linalg.MulInto(dst, a, a)
+			}
+		})
+	}
+}
