@@ -73,7 +73,9 @@ func Expm(m *Matrix) *Matrix {
 // ExpmInto computes e^m into dst, reusing ws's buffers (a nil ws
 // allocates a temporary one). dst must be m-shaped and must not alias m
 // or a workspace buffer other than ws.Scratch. The result is
-// bit-identical to Expm — same operation order, only storage reuse.
+// bit-identical to Expm — same operation order, only storage reuse. An
+// argument that needs noDigitsSquarings or more squarings gets NaN in
+// every entry.
 func ExpmInto(dst, m *Matrix, ws *Workspace) {
 	if !m.IsSquare() {
 		panic("linalg: Expm of non-square matrix")
@@ -85,6 +87,10 @@ func ExpmInto(dst, m *Matrix, ws *Workspace) {
 	}
 	ws.ensure(n)
 	s := squaringsFor(sqrtOneNorm(m))
+	if s >= noDigitsSquarings {
+		fillNaN(dst)
+		return
+	}
 	a := sized(ws.a, n)
 	r := math.Ldexp(1, -s)
 	for i, v := range m.Data {
@@ -105,7 +111,8 @@ func ExpmHermitian(h *Matrix, t float64) *Matrix {
 // supplies the polynomial's buffers; nil allocates a temporary
 // workspace). dst must not alias h; h may be ws.Scratch. The squaring
 // count comes from |t|·‖H‖, and the argument −i·t·2^-s·H is formed in
-// one pass: each part is one product by the real t·2^-s.
+// one pass: each part is one product by the real t·2^-s. As in ExpmInto,
+// noDigitsSquarings or more squarings give NaN in every entry.
 func ExpmHermitianInto(dst, h *Matrix, t float64, ws *Workspace) {
 	if !h.IsSquare() {
 		panic("linalg: Expm of non-square matrix")
@@ -117,6 +124,10 @@ func ExpmHermitianInto(dst, h *Matrix, t float64, ws *Workspace) {
 	}
 	ws.ensure(n)
 	s := squaringsFor(math.Abs(t) * sqrtOneNorm(h))
+	if s >= noDigitsSquarings {
+		fillNaN(dst)
+		return
+	}
 	a := sized(ws.a, n)
 	c := math.Ldexp(t, -s)
 	for i, v := range h.Data {
@@ -211,6 +222,23 @@ func combineGeneric(h, t, a, a2, a3 []complex128, ct, c1, c2, c3 float64) {
 // finite norm is below 2^1024, and 1025 halvings bring that to 0.5. A
 // non-finite norm gets the same count.
 const maxSquarings = 1025
+
+// noDigitsSquarings is the squaring count at which an exponential keeps
+// no digit: each squaring can double an error, and 1e-15·2^s ≥ 1 from
+// s = 50 on (DESIGN.md, "Paterson–Stockmeyer exponential"). Rather than
+// return a finite matrix that shares no digit with e^m, the exponentials
+// write NaN there, so a propagator built from one gives a NaN fidelity,
+// which no search counts as a hit. GRAPE's slice arguments need about one
+// squaring.
+const noDigitsSquarings = 50
+
+// fillNaN writes NaN to both parts of every entry of dst.
+func fillNaN(dst *Matrix) {
+	nan := math.NaN()
+	for i := range dst.Data {
+		dst.Data[i] = complex(nan, nan)
+	}
+}
 
 // squaringsFor returns the squaring count for an argument of one-norm
 // norm: the smallest s ≥ 0 with 2^-s·norm ≤ 0.5. It is read off the

@@ -3,33 +3,69 @@
 package linalg
 
 // AVX2+FMA kernels for the square dimensions the compiler actually
-// produces (2/4/8/16: 1/2/3/4-qubit unitary spaces). The matmul kernels
-// vectorize across columns only and compute mulIntoGeneric's fused
-// chains bit for bit (TestMulKernelsBitIdentical, FuzzMulKernels).
+// produces (2/4/8/16: 1/2/3/4-qubit unitary spaces), and AVX-512F
+// kernels for the two that carry GRAPE's products, 4 and 8. The matmul
+// kernels vectorize across columns only and compute mulIntoGeneric's
+// fused chains bit for bit (TestMulKernelsBitIdentical,
+// TestEachKernelBitIdentical, FuzzMulKernels).
 
-// hasAVX2FMA reports whether the kernels may run: CPUID must report
+// hasAVX2FMA reports whether the AVX2 kernels may run: CPUID must report
 // AVX2 and FMA3 and the OS must save YMM state. Elsewhere the Go loops
 // run, with the same bits (TestNoFMAHostSameBits turns it off).
-var hasAVX2FMA = detectAVX2FMA()
+// hasAVX512 reports whether the AVX-512F product kernels may run as
+// well: CPUID must report AVX-512F and the OS must save the opmask and
+// all 32 ZMM registers.
+var hasAVX2FMA, hasAVX512 = detectCPU()
 
-func detectAVX2FMA() bool {
+func detectCPU() (avx2FMA, avx512 bool) {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return false
+		return false, false
 	}
 	_, _, c1, _ := cpuid(1, 0)
 	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
 	if c1&fma == 0 || c1&osxsave == 0 || c1&avx == 0 {
-		return false
+		return false, false
 	}
-	// The OS must have enabled XMM and YMM state saving in XCR0.
+	// The OS must have enabled XMM and YMM state saving in XCR0, and for
+	// AVX-512 the opmask, ZMM_Hi256 and Hi16_ZMM state too.
 	xcr0, _ := xgetbv()
 	if xcr0&0x6 != 0x6 {
-		return false
+		return false, false
 	}
 	_, b7, _, _ := cpuid(7, 0)
-	const avx2 = 1 << 5
-	return b7&avx2 != 0
+	const avx2, avx512f = 1 << 5, 1 << 16
+	if b7&avx2 == 0 {
+		return false, false
+	}
+	return true, b7&avx512f != 0 && xcr0&0xe6 == 0xe6
+}
+
+// The product kernels MulInto can run at a square dimension.
+const (
+	goLoop uint8 = iota
+	fma2
+	fma4
+	fma8
+	fma16
+	avx512x4
+	avx512x8
+)
+
+// mulKernel[n] is the kernel MulInto runs at square dimension n, picked
+// once from CPUID, so a call pays one table read and no feature test.
+var mulKernel = kernelsFor(hasAVX2FMA, hasAVX512)
+
+// kernelsFor is the kernel table of a host with the given features.
+func kernelsFor(avx2FMA, avx512 bool) (k [17]uint8) {
+	if !avx2FMA {
+		return k
+	}
+	k[2], k[4], k[8], k[16] = fma2, fma4, fma8, fma16
+	if avx512 {
+		k[4], k[8] = avx512x4, avx512x8
+	}
+	return k
 }
 
 //go:noescape
@@ -51,6 +87,12 @@ func mulInto8FMA(dst, a, b *complex128)
 func mulInto16FMA(dst, a, b *complex128)
 
 //go:noescape
+func mulInto4AVX512(dst, a, b *complex128)
+
+//go:noescape
+func mulInto8AVX512(dst, a, b *complex128)
+
+//go:noescape
 func combineAVX2(h, t, a, a2, a3 *complex128, n int, ct, c1, c2, c3 float64)
 
 //go:noescape
@@ -62,21 +104,26 @@ func sqrtColSums8AVX2(sums *float64, m *complex128)
 //go:noescape
 func sqrtColSums16AVX2(sums *float64, m *complex128)
 
-// mulIntoFast dispatches to a specialized kernel when the shapes allow,
-// reporting whether it handled the product. Shape checks already ran.
+// mulIntoFast runs the kernel mulKernel names for a square product,
+// reporting whether it ran one. Shape checks already ran.
 func mulIntoFast(dst, a, b *Matrix) bool {
-	if !hasAVX2FMA || a.Rows != a.Cols || b.Cols != b.Rows {
+	n := a.Rows
+	if n != a.Cols || b.Cols != b.Rows || n >= len(mulKernel) {
 		return false
 	}
-	switch a.Rows {
-	case 2:
+	switch mulKernel[n] {
+	case fma2:
 		mulInto2FMA(&dst.Data[0], &a.Data[0], &b.Data[0])
-	case 4:
+	case fma4:
 		mulInto4FMA(&dst.Data[0], &a.Data[0], &b.Data[0])
-	case 8:
+	case fma8:
 		mulInto8FMA(&dst.Data[0], &a.Data[0], &b.Data[0])
-	case 16:
+	case fma16:
 		mulInto16FMA(&dst.Data[0], &a.Data[0], &b.Data[0])
+	case avx512x4:
+		mulInto4AVX512(&dst.Data[0], &a.Data[0], &b.Data[0])
+	case avx512x8:
+		mulInto8AVX512(&dst.Data[0], &a.Data[0], &b.Data[0])
 	default:
 		return false
 	}

@@ -484,3 +484,181 @@ rows16:
 	VMOVUPD Y3, 96(DI)
 	VZEROUPPER
 	RET
+
+// AVX-512F kernels for 4×4 and 8×8, with the contract above bit for bit:
+// the same chains over ascending k, one ZMM register (four entries) per
+// column block. There is no 512-bit VADDSUBPD, so the row end computes
+// (P.re − Q.re, P.im + Q.im) as VFMADDSUB231PD of P, a vector of ones and
+// the swapped Q: P·1 is exact, so each lane is P ∓ Q rounded once, the
+// value and the sign of zero that VADDSUBPD gives. The av == 0 test runs
+// on the integer side, off the vector ports the FMAs use: av is ±0 in
+// both parts exactly when the OR of their bits, shifted left by one to
+// drop both signs, is zero (NaN never is).
+//
+//   Z0..Z7   P and Q accumulators
+//   Z16/Z17  b row blocks
+//   Z18/Z19  broadcast real(av) / imag(av)
+//   Z20      ones
+
+// func mulInto4AVX512(dst, a, b *complex128)
+//
+// One pass for all four rows: row r's P in Z(r), its Q in Z(r+4), one
+// FMA latency of independent accumulators per k.
+TEXT ·mulInto4AVX512(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	MOVQ         a+8(FP), SI
+	MOVQ         b+16(FP), DX
+	MOVQ         $0x3ff0000000000000, AX
+	VPBROADCASTQ AX, Z20
+	VXORPD       Z0, Z0, Z0
+	VXORPD       Z1, Z1, Z1
+	VXORPD       Z2, Z2, Z2
+	VXORPD       Z3, Z3, Z3
+	VXORPD       Z4, Z4, Z4
+	VXORPD       Z5, Z5, Z5
+	VXORPD       Z6, Z6, Z6
+	VXORPD       Z7, Z7, Z7
+	MOVQ         $4, R9
+
+k4x512:
+	VMOVUPD (DX), Z16
+
+	MOVQ (SI), AX
+	ORQ  8(SI), AX
+	ADDQ AX, AX
+	JEQ  skip4x512r0
+	VBROADCASTSD (SI), Z18
+	VBROADCASTSD 8(SI), Z19
+	VFMADD231PD  Z16, Z18, Z0
+	VFMADD231PD  Z16, Z19, Z4
+
+skip4x512r0:
+	MOVQ 64(SI), AX
+	ORQ  72(SI), AX
+	ADDQ AX, AX
+	JEQ  skip4x512r1
+	VBROADCASTSD 64(SI), Z18
+	VBROADCASTSD 72(SI), Z19
+	VFMADD231PD  Z16, Z18, Z1
+	VFMADD231PD  Z16, Z19, Z5
+
+skip4x512r1:
+	MOVQ 128(SI), AX
+	ORQ  136(SI), AX
+	ADDQ AX, AX
+	JEQ  skip4x512r2
+	VBROADCASTSD 128(SI), Z18
+	VBROADCASTSD 136(SI), Z19
+	VFMADD231PD  Z16, Z18, Z2
+	VFMADD231PD  Z16, Z19, Z6
+
+skip4x512r2:
+	MOVQ 192(SI), AX
+	ORQ  200(SI), AX
+	ADDQ AX, AX
+	JEQ  skip4x512r3
+	VBROADCASTSD 192(SI), Z18
+	VBROADCASTSD 200(SI), Z19
+	VFMADD231PD  Z16, Z18, Z3
+	VFMADD231PD  Z16, Z19, Z7
+
+skip4x512r3:
+	ADDQ $16, SI
+	ADDQ $64, DX
+	DECQ R9
+	JNZ  k4x512
+
+	VPERMILPD      $0x55, Z4, Z4
+	VFMADDSUB231PD Z20, Z0, Z4
+	VMOVUPD        Z4, (DI)
+	VPERMILPD      $0x55, Z5, Z5
+	VFMADDSUB231PD Z20, Z1, Z5
+	VMOVUPD        Z5, 64(DI)
+	VPERMILPD      $0x55, Z6, Z6
+	VFMADDSUB231PD Z20, Z2, Z6
+	VMOVUPD        Z6, 128(DI)
+	VPERMILPD      $0x55, Z7, Z7
+	VFMADDSUB231PD Z20, Z3, Z7
+	VMOVUPD        Z7, 192(DI)
+
+	VZEROUPPER
+	RET
+
+// func mulInto8AVX512(dst, a, b *complex128)
+//
+// Rows run in pairs, each pass sharing b's row k (Z16/Z17) between them:
+// row r's P blocks in Z0/Z1 and Q blocks in Z2/Z3, row r+1's in Z4/Z5
+// and Z6/Z7.
+TEXT ·mulInto8AVX512(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	MOVQ         a+8(FP), SI
+	MOVQ         b+16(FP), DX
+	MOVQ         $0x3ff0000000000000, AX
+	VPBROADCASTQ AX, Z20
+	MOVQ         $4, R8
+
+rows8x512:
+	VXORPD Z0, Z0, Z0
+	VXORPD Z1, Z1, Z1
+	VXORPD Z2, Z2, Z2
+	VXORPD Z3, Z3, Z3
+	VXORPD Z4, Z4, Z4
+	VXORPD Z5, Z5, Z5
+	VXORPD Z6, Z6, Z6
+	VXORPD Z7, Z7, Z7
+	MOVQ   DX, BX
+	MOVQ   SI, CX
+	MOVQ   $8, R9
+
+k8x512:
+	VMOVUPD (BX), Z16
+	VMOVUPD 64(BX), Z17
+
+	MOVQ (CX), AX
+	ORQ  8(CX), AX
+	ADDQ AX, AX
+	JEQ  skip8x512r0
+	VBROADCASTSD (CX), Z18
+	VBROADCASTSD 8(CX), Z19
+	VFMADD231PD  Z16, Z18, Z0
+	VFMADD231PD  Z16, Z19, Z2
+	VFMADD231PD  Z17, Z18, Z1
+	VFMADD231PD  Z17, Z19, Z3
+
+skip8x512r0:
+	MOVQ 128(CX), AX
+	ORQ  136(CX), AX
+	ADDQ AX, AX
+	JEQ  skip8x512r1
+	VBROADCASTSD 128(CX), Z18
+	VBROADCASTSD 136(CX), Z19
+	VFMADD231PD  Z16, Z18, Z4
+	VFMADD231PD  Z16, Z19, Z6
+	VFMADD231PD  Z17, Z18, Z5
+	VFMADD231PD  Z17, Z19, Z7
+
+skip8x512r1:
+	ADDQ $16, CX
+	ADDQ $128, BX
+	DECQ R9
+	JNZ  k8x512
+
+	VPERMILPD      $0x55, Z2, Z2
+	VFMADDSUB231PD Z20, Z0, Z2
+	VMOVUPD        Z2, (DI)
+	VPERMILPD      $0x55, Z3, Z3
+	VFMADDSUB231PD Z20, Z1, Z3
+	VMOVUPD        Z3, 64(DI)
+	VPERMILPD      $0x55, Z6, Z6
+	VFMADDSUB231PD Z20, Z4, Z6
+	VMOVUPD        Z6, 128(DI)
+	VPERMILPD      $0x55, Z7, Z7
+	VFMADDSUB231PD Z20, Z5, Z7
+	VMOVUPD        Z7, 192(DI)
+	ADDQ           $256, DI
+	ADDQ           $256, SI
+	DECQ           R8
+	JNZ            rows8x512
+
+	VZEROUPPER
+	RET

@@ -10,15 +10,18 @@ import (
 
 // MulInto's bits are mulIntoGeneric's fused chains (DESIGN.md,
 // "Destination-passing kernels") on every path: the AVX2+FMA kernels at
-// 2/4/8/16 and the Go loop everywhere else, on any host. The experiment
-// goldens do not see a product's low bits: moving every product bit from
-// the unfused sum to the fused chains moved no golden, only
-// TestMinimumTimeProbeReuse's fidelity bits and amplitude digests. What
-// pins the kernels is here: TestMulKernelsBitIdentical and FuzzMulKernels
-// compare them with the Go loop bit for bit on inputs salted with the
-// cases they special-case (±0 skip rows, NaN and Inf in skipped and
-// unskipped positions, products that underflow); TestNoFMAHostSameBits
-// and TestFMAZeroAddend cover hosts without the kernels or without FMA
+// 2/4/8/16, the AVX-512F kernels at 4/8 and the Go loop everywhere else,
+// on any host. The experiment goldens do not see a product's low bits:
+// moving every product bit from the unfused sum to the fused chains moved
+// no golden, only TestMinimumTimeProbeReuse's fidelity bits and amplitude
+// digests. What pins the kernels is here: TestMulKernelsBitIdentical
+// compares MulInto, and TestEachKernelBitIdentical and FuzzMulKernels
+// every kernel the host can run, with the Go loop bit for bit on inputs
+// salted with the cases they special-case (±0 skip rows, rows of a pass
+// that skip different k, NaN and Inf in skipped and unskipped positions,
+// products that underflow); TestNoFMAHostSameBits,
+// TestNoAVX512HostSameBits (kernels_amd64_test.go) and TestFMAZeroAddend
+// cover hosts without the kernels, without AVX-512F or without FMA
 // hardware; TestMulIntoWithinNaiveBound holds the fused product within
 // the rounding-error bound of the unfused one it replaced.
 
@@ -118,6 +121,121 @@ func TestMulKernelsBitIdentical(t *testing.T) {
 						n, trial, i, want.Data[i], got.Data[i])
 				}
 			}
+		}
+	}
+}
+
+// namedKernel is one product kernel called directly, named by its
+// instruction set ("fma", "avx512"), for the tests that check every
+// kernel the host can run and not only the one MulInto dispatches to.
+type namedKernel struct {
+	name string
+	mul  func(dst, a, b *Matrix)
+}
+
+// saltRowPairs makes the rows of a that a two-row pass runs together,
+// 2p and 2p+1, disagree on every k: at even k+p row 2p is ±0 and row
+// 2p+1 is not, at odd k+p the other way round, so each row of a pair
+// skips the k the other meets, in both orders. b's rows 1 and 2 get Inf
+// and NaN, so a row that fails to skip, or picks up its partner's terms,
+// shows it.
+func saltRowPairs(a, b *Matrix) {
+	n := a.Cols
+	for r := 0; r+1 < a.Rows; r += 2 {
+		for k := 0; k < n; k++ {
+			skip := r + (k+r/2)%2
+			a.Data[skip*n+k] = complex(math.Copysign(0, float64(k%3)-1), 0)
+		}
+	}
+	if b.Rows > 2 {
+		b.Data[b.Cols] = complex(math.Inf(1), 0)
+		b.Data[2*b.Cols+b.Cols-1] = complex(2, math.NaN())
+	}
+}
+
+// saltSkippedPoison sets column k of a to ±0 in every row and fills row
+// k of b with Inf and NaN, which no entry may then meet.
+func saltSkippedPoison(a, b *Matrix, k int) {
+	for r := 0; r < a.Rows; r++ {
+		a.Data[r*a.Cols+k] = complex(math.Copysign(0, float64(r%2)-0.5), 0)
+	}
+	for c := 0; c < b.Cols; c++ {
+		b.Data[k*b.Cols+c] = [3]complex128{complex(math.Inf(1), 0), complex(math.NaN(), 1), complex(0, math.Inf(-1))}[c%3]
+	}
+}
+
+// TestEachKernelBitIdentical calls every product kernel the host can run
+// (hostKernels: the AVX2+FMA kernels at 2, 4, 8 and 16 and the AVX-512F
+// ones at 4 and 8) directly, not through MulInto, and compares each with
+// mulIntoGeneric bit for bit: random operands, the salts of
+// TestMulKernelsBitIdentical, rows of a two-row pass that disagree on
+// skipping k in both orders, Inf and NaN in a row of b that only skipped
+// k meet, and random scatters of ±0, NaN, Inf and underflowing parts.
+func TestEachKernelBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	ran := 0
+	for _, n := range []int{2, 4, 8, 16} {
+		for _, kern := range hostKernels(n) {
+			ran++
+			for trial := 0; trial < 300; trial++ {
+				a := randomTestMatrix(n, n, uint64(19*n+trial))
+				b := randomTestMatrix(n, n, uint64(23*n+trial))
+				switch trial {
+				case 0:
+				case 1:
+					saltEdgeCases(a, b)
+				case 2:
+					saltUnderflow(a, b)
+				case 3:
+					saltRowPairs(a, b)
+				case 4:
+					saltRowPairs(a, b)
+					saltUnderflow(a, b)
+				case 5:
+					saltSkippedPoison(a, b, n-1)
+				case 6:
+					saltSkippedPoison(a, b, 0)
+					saltRowPairs(a, b)
+				default:
+					scatterSpecials(a, b, rng)
+				}
+				want, got := New(n, n), New(n, n)
+				mulIntoGeneric(want, a, b)
+				kern.mul(got, a, b)
+				for i := range want.Data {
+					if !sameBits(want.Data[i], got.Data[i]) {
+						t.Fatalf("%s n=%d trial %d: entry %d is %v, Go loop %v", kern.name, n, trial, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+	if ran == 0 {
+		t.Skip("no AVX2 and FMA: the host runs no product kernel")
+	}
+}
+
+// scatterSpecials plants ±0 entries in a (some rows nearly empty) and a
+// few NaN, Inf and underflowing parts in a and b, at random positions.
+func scatterSpecials(a, b *Matrix, rng *rand.Rand) {
+	zeroShare := rng.Float64()
+	for i := range a.Data {
+		if rng.Float64() < zeroShare {
+			a.Data[i] = complex(math.Copysign(0, rng.Float64()-0.5), math.Copysign(0, rng.Float64()-0.5))
+		}
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0x1p-600, -0x1p-600, math.Copysign(0, -1)}
+	for plant := rng.Intn(4); plant > 0; plant-- {
+		m := a
+		if rng.Intn(2) == 0 {
+			m = b
+		}
+		i := rng.Intn(len(m.Data))
+		v := specials[rng.Intn(len(specials))]
+		if rng.Intn(2) == 0 {
+			m.Data[i] = complex(v, imag(m.Data[i]))
+		} else {
+			m.Data[i] = complex(real(m.Data[i]), v)
 		}
 	}
 }
@@ -313,7 +431,8 @@ func TestMulIntoWithinNaiveBound(t *testing.T) {
 	t.Logf("largest distance %.3g·γ_{n+2}·Σ|a||b| (bound 2√2 ≈ 2.83)", worst)
 }
 
-// FuzzMulKernels compares MulInto with mulIntoGeneric bit for bit at the
+// FuzzMulKernels compares MulInto, and every kernel the host can run at
+// the dimension (hostKernels), with mulIntoGeneric bit for bit at the
 // kernel dimensions 2, 4, 8 and 16, on operands decoded from raw with a
 // row of a planted at ±0 (every k skipped), NaN and Inf planted in a and
 // b, and, for finite operands, within naiveBound of the unfused product
@@ -349,6 +468,14 @@ func FuzzMulKernels(f *testing.F) {
 		}
 		want, got := New(n, n), New(n, n)
 		mulIntoGeneric(want, a, b)
+		for _, kern := range hostKernels(n) {
+			kern.mul(got, a, b)
+			for i := range want.Data {
+				if !sameBits(want.Data[i], got.Data[i]) {
+					t.Fatalf("%s n=%d: entry %d is %v, Go loop %v", kern.name, n, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
 		MulInto(got, a, b)
 		for i := range want.Data {
 			if !sameBits(want.Data[i], got.Data[i]) {
@@ -373,52 +500,6 @@ func FuzzMulKernels(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestNoFMAHostSameBits turns the kernels off, as on a host without AVX2
-// and FMA, and checks that MulInto, ExpmHermitianInto and sqrtOneNorm
-// give the kernels' bits at every dimension 1–16, on dense and sparse
-// operands. Where the kernels are off the Go loops run on math.FMA;
-// TestFMAZeroAddend covers a host that also lacks FMA hardware.
-func TestNoFMAHostSameBits(t *testing.T) {
-	if !hasAVX2FMA {
-		t.Skip("no AVX2 and FMA: every path is already the Go loop")
-	}
-	defer func() { hasAVX2FMA = true }()
-	rng := rand.New(rand.NewSource(27))
-	for n := 1; n <= 16; n++ {
-		ws := NewWorkspace(n)
-		for trial := 0; trial < 6; trial++ {
-			a, b := randomTestMatrix(n, n, uint64(13*n+trial)), randomTestMatrix(n, n, uint64(17*n+trial))
-			h := randomHermitian(n, rng)
-			if trial%2 == 1 {
-				saltEdgeCases(a, b)
-				h = sparseHermitian(n, 1.0/8, rng)
-			}
-			tt := []float64{0.3, 4, 100}[trial%3]
-			var prod, expm [2]*Matrix
-			var norm [2]float64
-			for side, fast := range []bool{true, false} {
-				hasAVX2FMA = fast
-				prod[side], expm[side] = New(n, n), New(n, n)
-				MulInto(prod[side], a, b)
-				ExpmHermitianInto(expm[side], h, tt, ws)
-				norm[side] = sqrtOneNorm(h)
-			}
-			hasAVX2FMA = true
-			for i := range prod[0].Data {
-				if !sameBits(prod[0].Data[i], prod[1].Data[i]) {
-					t.Fatalf("n=%d trial %d: product entry %d is %v with the kernels, %v without", n, trial, i, prod[0].Data[i], prod[1].Data[i])
-				}
-			}
-			if i := firstBitDiff(expm[0], expm[1]); i >= 0 {
-				t.Fatalf("n=%d trial %d t=%g: exponential entry %d is %v with the kernels, %v without", n, trial, tt, i, expm[0].Data[i], expm[1].Data[i])
-			}
-			if !sameFloatBits(norm[0], norm[1]) {
-				t.Fatalf("n=%d trial %d: squaring norm %v with the kernels, %v without", n, trial, norm[0], norm[1])
-			}
-		}
-	}
 }
 
 // TestFMAZeroAddend checks fma against the FMA instruction on every

@@ -220,10 +220,10 @@ func TestCombineKernelMatchesGeneric(t *testing.T) {
 // that is +Inf or NaN gets maxSquarings. sqrtOneNorm hands a column whose
 // squares overflow to OneNorm, so a finite argument is counted from its
 // finite norm. The finite arguments whose old count converted +Inf to an
-// int (−2^63 on amd64, which returned the identity) now square
-// maxSquarings times in ExpmInto and the oracle alike: e^1e308 overflows
-// on both sides, and the 2×2 with −1e308i twice in one column comes out
-// finite on both, not as the identity.
+// int (−2^63 on amd64, which returned the identity) now count
+// maxSquarings in ExpmInto and the oracle alike, far past
+// noDigitsSquarings, so ExpmInto returns NaN in every entry for e^1e308
+// and for the 2×2 with −1e308i twice in one column.
 func TestSquaringRule(t *testing.T) {
 	check := func(norm float64) {
 		t.Helper()
@@ -269,12 +269,70 @@ func TestSquaringRule(t *testing.T) {
 		if s, s3 := squaringsFor(sqrtOneNorm(m)), threePassSquarings(m); s != maxSquarings || s3 != maxSquarings {
 			t.Errorf("%v: %d squarings, oracle %d; want %d on both", m.Data, s, s3, maxSquarings)
 		}
-		want, got := New(m.Rows, m.Rows), New(m.Rows, m.Rows)
-		expmIntoThreePass(want, m)
+		got := New(m.Rows, m.Rows)
 		ExpmInto(got, m, nil)
-		if allFinite(got) != allFinite(want) || firstBitDiff(Identity(m.Rows), got) < 0 {
-			t.Errorf("%v: result %v, oracle %v; want both finite or both not, and not the identity", m.Data, got.Data, want.Data)
+		if i := firstNotNaN(got); i >= 0 {
+			t.Errorf("%v: result %v; want NaN in every entry", m.Data, got.Data)
 		}
+	}
+}
+
+// firstNotNaN returns the index of the first entry with a part that is
+// not NaN, or -1.
+func firstNotNaN(m *Matrix) int {
+	for i, v := range m.Data {
+		if !math.IsNaN(real(v)) || !math.IsNaN(imag(v)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestExpmNoDigitsIsNaN pins the cut at noDigitsSquarings: an argument
+// that needs 50 or more squarings gets NaN in every entry from ExpmInto
+// and ExpmHermitianInto, and one that needs 49 still gets a finite
+// result (within 1e-15·2^49 ≈ 0.56 of e^m, the budget). The 2×2
+// with −1e308i twice in one column came out (0, 0, −1, 1) before the cut,
+// finite, where the exact exponential's first entry has modulus 1.
+func TestExpmNoDigitsIsNaN(t *testing.T) {
+	ws := NewWorkspace(4)
+	got := New(2, 2)
+	ExpmInto(got, &Matrix{Rows: 2, Cols: 2, Data: []complex128{complex(0, -1e308), 0, complex(0, -1e308), 0}}, ws)
+	if i := firstNotNaN(got); i >= 0 {
+		t.Fatalf("−1e308i twice in one column: e^m is %v; want NaN in every entry", got.Data)
+	}
+	// A 1×1 Hermitian H = (1) at t = 2^48 needs 49 squarings, one ulp more
+	// needs 50; the exponential e^(−i·t) has modulus 1.
+	h := &Matrix{Rows: 1, Cols: 1, Data: []complex128{1}}
+	u := New(1, 1)
+	for _, tt := range []float64{0x1p48, -0x1p48} {
+		if s := squaringsFor(math.Abs(tt) * sqrtOneNorm(h)); s != noDigitsSquarings-1 {
+			t.Fatalf("t=%g: %d squarings, want %d", tt, s, noDigitsSquarings-1)
+		}
+		ExpmHermitianInto(u, h, tt, ws)
+		if v := u.Data[0]; !(math.Abs(cmplx.Abs(v)-1) <= 0.56) {
+			t.Fatalf("t=%g (49 squarings): e^(−i·t) is %v; want modulus within 0.56 of 1", tt, v)
+		}
+		ExpmInto(u, &Matrix{Rows: 1, Cols: 1, Data: []complex128{complex(0, -tt)}}, ws)
+		if v := u.Data[0]; !(math.Abs(cmplx.Abs(v)-1) <= 0.56) {
+			t.Fatalf("ExpmInto at t=%g (49 squarings): e^(−i·t) is %v; want modulus within 0.56 of 1", tt, v)
+		}
+		next := math.Nextafter(tt, 2*tt)
+		ExpmHermitianInto(u, h, next, ws)
+		if firstNotNaN(u) >= 0 {
+			t.Fatalf("t=%g (50 squarings): e^(−i·t) is %v; want NaN", next, u.Data[0])
+		}
+		ExpmInto(u, &Matrix{Rows: 1, Cols: 1, Data: []complex128{complex(0, -next)}}, ws)
+		if firstNotNaN(u) >= 0 {
+			t.Fatalf("ExpmInto at t=%g (50 squarings): e^(−i·t) is %v; want NaN", next, u.Data[0])
+		}
+	}
+	// A 4×4 propagator argument far past the cut, dense and Hermitian.
+	rng := rand.New(rand.NewSource(28))
+	u4 := New(4, 4)
+	ExpmHermitianInto(u4, randomHermitian(4, rng), 1e20, ws)
+	if i := firstNotNaN(u4); i >= 0 {
+		t.Fatalf("4×4 at t=1e20: entry %d is %v; want NaN in every entry", i, u4.Data[i])
 	}
 }
 
@@ -320,8 +378,9 @@ func allFinite(m *Matrix) bool {
 }
 
 // FuzzExpmInto checks ExpmInto against the three-pass oracle on arbitrary
-// square inputs up to 16×16. No input may panic or hang, and a non-finite
-// input gives a non-finite result on both sides. (OneNorm alone does not
+// square inputs up to 16×16. No input may panic or hang. An input that
+// needs noDigitsSquarings or more squarings gives NaN in every entry, and
+// any other non-finite input gives a non-finite result on both sides. (OneNorm alone does not
 // separate finite from non-finite input: it skips a column whose sum is
 // NaN.) A finite propagator-shaped input −i·H, whose exponential is
 // unitary, gives finite results within 1e-15·2^s per entry of each other,
@@ -351,6 +410,12 @@ func FuzzExpmInto(f *testing.F) {
 		want, got := New(n, n), New(n, n)
 		peak := expmIntoThreePass(want, m)
 		ExpmInto(got, m, nil)
+		if s := squaringsFor(sqrtOneNorm(m)); s >= noDigitsSquarings {
+			if i := firstNotNaN(got); i >= 0 {
+				t.Fatalf("n=%d: %d squarings, entry %d is %v; want NaN in every entry", n, s, i, got.Data[i])
+			}
+			return
+		}
 		if !allFinite(m) {
 			if allFinite(want) || allFinite(got) {
 				t.Fatalf("n=%d non-finite input: result finite %v, oracle finite %v", n, allFinite(got), allFinite(want))
