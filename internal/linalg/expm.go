@@ -87,10 +87,6 @@ func ExpmInto(dst, m *Matrix, ws *Workspace) {
 	}
 	ws.ensure(n)
 	s := squaringsFor(sqrtOneNorm(m))
-	if s >= noDigitsSquarings {
-		fillNaN(dst)
-		return
-	}
 	a := sized(ws.a, n)
 	r := math.Ldexp(1, -s)
 	for i, v := range m.Data {
@@ -124,10 +120,6 @@ func ExpmHermitianInto(dst, h *Matrix, t float64, ws *Workspace) {
 	}
 	ws.ensure(n)
 	s := squaringsFor(math.Abs(t) * sqrtOneNorm(h))
-	if s >= noDigitsSquarings {
-		fillNaN(dst)
-		return
-	}
 	a := sized(ws.a, n)
 	c := math.Ldexp(t, -s)
 	for i, v := range h.Data {
@@ -154,8 +146,13 @@ var invFactorial = [17]float64{
 // With A2 = A·A, A3 = A2·A, A4 = A2·A2 and
 // B_i = c_{4i}·I + c_{4i+1}·A + c_{4i+2}·A2 + c_{4i+3}·A3, the polynomial
 // is A4·(A4·(A4·(c16·A4 + B3) + B2) + B1) + B0: three products for the
-// powers, three for the Horner steps, six in all.
+// powers, three for the Horner steps, six in all. From noDigitsSquarings
+// squarings on it writes NaN to dst instead and runs no product.
 func expmScaled(dst *Matrix, s int, ws *Workspace) {
+	if s >= noDigitsSquarings {
+		fillNaN(dst)
+		return
+	}
 	n := dst.Rows
 	a, a2, a3, a4 := sized(ws.a, n), sized(ws.a2, n), sized(ws.a3, n), sized(ws.a4, n)
 	h, p := sized(ws.horner, n), sized(ws.product, n)

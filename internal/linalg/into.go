@@ -281,3 +281,11 @@ func AddScaledInto(dst, a, b *Matrix, s complex128) {
 
 // conj avoids pulling cmplx into the inner loops' inlining budget.
 func conj(v complex128) complex128 { return complex(real(v), -imag(v)) }
+
+// productKernel is a square product kernel in assembly: its name, which
+// the tests and the CI log print, and the function, which writes a·b to
+// dst for n×n operands of its one dimension n.
+type productKernel struct {
+	name string
+	mul  func(dst, a, b *complex128)
+}

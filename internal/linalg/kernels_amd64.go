@@ -41,29 +41,39 @@ func detectCPU() (avx2FMA, avx512 bool) {
 	return true, b7&avx512f != 0 && xcr0&0xe6 == 0xe6
 }
 
-// The product kernels MulInto can run at a square dimension.
-const (
-	goLoop uint8 = iota
-	fma2
-	fma4
-	fma8
-	fma16
-	avx512x4
-	avx512x8
+// fmaKernels and avx512Kernels are each instruction set's product
+// kernels, indexed by square dimension; every other entry is empty.
+var (
+	fmaKernels = [17]productKernel{
+		2:  {"mulInto2FMA", mulInto2FMA},
+		4:  {"mulInto4FMA", mulInto4FMA},
+		8:  {"mulInto8FMA", mulInto8FMA},
+		16: {"mulInto16FMA", mulInto16FMA},
+	}
+	avx512Kernels = [17]productKernel{
+		4: {"mulInto4AVX512", mulInto4AVX512},
+		8: {"mulInto8AVX512", mulInto8AVX512},
+	}
 )
 
 // mulKernel[n] is the kernel MulInto runs at square dimension n, picked
 // once from CPUID, so a call pays one table read and no feature test.
 var mulKernel = kernelsFor(hasAVX2FMA, hasAVX512)
 
-// kernelsFor is the kernel table of a host with the given features.
-func kernelsFor(avx2FMA, avx512 bool) (k [17]uint8) {
+// kernelsFor is the kernel table of a host with the given features: the
+// AVX2+FMA kernels, with the AVX-512F ones in their place where the host
+// has AVX-512F as well.
+func kernelsFor(avx2FMA, avx512 bool) (k [17]productKernel) {
 	if !avx2FMA {
 		return k
 	}
-	k[2], k[4], k[8], k[16] = fma2, fma4, fma8, fma16
+	k = fmaKernels
 	if avx512 {
-		k[4], k[8] = avx512x4, avx512x8
+		for n, wide := range avx512Kernels {
+			if wide.mul != nil {
+				k[n] = wide
+			}
+		}
 	}
 	return k
 }
@@ -104,29 +114,18 @@ func sqrtColSums8AVX2(sums *float64, m *complex128)
 //go:noescape
 func sqrtColSums16AVX2(sums *float64, m *complex128)
 
-// mulIntoFast runs the kernel mulKernel names for a square product,
-// reporting whether it ran one. Shape checks already ran.
+// mulIntoFast runs mulKernel's kernel for a square product, reporting
+// whether there was one. Shape checks already ran.
 func mulIntoFast(dst, a, b *Matrix) bool {
 	n := a.Rows
 	if n != a.Cols || b.Cols != b.Rows || n >= len(mulKernel) {
 		return false
 	}
-	switch mulKernel[n] {
-	case fma2:
-		mulInto2FMA(&dst.Data[0], &a.Data[0], &b.Data[0])
-	case fma4:
-		mulInto4FMA(&dst.Data[0], &a.Data[0], &b.Data[0])
-	case fma8:
-		mulInto8FMA(&dst.Data[0], &a.Data[0], &b.Data[0])
-	case fma16:
-		mulInto16FMA(&dst.Data[0], &a.Data[0], &b.Data[0])
-	case avx512x4:
-		mulInto4AVX512(&dst.Data[0], &a.Data[0], &b.Data[0])
-	case avx512x8:
-		mulInto8AVX512(&dst.Data[0], &a.Data[0], &b.Data[0])
-	default:
+	mul := mulKernel[n].mul
+	if mul == nil {
 		return false
 	}
+	mul(&dst.Data[0], &a.Data[0], &b.Data[0])
 	return true
 }
 

@@ -495,10 +495,15 @@ rows16:
 // both parts exactly when the OR of their bits, shifted left by one to
 // drop both signs, is zero (NaN never is).
 //
+// Every instruction beyond AVX2/FMA is AVX-512F: the accumulators clear
+// with VPXORQ, since the 512-bit VXORPD is AVX-512DQ. The kernels use only
+// Z0..Z15, all of which VZEROUPPER clears, so no 512-bit state outlives a
+// call.
+//
 //   Z0..Z7   P and Q accumulators
-//   Z16/Z17  b row blocks
-//   Z18/Z19  broadcast real(av) / imag(av)
-//   Z20      ones
+//   Z8/Z9    b row blocks
+//   Z10/Z11  broadcast real(av) / imag(av)
+//   Z12      ones
 
 // func mulInto4AVX512(dst, a, b *complex128)
 //
@@ -509,58 +514,58 @@ TEXT ·mulInto4AVX512(SB), NOSPLIT, $0-24
 	MOVQ         a+8(FP), SI
 	MOVQ         b+16(FP), DX
 	MOVQ         $0x3ff0000000000000, AX
-	VPBROADCASTQ AX, Z20
-	VXORPD       Z0, Z0, Z0
-	VXORPD       Z1, Z1, Z1
-	VXORPD       Z2, Z2, Z2
-	VXORPD       Z3, Z3, Z3
-	VXORPD       Z4, Z4, Z4
-	VXORPD       Z5, Z5, Z5
-	VXORPD       Z6, Z6, Z6
-	VXORPD       Z7, Z7, Z7
+	VPBROADCASTQ AX, Z12
+	VPXORQ       Z0, Z0, Z0
+	VPXORQ       Z1, Z1, Z1
+	VPXORQ       Z2, Z2, Z2
+	VPXORQ       Z3, Z3, Z3
+	VPXORQ       Z4, Z4, Z4
+	VPXORQ       Z5, Z5, Z5
+	VPXORQ       Z6, Z6, Z6
+	VPXORQ       Z7, Z7, Z7
 	MOVQ         $4, R9
 
 k4x512:
-	VMOVUPD (DX), Z16
+	VMOVUPD (DX), Z8
 
 	MOVQ (SI), AX
 	ORQ  8(SI), AX
 	ADDQ AX, AX
 	JEQ  skip4x512r0
-	VBROADCASTSD (SI), Z18
-	VBROADCASTSD 8(SI), Z19
-	VFMADD231PD  Z16, Z18, Z0
-	VFMADD231PD  Z16, Z19, Z4
+	VBROADCASTSD (SI), Z10
+	VBROADCASTSD 8(SI), Z11
+	VFMADD231PD  Z8, Z10, Z0
+	VFMADD231PD  Z8, Z11, Z4
 
 skip4x512r0:
 	MOVQ 64(SI), AX
 	ORQ  72(SI), AX
 	ADDQ AX, AX
 	JEQ  skip4x512r1
-	VBROADCASTSD 64(SI), Z18
-	VBROADCASTSD 72(SI), Z19
-	VFMADD231PD  Z16, Z18, Z1
-	VFMADD231PD  Z16, Z19, Z5
+	VBROADCASTSD 64(SI), Z10
+	VBROADCASTSD 72(SI), Z11
+	VFMADD231PD  Z8, Z10, Z1
+	VFMADD231PD  Z8, Z11, Z5
 
 skip4x512r1:
 	MOVQ 128(SI), AX
 	ORQ  136(SI), AX
 	ADDQ AX, AX
 	JEQ  skip4x512r2
-	VBROADCASTSD 128(SI), Z18
-	VBROADCASTSD 136(SI), Z19
-	VFMADD231PD  Z16, Z18, Z2
-	VFMADD231PD  Z16, Z19, Z6
+	VBROADCASTSD 128(SI), Z10
+	VBROADCASTSD 136(SI), Z11
+	VFMADD231PD  Z8, Z10, Z2
+	VFMADD231PD  Z8, Z11, Z6
 
 skip4x512r2:
 	MOVQ 192(SI), AX
 	ORQ  200(SI), AX
 	ADDQ AX, AX
 	JEQ  skip4x512r3
-	VBROADCASTSD 192(SI), Z18
-	VBROADCASTSD 200(SI), Z19
-	VFMADD231PD  Z16, Z18, Z3
-	VFMADD231PD  Z16, Z19, Z7
+	VBROADCASTSD 192(SI), Z10
+	VBROADCASTSD 200(SI), Z11
+	VFMADD231PD  Z8, Z10, Z3
+	VFMADD231PD  Z8, Z11, Z7
 
 skip4x512r3:
 	ADDQ $16, SI
@@ -569,16 +574,16 @@ skip4x512r3:
 	JNZ  k4x512
 
 	VPERMILPD      $0x55, Z4, Z4
-	VFMADDSUB231PD Z20, Z0, Z4
+	VFMADDSUB231PD Z12, Z0, Z4
 	VMOVUPD        Z4, (DI)
 	VPERMILPD      $0x55, Z5, Z5
-	VFMADDSUB231PD Z20, Z1, Z5
+	VFMADDSUB231PD Z12, Z1, Z5
 	VMOVUPD        Z5, 64(DI)
 	VPERMILPD      $0x55, Z6, Z6
-	VFMADDSUB231PD Z20, Z2, Z6
+	VFMADDSUB231PD Z12, Z2, Z6
 	VMOVUPD        Z6, 128(DI)
 	VPERMILPD      $0x55, Z7, Z7
-	VFMADDSUB231PD Z20, Z3, Z7
+	VFMADDSUB231PD Z12, Z3, Z7
 	VMOVUPD        Z7, 192(DI)
 
 	VZEROUPPER
@@ -586,7 +591,7 @@ skip4x512r3:
 
 // func mulInto8AVX512(dst, a, b *complex128)
 //
-// Rows run in pairs, each pass sharing b's row k (Z16/Z17) between them:
+// Rows run in pairs, each pass sharing b's row k (Z8/Z9) between them:
 // row r's P blocks in Z0/Z1 and Q blocks in Z2/Z3, row r+1's in Z4/Z5
 // and Z6/Z7.
 TEXT ·mulInto8AVX512(SB), NOSPLIT, $0-24
@@ -594,48 +599,48 @@ TEXT ·mulInto8AVX512(SB), NOSPLIT, $0-24
 	MOVQ         a+8(FP), SI
 	MOVQ         b+16(FP), DX
 	MOVQ         $0x3ff0000000000000, AX
-	VPBROADCASTQ AX, Z20
+	VPBROADCASTQ AX, Z12
 	MOVQ         $4, R8
 
 rows8x512:
-	VXORPD Z0, Z0, Z0
-	VXORPD Z1, Z1, Z1
-	VXORPD Z2, Z2, Z2
-	VXORPD Z3, Z3, Z3
-	VXORPD Z4, Z4, Z4
-	VXORPD Z5, Z5, Z5
-	VXORPD Z6, Z6, Z6
-	VXORPD Z7, Z7, Z7
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
 	MOVQ   DX, BX
 	MOVQ   SI, CX
 	MOVQ   $8, R9
 
 k8x512:
-	VMOVUPD (BX), Z16
-	VMOVUPD 64(BX), Z17
+	VMOVUPD (BX), Z8
+	VMOVUPD 64(BX), Z9
 
 	MOVQ (CX), AX
 	ORQ  8(CX), AX
 	ADDQ AX, AX
 	JEQ  skip8x512r0
-	VBROADCASTSD (CX), Z18
-	VBROADCASTSD 8(CX), Z19
-	VFMADD231PD  Z16, Z18, Z0
-	VFMADD231PD  Z16, Z19, Z2
-	VFMADD231PD  Z17, Z18, Z1
-	VFMADD231PD  Z17, Z19, Z3
+	VBROADCASTSD (CX), Z10
+	VBROADCASTSD 8(CX), Z11
+	VFMADD231PD  Z8, Z10, Z0
+	VFMADD231PD  Z8, Z11, Z2
+	VFMADD231PD  Z9, Z10, Z1
+	VFMADD231PD  Z9, Z11, Z3
 
 skip8x512r0:
 	MOVQ 128(CX), AX
 	ORQ  136(CX), AX
 	ADDQ AX, AX
 	JEQ  skip8x512r1
-	VBROADCASTSD 128(CX), Z18
-	VBROADCASTSD 136(CX), Z19
-	VFMADD231PD  Z16, Z18, Z4
-	VFMADD231PD  Z16, Z19, Z6
-	VFMADD231PD  Z17, Z18, Z5
-	VFMADD231PD  Z17, Z19, Z7
+	VBROADCASTSD 128(CX), Z10
+	VBROADCASTSD 136(CX), Z11
+	VFMADD231PD  Z8, Z10, Z4
+	VFMADD231PD  Z8, Z11, Z6
+	VFMADD231PD  Z9, Z10, Z5
+	VFMADD231PD  Z9, Z11, Z7
 
 skip8x512r1:
 	ADDQ $16, CX
@@ -644,16 +649,16 @@ skip8x512r1:
 	JNZ  k8x512
 
 	VPERMILPD      $0x55, Z2, Z2
-	VFMADDSUB231PD Z20, Z0, Z2
+	VFMADDSUB231PD Z12, Z0, Z2
 	VMOVUPD        Z2, (DI)
 	VPERMILPD      $0x55, Z3, Z3
-	VFMADDSUB231PD Z20, Z1, Z3
+	VFMADDSUB231PD Z12, Z1, Z3
 	VMOVUPD        Z3, 64(DI)
 	VPERMILPD      $0x55, Z6, Z6
-	VFMADDSUB231PD Z20, Z4, Z6
+	VFMADDSUB231PD Z12, Z4, Z6
 	VMOVUPD        Z6, 128(DI)
 	VPERMILPD      $0x55, Z7, Z7
-	VFMADDSUB231PD Z20, Z5, Z7
+	VFMADDSUB231PD Z12, Z5, Z7
 	VMOVUPD        Z7, 192(DI)
 	ADDQ           $256, DI
 	ADDQ           $256, SI

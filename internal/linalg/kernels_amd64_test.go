@@ -13,26 +13,15 @@ import (
 // the table a host dispatches to, and the kernels' layer rows.
 
 // hostKernels lists the product kernels this host can run at square
-// dimension n: the AVX2+FMA kernel where CPUID reports AVX2 and FMA3,
-// and at 4 and 8 also the AVX-512F kernel where it reports AVX-512F.
-func hostKernels(n int) []namedKernel {
-	var ks []namedKernel
-	add := func(name string, ok bool, kernel func(dst, a, b *complex128)) {
-		if ok {
-			ks = append(ks, namedKernel{name, func(dst, a, b *Matrix) { kernel(&dst.Data[0], &a.Data[0], &b.Data[0]) }})
+// dimension n, read from the kernel tables of a host with AVX2+FMA3 only
+// and of one with AVX-512F too: the AVX2 kernel where CPUID reports AVX2
+// and FMA3, and also the AVX-512F one where it reports AVX-512F.
+func hostKernels(n int) []productKernel {
+	var ks []productKernel
+	for _, k := range []productKernel{kernelsFor(hasAVX2FMA, false)[n], kernelsFor(hasAVX2FMA, hasAVX512)[n]} {
+		if k.mul != nil && (len(ks) == 0 || ks[0].name != k.name) {
+			ks = append(ks, k)
 		}
-	}
-	switch n {
-	case 2:
-		add("fma", hasAVX2FMA, mulInto2FMA)
-	case 4:
-		add("fma", hasAVX2FMA, mulInto4FMA)
-		add("avx512", hasAVX512, mulInto4AVX512)
-	case 8:
-		add("fma", hasAVX2FMA, mulInto8FMA)
-		add("avx512", hasAVX512, mulInto8AVX512)
-	case 16:
-		add("fma", hasAVX2FMA, mulInto16FMA)
 	}
 	return ks
 }
@@ -110,7 +99,7 @@ func TestNoAVX512HostSameBits(t *testing.T) {
 			}
 			tt := []float64{0.3, 4, 100}[trial%3]
 			var prod, expm [2]*Matrix
-			for side, table := range [][17]uint8{saved, kernelsFor(true, false)} {
+			for side, table := range [][17]productKernel{saved, kernelsFor(true, false)} {
 				mulKernel = table
 				prod[side], expm[side] = New(n, n), New(n, n)
 				MulInto(prod[side], a, b)
@@ -131,27 +120,38 @@ func TestNoAVX512HostSameBits(t *testing.T) {
 
 // TestMulKernelSet logs the product kernel MulInto runs at each kernel
 // dimension on this host, so a CI log shows whether the AVX-512 kernels
-// ran, and checks the table against CPUID: AVX-512F at 4 and 8 exactly
-// when the host has it, the AVX2 kernels elsewhere at 2, 4, 8 and 16
-// exactly when it has AVX2 and FMA3, the Go loop at every other dimension.
+// ran. It checks this host's table, and the table of every other mix of
+// the two features, against the CPUID bits: an AVX-512F kernel runs only
+// where the host has AVX-512F, and wherever it has one at that dimension;
+// any kernel only where it has AVX2 and FMA3.
 func TestMulKernelSet(t *testing.T) {
-	names := map[uint8]string{goLoop: "Go loop", fma2: "mulInto2FMA", fma4: "mulInto4FMA", fma8: "mulInto8FMA",
-		fma16: "mulInto16FMA", avx512x4: "mulInto4AVX512", avx512x8: "mulInto8AVX512"}
 	t.Logf("CPUID: AVX2+FMA3 %v, AVX-512F %v", hasAVX2FMA, hasAVX512)
-	for n := 1; n < len(mulKernel); n++ {
-		want := "Go loop"
-		switch {
-		case hasAVX512 && (n == 4 || n == 8):
-			want = fmt.Sprintf("mulInto%dAVX512", n)
-		case hasAVX2FMA && (n == 2 || n == 4 || n == 8 || n == 16):
-			want = fmt.Sprintf("mulInto%dFMA", n)
+	for n, k := range mulKernel {
+		if name := k.name; n&(n-1) == 0 && n > 1 {
+			if name == "" {
+				name = "Go loop"
+			}
+			t.Logf("%2d×%-2d %s", n, n, name)
 		}
-		got := names[mulKernel[n]]
-		if n&(n-1) == 0 && n > 1 {
-			t.Logf("%2d×%-2d %s", n, n, got)
+	}
+	type host struct{ avx2FMA, avx512 bool }
+	tables := map[host][17]productKernel{{hasAVX2FMA, hasAVX512}: mulKernel}
+	for _, h := range []host{{false, false}, {true, false}, {true, true}} {
+		if _, ok := tables[h]; !ok {
+			tables[h] = kernelsFor(h.avx2FMA, h.avx512)
 		}
-		if got != want {
-			t.Errorf("%d×%d runs %s, want %s", n, n, got, want)
+	}
+	for h, table := range tables {
+		for n, k := range table {
+			wide := avx512Kernels[n]
+			switch {
+			case k.mul != nil && !h.avx2FMA:
+				t.Errorf("%+v: %d×%d runs %s without AVX2 and FMA3", h, n, n, k.name)
+			case k.mul != nil && k.name == wide.name && !h.avx512:
+				t.Errorf("%+v: %d×%d runs %s without AVX-512F", h, n, n, k.name)
+			case wide.mul != nil && h.avx2FMA && h.avx512 && k.name != wide.name:
+				t.Errorf("%+v: %d×%d runs %q with AVX-512F, not %s", h, n, n, k.name, wide.name)
+			}
 		}
 	}
 }
@@ -188,25 +188,23 @@ func mulKernelOperands(n int, sparse bool) (a, b *Matrix) {
 // a sparse left operand. The AVX-512 rows skip on a host without
 // AVX-512F.
 func BenchmarkMulKernel(b *testing.B) {
-	for _, set := range []string{"fma", "avx512"} {
+	for _, set := range []struct {
+		name   string
+		avx512 bool
+	}{{"fma", false}, {"avx512", true}} {
 		for _, n := range []int{4, 8} {
 			for _, shape := range []string{"dense", "sparse-left"} {
-				b.Run(fmt.Sprintf("%s/%d/%s", set, n, shape), func(b *testing.B) {
-					var kernel *namedKernel
-					for _, k := range hostKernels(n) {
-						if k.name == set {
-							kernel = &k
-						}
+				b.Run(fmt.Sprintf("%s/%d/%s", set.name, n, shape), func(b *testing.B) {
+					if !hasAVX2FMA || set.avx512 && !hasAVX512 {
+						b.Skipf("no %s kernel at %d×%d on this host (AVX-512F or AVX2+FMA3 missing)", set.name, n, n)
 					}
-					if kernel == nil {
-						b.Skipf("no %s kernel at %d×%d on this host (AVX-512F or AVX2+FMA3 missing)", set, n, n)
-					}
+					mul := kernelsFor(true, set.avx512)[n].mul
 					x, y := mulKernelOperands(n, shape == "sparse-left")
 					dst := New(n, n)
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						kernel.mul(dst, x, y)
+						mul(&dst.Data[0], &x.Data[0], &y.Data[0])
 					}
 				})
 			}

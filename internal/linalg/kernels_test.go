@@ -125,14 +125,6 @@ func TestMulKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// namedKernel is one product kernel called directly, named by its
-// instruction set ("fma", "avx512"), for the tests that check every
-// kernel the host can run and not only the one MulInto dispatches to.
-type namedKernel struct {
-	name string
-	mul  func(dst, a, b *Matrix)
-}
-
 // saltRowPairs makes the rows of a that a two-row pass runs together,
 // 2p and 2p+1, disagree on every k: at even k+p row 2p is ±0 and row
 // 2p+1 is not, at odd k+p the other way round, so each row of a pair
@@ -201,7 +193,7 @@ func TestEachKernelBitIdentical(t *testing.T) {
 				}
 				want, got := New(n, n), New(n, n)
 				mulIntoGeneric(want, a, b)
-				kern.mul(got, a, b)
+				kern.mul(&got.Data[0], &a.Data[0], &b.Data[0])
 				for i := range want.Data {
 					if !sameBits(want.Data[i], got.Data[i]) {
 						t.Fatalf("%s n=%d trial %d: entry %d is %v, Go loop %v", kern.name, n, trial, i, got.Data[i], want.Data[i])
@@ -469,7 +461,8 @@ func FuzzMulKernels(f *testing.F) {
 		want, got := New(n, n), New(n, n)
 		mulIntoGeneric(want, a, b)
 		for _, kern := range hostKernels(n) {
-			kern.mul(got, a, b)
+			fillNaN(got)
+			kern.mul(&got.Data[0], &a.Data[0], &b.Data[0])
 			for i := range want.Data {
 				if !sameBits(want.Data[i], got.Data[i]) {
 					t.Fatalf("%s n=%d: entry %d is %v, Go loop %v", kern.name, n, i, got.Data[i], want.Data[i])

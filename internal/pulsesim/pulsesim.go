@@ -67,8 +67,18 @@ func EvolveCtx(ctx context.Context, sys *hamiltonian.System, sched *pulse.Schedu
 		linalg.MulInto(uNext, prop, u)
 		u, uNext = uNext, u
 	}
+	// A slice whose argument leaves the exponential no digit comes back
+	// all NaN, which every later product carries into u; a NaN fidelity
+	// would pass a "below target" test, so refuse the unitary here.
+	for _, v := range u.Data {
+		if !finite(real(v)) || !finite(imag(v)) {
+			return nil, fmt.Errorf("pulsesim: realized unitary is not finite (a slice exponential had no digits left)")
+		}
+	}
 	return u, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // GateFidelity is the standard trace fidelity between the intended and the
 // realized gate unitary.

@@ -37,6 +37,22 @@ func TestEvolveChannelMismatch(t *testing.T) {
 	}
 }
 
+// TestEvolveRefusesNonFinite drives one slice so hard that its
+// exponential needs more squarings than leave a digit, so ExpmHermitianInto
+// writes NaN; EvolveCtx must return an error, not a NaN unitary whose
+// fidelity no "below target" test rejects.
+func TestEvolveRefusesNonFinite(t *testing.T) {
+	sys := hamiltonian.XYTransmon(1, nil)
+	sched := &pulse.Schedule{
+		Channels: []string{"x", "y"},
+		Amps:     [][]float64{{0, 1e300, 0}, constSlice(0, 3)},
+		SliceDt:  4,
+	}
+	if u, err := EvolveCtx(context.Background(), sys, sched); err == nil {
+		t.Fatalf("expected a non-finite error, got %v", u.Data)
+	}
+}
+
 func TestEvolveConstantXDrive(t *testing.T) {
 	sys := hamiltonian.XYTransmon(1, nil)
 	// π rotation split over 10 slices.
