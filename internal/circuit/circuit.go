@@ -67,9 +67,23 @@ func (g Gate) String() string {
 // names yield an error.
 func (g Gate) Unitary() (*linalg.Matrix, error) {
 	if g.IsSymbolic() {
-		return nil, fmt.Errorf("circuit: gate %s has unbound symbol %q", g.Name, g.Symbol)
+		return nil, g.unboundErr()
 	}
 	return quantum.GateUnitary(g.Name, g.Params)
+}
+
+// Matrix is Unitary without the copy, for callers that only read the
+// matrix: a parameter-free gate's matrix is shared (quantum.GateMatrix)
+// and must not be modified.
+func (g Gate) Matrix() (*linalg.Matrix, error) {
+	if g.IsSymbolic() {
+		return nil, g.unboundErr()
+	}
+	return quantum.GateMatrix(g.Name, g.Params)
+}
+
+func (g Gate) unboundErr() error {
+	return fmt.Errorf("circuit: gate %s has unbound symbol %q", g.Name, g.Symbol)
 }
 
 // Circuit is an ordered list of gates over NumQubits physical qubits. The
@@ -205,7 +219,7 @@ func (c *Circuit) Unitary(maxQubits int) (*linalg.Matrix, error) {
 	}
 	ops := make([]quantum.EmbeddedOp, 0, len(c.Gates))
 	for _, g := range c.Gates {
-		u, err := g.Unitary()
+		u, err := g.Matrix()
 		if err != nil {
 			return nil, err
 		}

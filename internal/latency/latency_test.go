@@ -217,6 +217,74 @@ func BenchmarkModelGenerate(b *testing.B) {
 	}
 }
 
+// mergedBlocks returns a two- and a three-qubit merge of the kind the
+// search ranks: fixed and parameterized gates on non-adjacent physical
+// qubits.
+func mergedBlocks() []struct {
+	name string
+	cg   *pulse.CustomGate
+} {
+	return []struct {
+		name string
+		cg   *pulse.CustomGate
+	}{
+		{"2q", mkGroup(
+			circuit.Gate{Name: "h", Qubits: []int{3}},
+			circuit.Gate{Name: "cx", Qubits: []int{3, 7}},
+			circuit.Gate{Name: "rz", Params: []float64{0.3}, Qubits: []int{7}},
+			circuit.Gate{Name: "cx", Qubits: []int{3, 7}},
+			circuit.Gate{Name: "cp", Params: []float64{math.Pi / 8}, Qubits: []int{7, 3}},
+		)},
+		{"3q", mkGroup(
+			circuit.Gate{Name: "cx", Qubits: []int{3, 7}},
+			circuit.Gate{Name: "rz", Params: []float64{0.7}, Qubits: []int{7}},
+			circuit.Gate{Name: "cx", Qubits: []int{7, 8}},
+			circuit.Gate{Name: "h", Qubits: []int{8}},
+			circuit.Gate{Name: "cp", Params: []float64{math.Pi / 4}, Qubits: []int{3, 8}},
+			circuit.Gate{Name: "ccx", Qubits: []int{3, 7, 8}},
+		)},
+	}
+}
+
+// BenchmarkModelEstimate times one ranking probe (LatencyCtx) on a merged
+// block with a warm model, whose Weyl memo already holds the block's
+// two-qubit gates.
+func BenchmarkModelEstimate(b *testing.B) {
+	for _, bb := range mergedBlocks() {
+		b.Run(bb.name, func(b *testing.B) {
+			m := NewModel()
+			ctx := context.Background()
+			if _, err := m.LatencyCtx(ctx, bb.cg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.LatencyCtx(ctx, bb.cg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestEstimateAllocations pins the allocations of one warm estimate of the
+// three-qubit merged block at 15 (84 when each gate was cloned, copied,
+// embedded and multiplied into fresh matrices): the unitary's three 8×8
+// matrices, gate list and local wires (8), the rz and cp matrices for the
+// unitary (4), rz's again for the rotation load (2), and the key (1).
+func TestEstimateAllocations(t *testing.T) {
+	const want = 15
+	cg := mergedBlocks()[1].cg
+	m := NewModel()
+	if _, err := m.Estimate(cg); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { m.Estimate(cg) }); got > want {
+		t.Errorf("Estimate of a warm three-qubit block allocates %v times, want at most %d", got, want)
+	}
+}
+
 func TestModelPermutedHitLatencyIsGatePure(t *testing.T) {
 	// cx(0,1) and cx(1,0) are permutation twins: generating one and then
 	// requesting the other must return exactly what a fresh model computes

@@ -3,11 +3,11 @@ package latency
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/cmplx"
 	"sync"
 
+	"paqoc/internal/circuit"
 	"paqoc/internal/hamiltonian"
 	"paqoc/internal/linalg"
 	"paqoc/internal/obs"
@@ -36,8 +36,21 @@ type Model struct {
 	// so existing call sites keep their exact behaviour.
 	Params hamiltonian.Params
 
+	// mu guards both Weyl memos: the ranker shares one Model across the
+	// worker pool when paqoc.Config.Workers > 1.
 	mu        sync.Mutex
 	weylCache map[string][3]float64
+	// gateWeylMemo holds each two-qubit gate's entry of weylCache by name
+	// and parameter bits, so a block's gates skip their unitary and key.
+	// Created on first use.
+	gateWeylMemo map[gateKey][3]float64
+}
+
+// gateKey names a concrete gate by its name and parameter bits.
+type gateKey struct {
+	name   string
+	params int
+	p0     uint64
 }
 
 // driveBound returns the backend's single-qubit drive limit in rad/dt.
@@ -106,7 +119,8 @@ func (m *Model) Estimate(cg *pulse.CustomGate) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.estimate(cg, u, pulse.CanonicalKey(u))
+	key := pulse.CanonicalKey(u)
+	return m.estimate(cg, u, key, fnv1a(fnvOffset, key))
 }
 
 // GenerateCtx estimates the pulse for a customized gate without running
@@ -168,11 +182,13 @@ func (m *Model) synthesize(cg *pulse.CustomGate, u *linalg.Matrix, fidelityTarge
 	if fidelityTarget <= 0 {
 		fidelityTarget = 0.999
 	}
-	lat, err := m.estimate(cg, u, key)
+	h := fnv1a(fnvOffset, key)
+	lat, err := m.estimate(cg, u, key, h)
 	if err != nil {
 		return nil, err
 	}
-	eps := (1 - fidelityTarget) * (0.35 + 0.5*hash01(key+"/err"))
+	// The hash of key+"/err", continued from key's.
+	eps := (1 - fidelityTarget) * (0.35 + 0.5*unit01(fnv1a(h, "/err")))
 	if eps < 1e-7 {
 		eps = 1e-7
 	}
@@ -190,9 +206,9 @@ func (m *Model) synthesize(cg *pulse.CustomGate, u *linalg.Matrix, fidelityTarge
 	}, nil
 }
 
-// estimate dispatches on group width.
-func (m *Model) estimate(cg *pulse.CustomGate, u *linalg.Matrix, key string) (float64, error) {
-	jitter := 1 + jitterSpan*(hash01(key)-0.5)
+// estimate dispatches on group width. h is key's FNV-1a hash.
+func (m *Model) estimate(cg *pulse.CustomGate, u *linalg.Matrix, key string, h uint64) (float64, error) {
+	jitter := 1 + jitterSpan*(unit01(h)-0.5)
 	switch cg.NumQubits() {
 	case 1:
 		half := cmplx.Abs(u.Trace()) / 2
@@ -211,7 +227,7 @@ func (m *Model) estimate(cg *pulse.CustomGate, u *linalg.Matrix, key string) (fl
 		locals += residualLocal * m.rotationLoad(cg)
 		return baseOverhead2Q + jitter*(tInt+locals), nil
 	case 3:
-		return m.estimate3Q(cg, key, jitter)
+		return m.estimate3Q(cg, jitter)
 	default:
 		return 0, fmt.Errorf("latency: %d-qubit groups unsupported (the model estimates at most %d)", cg.NumQubits(), MaxQubits)
 	}
@@ -219,63 +235,59 @@ func (m *Model) estimate(cg *pulse.CustomGate, u *linalg.Matrix, key string) (fl
 
 // estimate3Q serializes pair-interaction loads over the busiest qubit,
 // mirroring how XY hardware must time-share couplings that meet at a qubit.
-func (m *Model) estimate3Q(cg *pulse.CustomGate, key string, jitter float64) (float64, error) {
-	// pairLoad[{a,b}] accumulates interaction time on each local pair.
-	type pair [2]int
-	load := map[pair]float64{}
+func (m *Model) estimate3Q(cg *pulse.CustomGate, jitter float64) (float64, error) {
+	// load[a+b-1] accumulates interaction time on local pair a < b:
+	// (0,1), (0,2) and (1,2).
+	var load [3]float64
 	addLoad := func(a, b int, v float64) {
-		if a > b {
-			a, b = b, a
-		}
-		load[pair{a, b}] += v
+		load[a+b-1] += v
 	}
 
 	// Interaction on one pair saturates like the two-qubit Weyl chamber:
 	// no pair ever needs more than the SWAP-class time plus echo locals.
 	pairCap := 3*math.Pi/4/m.couplingBound() + 2*echoLocalCost
 
-	for _, g := range cg.LocalGates() {
-		switch g.Arity() {
+	for _, g := range cg.Gates {
+		switch len(g.Qubits) {
 		case 1:
 			// absorbed into residual local load below
 		case 2:
-			u, err := g.Unitary()
-			if err != nil {
-				return 0, err
-			}
-			c, err := m.weyl(pulse.CanonicalKey(u), u)
+			c, err := m.gateWeyl(g)
 			if err != nil {
 				return 0, err
 			}
 			t := InteractionTime(c)/m.couplingBound() +
 				echoLocalCost*LocalContent(c)/(math.Pi/4)
-			addLoad(g.Qubits[0], g.Qubits[1], t)
+			addLoad(cg.LocalWire(g.Qubits[0]), cg.LocalWire(g.Qubits[1]), t)
 		case 3:
 			// Pair profile of the standard decompositions: two CX on each
 			// of the three pairs (Toffoli-family gates).
 			cxT := math.Pi/2/m.couplingBound() + echoLocalCost
-			for _, p := range [][2]int{{g.Qubits[0], g.Qubits[1]}, {g.Qubits[0], g.Qubits[2]}, {g.Qubits[1], g.Qubits[2]}} {
-				addLoad(p[0], p[1], 2*cxT)
-			}
+			a, b, c := cg.LocalWire(g.Qubits[0]), cg.LocalWire(g.Qubits[1]), cg.LocalWire(g.Qubits[2])
+			addLoad(a, b, 2*cxT)
+			addLoad(a, c, 2*cxT)
+			addLoad(b, c, 2*cxT)
 		}
 	}
 
-	// Saturate each pair's load, then penalize non-device-coupled pairs.
-	for p, v := range load {
-		if v > pairCap {
-			v = pairCap
-		}
-		if !m.coupled(cg, p[0], p[1]) {
-			v *= relayFactor
-		}
-		load[p] = v
-	}
-
-	// Busiest-qubit serialization.
+	// Saturate each pair's load, penalize non-device-coupled pairs, then
+	// serialize over the busiest qubit. A pair with no load adds nothing.
 	var qubitLoad [3]float64
-	for p, v := range load {
-		qubitLoad[p[0]] += v
-		qubitLoad[p[1]] += v
+	for a := 0; a < 3; a++ {
+		for b := a + 1; b < 3; b++ {
+			v := load[a+b-1]
+			if v == 0 {
+				continue
+			}
+			if v > pairCap {
+				v = pairCap
+			}
+			if !m.coupled(cg, a, b) {
+				v *= relayFactor
+			}
+			qubitLoad[a] += v
+			qubitLoad[b] += v
+		}
 	}
 	busiest := math.Max(qubitLoad[0], math.Max(qubitLoad[1], qubitLoad[2]))
 	locals := residualLocal * m.rotationLoad(cg)
@@ -283,14 +295,14 @@ func (m *Model) estimate3Q(cg *pulse.CustomGate, key string, jitter float64) (fl
 }
 
 // rotationLoad sums single-qubit rotation angles per qubit and returns the
-// maximum, converted to drive time (dt).
+// maximum, converted to drive time (dt). Blocks are at most MaxQubits wide.
 func (m *Model) rotationLoad(cg *pulse.CustomGate) float64 {
-	loads := make(map[int]float64)
-	for _, g := range cg.LocalGates() {
-		if g.Arity() != 1 {
+	var loads [MaxQubits]float64
+	for _, g := range cg.Gates {
+		if len(g.Qubits) != 1 {
 			continue
 		}
-		u, err := g.Unitary()
+		u, err := g.Matrix()
 		if err != nil {
 			continue
 		}
@@ -298,7 +310,7 @@ func (m *Model) rotationLoad(cg *pulse.CustomGate) float64 {
 		if half > 1 {
 			half = 1
 		}
-		loads[g.Qubits[0]] += 2 * math.Acos(half)
+		loads[cg.LocalWire(g.Qubits[0])] += 2 * math.Acos(half)
 	}
 	var mx float64
 	for _, v := range loads {
@@ -314,6 +326,40 @@ func (m *Model) coupled(cg *pulse.CustomGate, la, lb int) bool {
 		return true
 	}
 	return m.Topo.Connected(cg.Qubits[la], cg.Qubits[lb])
+}
+
+// gateWeyl returns a two-qubit gate's Weyl coordinates: what
+// weyl(pulse.CanonicalKey(u), u) returns for the gate's own unitary u,
+// memoized by gate so a repeat skips the unitary and its key.
+func (m *Model) gateWeyl(g circuit.Gate) ([3]float64, error) {
+	k := gateKey{name: g.Name, params: len(g.Params)}
+	memo := !g.IsSymbolic() && len(g.Params) <= 1
+	if memo {
+		if len(g.Params) == 1 {
+			k.p0 = math.Float64bits(g.Params[0])
+		}
+		m.mu.Lock()
+		c, ok := m.gateWeylMemo[k]
+		m.mu.Unlock()
+		if ok {
+			return c, nil
+		}
+	}
+	u, err := g.Matrix()
+	if err != nil {
+		return [3]float64{}, err
+	}
+	c, err := m.weyl(pulse.CanonicalKey(u), u)
+	if err != nil || !memo {
+		return c, err
+	}
+	m.mu.Lock()
+	if m.gateWeylMemo == nil {
+		m.gateWeylMemo = make(map[gateKey][3]float64)
+	}
+	m.gateWeylMemo[k] = c
+	m.mu.Unlock()
+	return c, nil
 }
 
 // weyl memoizes Weyl coordinates by canonical key.
@@ -349,9 +395,23 @@ func (m *Model) cost(nq int, lat float64) float64 {
 	return 1e-6 * slices * iters * dim3
 }
 
-// hash01 maps a string deterministically into [0, 1).
-func hash01(s string) float64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return float64(h.Sum64()%1e9) / 1e9
+// FNV-1a, 64-bit (hash/fnv's New64a), written inline so hashing a key
+// copies nothing and a suffix continues the hash of what precedes it.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a continues the FNV-1a hash h over s.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
+// unit01 maps a hash deterministically into [0, 1).
+func unit01(h uint64) float64 {
+	return float64(h%1e9) / 1e9
 }

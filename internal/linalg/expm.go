@@ -317,12 +317,20 @@ func TraceOverlap(a, b *Matrix) complex128 {
 
 // GlobalPhaseDistance returns min_φ ‖A - e^{iφ}B‖_F, the Frobenius distance
 // between unitaries modulo global phase. The optimal phase aligns
-// tr(B†·A) with the positive real axis.
+// tr(B†·A) with the positive real axis. It runs in one pass with the bits
+// of a.Sub(b.Scale(phase)).FrobeniusNorm(): each entry a − CMul(phase, b),
+// squared and summed in FrobeniusNorm's order.
 func GlobalPhaseDistance(a, b *Matrix) float64 {
 	tr := TraceOverlap(b, a)
 	phase := complex(1, 0)
 	if cmplx.Abs(tr) > 1e-15 {
 		phase = tr / complex(cmplx.Abs(tr), 0)
 	}
-	return a.Sub(b.Scale(phase)).FrobeniusNorm()
+	var s float64
+	for i, av := range a.Data {
+		d := av - CMul(phase, b.Data[i])
+		re, im := real(d), imag(d)
+		s += float64(re*re) + float64(im*im)
+	}
+	return math.Sqrt(s)
 }

@@ -233,6 +233,59 @@ func TestGlobalPhaseDistance(t *testing.T) {
 	}
 }
 
+// globalPhaseDistanceOracle is GlobalPhaseDistance as first written:
+// a scaled copy of b, a difference matrix, then its Frobenius norm.
+func globalPhaseDistanceOracle(a, b *Matrix) float64 {
+	tr := TraceOverlap(b, a)
+	phase := complex(1, 0)
+	if cmplx.Abs(tr) > 1e-15 {
+		phase = tr / complex(cmplx.Abs(tr), 0)
+	}
+	return a.Sub(b.Scale(phase)).FrobeniusNorm()
+}
+
+// TestGlobalPhaseDistanceMatchesOracle requires the one-pass distance to
+// equal the oracle bit for bit: random and nearly phase-equal operands of
+// every shape up to 8×8, salted with ±0, NaN, Inf and underflowing
+// products. Mismatched shapes still panic.
+func TestGlobalPhaseDistanceMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 3000; trial++ {
+		rows, cols := 1+rng.Intn(8), 1+rng.Intn(8)
+		a := randomMatrix(rows, cols, rng.Int63())
+		b := randomMatrix(rows, cols, rng.Int63())
+		switch trial % 5 {
+		case 1:
+			b = a.Scale(cmplx.Exp(complex(0, rng.Float64()*6)))
+			b.Data[rng.Intn(len(b.Data))] += complex(rng.NormFloat64()*1e-9, 0)
+		case 2:
+			saltEdgeCases(a, b)
+		case 3:
+			saltUnderflow(a, b)
+		case 4:
+			for i := range a.Data {
+				if rng.Intn(3) == 0 {
+					a.Data[i] = complex(math.Copysign(0, -1), 0)
+				}
+				if rng.Intn(3) == 0 {
+					b.Data[i] = complex(0, math.Copysign(0, -1))
+				}
+			}
+		}
+		got, want := GlobalPhaseDistance(a, b), globalPhaseDistanceOracle(a, b)
+		if !sameFloatBits(got, want) {
+			t.Fatalf("trial %d (%dx%d): %v (bits %#x), oracle %v (bits %#x)",
+				trial, rows, cols, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected a panic on mismatched shapes")
+		}
+	}()
+	GlobalPhaseDistance(New(2, 2), New(4, 4))
+}
+
 func TestQuickKronDimensions(t *testing.T) {
 	f := func(a, b uint8) bool {
 		ra, rb := int(a%4)+1, int(b%4)+1

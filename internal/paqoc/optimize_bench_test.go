@@ -15,18 +15,30 @@ import (
 // BenchmarkOptimize times Algorithm 1's search alone (paqoc.optimize) on
 // routed Table I circuits: M=0, one worker, the analytical model. Each
 // iteration starts from fresh single-gate blocks built outside the timer.
-// It reports the merges each search applies, pre-merges included.
+// It reports the merges each search applies, pre-merges included. The
+// qft and dnn rows run DefaultConfig, whose Case II probe generates each
+// applied merge; the -caseII-off rows rank applied merges with the model
+// alone, as every end-to-end workload does.
 func BenchmarkOptimize(b *testing.B) {
 	topo := topology.Grid(5, 5)
-	for _, name := range []string{"qft", "dnn"} {
-		b.Run(name, func(b *testing.B) {
-			spec, _ := bench.ByName(name)
+	for _, row := range []struct {
+		name, bench string
+		caseII      bool
+	}{
+		{"qft", "qft", true},
+		{"dnn", "dnn", true},
+		{"qft-caseII-off", "qft", false},
+		{"dnn-caseII-off", "dnn", false},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			spec, _ := bench.ByName(row.bench)
 			phys, _, err := transpile.ToPhysical(spec.Build(), topo, route.DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
 			cfg := DefaultConfig()
 			cfg.Workers = 1
+			cfg.ProbeCaseII = row.caseII
 			cp := New(nil, topo, cfg)
 			ctx := context.Background()
 			est := func(cg *pulse.CustomGate) (float64, error) { return cp.Ranker.LatencyCtx(ctx, cg) }

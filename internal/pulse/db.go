@@ -219,8 +219,12 @@ func (db *DB) permutedKeys(u *linalg.Matrix, usePerms bool) []permKey {
 	}
 	perms := lookupPerms[k]
 	out := make([]permKey, len(perms))
+	// One buffer holds each permuted unitary in turn: EmbedInto with the
+	// permutation as wires is quantum.PermuteQubits' result.
+	pu := linalg.New(u.Rows, u.Cols)
 	for i, p := range perms {
-		out[i] = permKey{key: NamespacedKey(db.fingerprint, CanonicalKey(quantum.PermuteQubits(u, p))), perm: p}
+		quantum.EmbedInto(pu, u, p, k)
+		out[i] = permKey{key: NamespacedKey(db.fingerprint, CanonicalKey(pu)), perm: p}
 	}
 	return out
 }
@@ -289,15 +293,21 @@ func (db *DB) Store(u *linalg.Matrix, g *Generated) {
 	db.store(u, g, false)
 }
 
-// store inserts an entry (optionally protected from eviction), indexes it
-// for similarity search, and applies the capacity bound.
+// store inserts an entry (optionally protected from eviction) under u's
+// namespaced canonical key.
 func (db *DB) store(u *linalg.Matrix, g *Generated, protected bool) {
+	db.storeKey(NamespacedKey(db.fingerprint, CanonicalKey(u)), u, g, protected)
+}
+
+// storeKey inserts an entry under key, which must be u's namespaced
+// canonical key, indexes it for similarity search, and applies the
+// capacity bound. The first store of a key wins.
+func (db *DB) storeKey(key string, u *linalg.Matrix, g *Generated, protected bool) {
 	var start time.Time
 	h := db.storeMs.Load()
 	if h != nil {
 		start = time.Now()
 	}
-	key := NamespacedKey(db.fingerprint, CanonicalKey(u))
 	db.mu.Lock()
 	if prev := db.entries[key]; prev != nil {
 		if protected {
@@ -428,7 +438,7 @@ func (db *DB) do(u *linalg.Matrix, usePerms bool, generate func() (*Generated, e
 
 		g, err := runGenerate(generate)
 		if err == nil && g != nil {
-			db.Store(u, g)
+			db.storeKey(key, u, g, false)
 		}
 		db.mu.Lock()
 		delete(db.flights, key)

@@ -142,3 +142,34 @@ func TestLoadFileForRoundTrip(t *testing.T) {
 		t.Fatalf("same-backend LoadFile: ok=%v len=%d err=%v", ok, re.Len(), err)
 	}
 }
+
+// TestDoStoresUnderNamespacedKey checks that a fingerprinted store files a
+// generated pulse under the namespaced key Do looked up, so the next Do
+// for the same unitary, or its permuted twin, is a hit and runs no
+// generator.
+func TestDoStoresUnderNamespacedKey(t *testing.T) {
+	db := NewDB()
+	db.SetFingerprint("backend-a")
+	runs := 0
+	gen := func() (*Generated, error) {
+		runs++
+		return &Generated{Latency: 75, Fidelity: 0.999, Error: 0.001}, nil
+	}
+	cx := quantum.MatCX.Clone()
+	if _, _, oc, err := db.Do(cx, gen); err != nil || oc != OutcomeGenerated {
+		t.Fatalf("first Do: outcome %v, err %v", oc, err)
+	}
+	if e, ok := db.Peek(cx); !ok || e.Key != NamespacedKey("backend-a", CanonicalKey(cx)) {
+		t.Fatalf("generated entry not under the namespaced key (found %v)", ok)
+	}
+	if _, _, oc, _ := db.Do(cx, gen); oc != OutcomeHit {
+		t.Errorf("second Do: outcome %v, want a hit", oc)
+	}
+	rev := quantum.PermuteQubits(cx, []int{1, 0})
+	if _, perm, oc, _ := db.Do(rev, gen); oc != OutcomePermuted || perm == nil {
+		t.Errorf("permuted Do: outcome %v, perm %v, want a permuted hit", oc, perm)
+	}
+	if runs != 1 || db.Len() != 1 {
+		t.Errorf("generator ran %d times for %d entries, want once for one", runs, db.Len())
+	}
+}

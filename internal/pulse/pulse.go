@@ -92,33 +92,39 @@ func NewCustomGate(gates []circuit.Gate) *CustomGate {
 // paper's N_Q(X).
 func (cg *CustomGate) NumQubits() int { return len(cg.Qubits) }
 
-// LocalGates returns the gate sequence re-indexed onto local wires
-// 0..NumQubits-1 (wire i = cg.Qubits[i]).
-func (cg *CustomGate) LocalGates() []circuit.Gate {
-	idx := make(map[int]int, len(cg.Qubits))
-	for i, q := range cg.Qubits {
-		idx[q] = i
-	}
-	out := make([]circuit.Gate, len(cg.Gates))
-	for i, g := range cg.Gates {
-		ng := g.Clone()
-		for j, q := range ng.Qubits {
-			ng.Qubits[j] = idx[q]
+// LocalWire returns the local wire of physical qubit q: its position in
+// cg.Qubits (the last one if q is listed twice), or 0 if it is not listed.
+func (cg *CustomGate) LocalWire(q int) int {
+	w := 0
+	for i, p := range cg.Qubits {
+		if p == q {
+			w = i
 		}
-		out[i] = ng
 	}
-	return out
+	return w
 }
 
-// Unitary composes the group's unitary on its local wires.
+// Unitary composes the group's unitary on its local wires (wire i =
+// cg.Qubits[i]). Every gate's matrix is resolved, in program order,
+// before any is embedded, so a symbolic, unknown or mis-parameterized
+// gate returns its error ahead of quantum.Embed's panics on bad wires.
 func (cg *CustomGate) Unitary() (*linalg.Matrix, error) {
-	ops := make([]quantum.EmbeddedOp, 0, len(cg.Gates))
-	for _, g := range cg.LocalGates() {
-		u, err := g.Unitary()
+	nw := 0
+	for _, g := range cg.Gates {
+		nw += len(g.Qubits)
+	}
+	ops := make([]quantum.EmbeddedOp, len(cg.Gates))
+	wires := make([]int, 0, nw)
+	for i, g := range cg.Gates {
+		u, err := g.Matrix()
 		if err != nil {
 			return nil, err
 		}
-		ops = append(ops, quantum.EmbeddedOp{U: u, Wires: g.Qubits})
+		start := len(wires)
+		for _, q := range g.Qubits {
+			wires = append(wires, cg.LocalWire(q))
+		}
+		ops[i] = quantum.EmbeddedOp{U: u, Wires: wires[start:]}
 	}
 	return quantum.SequenceUnitary(cg.NumQubits(), ops), nil
 }
@@ -172,6 +178,11 @@ type Remote interface {
 // CanonicalKey returns a hashable identifier of a unitary modulo global
 // phase, for exact pulse-database lookup. Entries are quantized so that
 // numerically equal unitaries from different gate decompositions collide.
+//
+// The bytes are a compatibility contract: snapshots, cluster PUT paths and
+// remote fetches compare keys across versions (DESIGN.md, "Canonical
+// keys"). Each number is written as strconv.AppendFloat(k/1e5, 'g', -1, 64)
+// writes it, for k = math.Round(x·1e5), but from the integer k.
 func CanonicalKey(u *linalg.Matrix) string {
 	// Normalize phase: rotate so the first entry with |v| > tol is real
 	// positive.
@@ -182,25 +193,57 @@ func CanonicalKey(u *linalg.Matrix) string {
 			break
 		}
 	}
-	// Rows, then "re,im;" per entry, each number in its shortest 'g' form.
-	b := make([]byte, 0, 8+16*len(u.Data))
-	b = strconv.AppendInt(b, int64(u.Rows), 10)
+	// Rows, then "re,im;" per entry. An 8×8 key fits the stack buffer, so
+	// the string is the one allocation.
+	var buf [1280]byte
+	b := strconv.AppendInt(buf[:0], int64(u.Rows), 10)
 	b = append(b, ':')
 	for _, v := range u.Data {
 		w := v * phase
-		// Quantize to 5 decimals; fold -0 into +0.
-		re := math.Round(real(w)*1e5) / 1e5
-		im := math.Round(imag(w)*1e5) / 1e5
-		if re == 0 {
-			re = 0
-		}
-		if im == 0 {
-			im = 0
-		}
-		b = strconv.AppendFloat(b, re, 'g', -1, 64)
+		b = appendQuantum(b, math.Round(real(w)*1e5))
 		b = append(b, ',')
-		b = strconv.AppendFloat(b, im, 'g', -1, 64)
+		b = appendQuantum(b, math.Round(imag(w)*1e5))
 		b = append(b, ';')
 	}
 	return string(b)
+}
+
+// appendQuantum appends the shortest 'g' form of k/1e5 for an integral k,
+// with −0 folded into "0". Below 1e11 in magnitude it writes the digits of
+// k itself: "Ne-05" for |k| < 10 (where 'g' turns to an exponent), else
+// the integer part and up to five decimals without trailing zeros, which
+// are the shortest digits that round-trip k/1e5 since k has at most 11.
+// NaN, ±Inf and |k| ≥ 1e11 (k/1e5 ≥ 1e6, exponent form again) take
+// strconv's path.
+func appendQuantum(b []byte, k float64) []byte {
+	if k == 0 {
+		return append(b, '0')
+	}
+	if !(math.Abs(k) < 1e11) {
+		return strconv.AppendFloat(b, k/1e5, 'g', -1, 64)
+	}
+	n := int64(k)
+	if n < 0 {
+		b = append(b, '-')
+		n = -n
+	}
+	if n < 10 {
+		return append(b, byte('0'+n), 'e', '-', '0', '5')
+	}
+	b = strconv.AppendInt(b, n/1e5, 10)
+	frac := n % 1e5
+	if frac == 0 {
+		return b
+	}
+	var d [6]byte
+	d[0] = '.'
+	for i := 5; i > 0; i-- {
+		d[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	end := len(d)
+	for d[end-1] == '0' {
+		end--
+	}
+	return append(b, d[:end]...)
 }

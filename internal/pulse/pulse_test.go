@@ -27,22 +27,22 @@ func TestCustomGateQubitsSortedAndDeduped(t *testing.T) {
 	}
 }
 
-func TestCustomGateLocalGates(t *testing.T) {
+func TestCustomGateLocalWire(t *testing.T) {
 	g := cg(
 		circuit.Gate{Name: "cx", Qubits: []int{7, 2}},
 		circuit.Gate{Name: "h", Qubits: []int{7}},
 	)
-	local := g.LocalGates()
-	// Physical 2→local 0, physical 7→local 1.
-	if local[0].Qubits[0] != 1 || local[0].Qubits[1] != 0 {
-		t.Errorf("local cx qubits = %v", local[0].Qubits)
+	// Physical 2→local 0, physical 7→local 1; an unlisted qubit maps to 0,
+	// as the map LocalGates once built did.
+	for _, c := range []struct{ q, want int }{{2, 0}, {7, 1}, {5, 0}} {
+		if got := g.LocalWire(c.q); got != c.want {
+			t.Errorf("LocalWire(%d) = %d, want %d", c.q, got, c.want)
+		}
 	}
-	if local[1].Qubits[0] != 1 {
-		t.Errorf("local h qubit = %v", local[1].Qubits)
-	}
-	// Original gate must be untouched.
-	if g.Gates[0].Qubits[0] != 7 {
-		t.Error("LocalGates mutated the stored gates")
+	// A qubit listed twice takes its last position.
+	dup := &CustomGate{Qubits: []int{4, 9, 4}}
+	if got := dup.LocalWire(4); got != 2 {
+		t.Errorf("LocalWire of a twice-listed qubit = %d, want 2", got)
 	}
 }
 

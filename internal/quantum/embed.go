@@ -10,23 +10,48 @@ import (
 // the given wires (wires[i] is the circuit qubit playing the role of u's
 // i-th qubit). Qubit 0 is the most significant bit of the basis index.
 func Embed(u *linalg.Matrix, wires []int, n int) *linalg.Matrix {
+	checkEmbed(u, wires, n)
+	dim := 1 << n
+	out := linalg.New(dim, dim)
+	embed(out, u, wires, n)
+	return out
+}
+
+// EmbedInto is Embed into a caller-owned 2ⁿ×2ⁿ destination: it clears dst
+// and then makes Embed's writes, so dst ends bit-identical to Embed's
+// result. dst must not alias u.
+func EmbedInto(dst, u *linalg.Matrix, wires []int, n int) {
+	checkEmbed(u, wires, n)
+	if dim := 1 << n; dst.Rows != dim || dst.Cols != dim {
+		panic(fmt.Sprintf("quantum: EmbedInto destination %dx%d, want %dx%d", dst.Rows, dst.Cols, dim, dim))
+	}
+	clear(dst.Data)
+	embed(dst, u, wires, n)
+}
+
+// checkEmbed panics unless u spans len(wires) qubits and the wires are
+// distinct and inside [0, n).
+func checkEmbed(u *linalg.Matrix, wires []int, n int) {
 	k := len(wires)
 	if u.Rows != 1<<k || u.Cols != 1<<k {
 		panic(fmt.Sprintf("quantum: Embed unitary dim %d does not match %d wires", u.Rows, k))
 	}
-	seen := make(map[int]bool, k)
-	for _, w := range wires {
+	for i, w := range wires {
 		if w < 0 || w >= n {
 			panic(fmt.Sprintf("quantum: wire %d out of range [0,%d)", w, n))
 		}
-		if seen[w] {
-			panic(fmt.Sprintf("quantum: duplicate wire %d", w))
+		for _, v := range wires[:i] {
+			if v == w {
+				panic(fmt.Sprintf("quantum: duplicate wire %d", w))
+			}
 		}
-		seen[w] = true
 	}
+}
 
+// embed writes u's nonzero entries into out, which holds zeros elsewhere.
+func embed(out, u *linalg.Matrix, wires []int, n int) {
+	k := len(wires)
 	dim := 1 << n
-	out := linalg.New(dim, dim)
 	// bitOf extracts qubit q's bit from basis index idx (qubit 0 = MSB).
 	bitOf := func(idx, q int) int { return (idx >> (n - 1 - q)) & 1 }
 
@@ -55,7 +80,6 @@ func Embed(u *linalg.Matrix, wires []int, n int) *linalg.Matrix {
 			out.Set(row, col, amp)
 		}
 	}
-	return out
 }
 
 // PermuteQubits returns the unitary obtained by relabelling u's qubits:
@@ -73,11 +97,21 @@ func PermuteQubits(u *linalg.Matrix, perm []int) *linalg.Matrix {
 
 // SequenceUnitary composes a sequence of (gate unitary, wires) pairs acting
 // on n qubits, in program order (earliest first), returning the overall
-// unitary. The composition is U_total = U_last · … · U_first.
+// unitary. The composition is U_total = U_last · … · U_first, one
+// linalg.MulInto of each embedded gate with the product so far, starting
+// from the identity. Three 2ⁿ×2ⁿ matrices serve the whole sequence: one
+// embedding buffer and two products in turn.
 func SequenceUnitary(n int, ops []EmbeddedOp) *linalg.Matrix {
-	total := linalg.Identity(1 << n)
+	dim := 1 << n
+	total := linalg.Identity(dim)
+	if len(ops) == 0 {
+		return total
+	}
+	next, g := linalg.New(dim, dim), linalg.New(dim, dim)
 	for _, op := range ops {
-		total = Embed(op.U, op.Wires, n).Mul(total)
+		EmbedInto(g, op.U, op.Wires, n)
+		linalg.MulInto(next, g, total)
+		total, next = next, total
 	}
 	return total
 }

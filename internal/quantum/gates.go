@@ -162,113 +162,92 @@ var MatCSWAP = func() *linalg.Matrix {
 	return m
 }()
 
+// gateDef is one entry of the gate table: the gate's arity, and its
+// matrix if it takes no parameters, else its parameter count and
+// constructor.
+type gateDef struct {
+	arity  int
+	fixed  *linalg.Matrix
+	params int
+	build  func(p []float64) *linalg.Matrix
+}
+
+// gateTable holds every named gate. Names are lowercase, matching the
+// circuit IR. Fixed entries are shared: GateUnitary copies them and
+// GateMatrix does not.
+var gateTable = map[string]gateDef{
+	"id":      {arity: 1, fixed: MatI},
+	"x":       {arity: 1, fixed: MatX},
+	"y":       {arity: 1, fixed: MatY},
+	"z":       {arity: 1, fixed: MatZ},
+	"h":       {arity: 1, fixed: MatH},
+	"s":       {arity: 1, fixed: MatS},
+	"sdg":     {arity: 1, fixed: MatSdg},
+	"t":       {arity: 1, fixed: MatT},
+	"tdg":     {arity: 1, fixed: MatTdg},
+	"sx":      {arity: 1, fixed: MatSX},
+	"rx":      {arity: 1, params: 1, build: func(p []float64) *linalg.Matrix { return RX(p[0]) }},
+	"ry":      {arity: 1, params: 1, build: func(p []float64) *linalg.Matrix { return RY(p[0]) }},
+	"rz":      {arity: 1, params: 1, build: func(p []float64) *linalg.Matrix { return RZ(p[0]) }},
+	"u1":      {arity: 1, params: 1, build: func(p []float64) *linalg.Matrix { return U1(p[0]) }},
+	"u2":      {arity: 1, params: 2, build: func(p []float64) *linalg.Matrix { return U2(p[0], p[1]) }},
+	"u3":      {arity: 1, params: 3, build: func(p []float64) *linalg.Matrix { return U3(p[0], p[1], p[2]) }},
+	"cx":      {arity: 2, fixed: MatCX},
+	"cz":      {arity: 2, fixed: MatCZ},
+	"swap":    {arity: 2, fixed: MatSWAP},
+	"iswap":   {arity: 2, fixed: MatISWAP},
+	"cp":      {arity: 2, params: 1, build: func(p []float64) *linalg.Matrix { return CPhase(p[0]) }},
+	"cphase":  {arity: 2, params: 1, build: func(p []float64) *linalg.Matrix { return CPhase(p[0]) }},
+	"cu1":     {arity: 2, params: 1, build: func(p []float64) *linalg.Matrix { return CPhase(p[0]) }},
+	"crz":     {arity: 2, params: 1, build: func(p []float64) *linalg.Matrix { return CRZ(p[0]) }},
+	"ccx":     {arity: 3, fixed: MatCCX},
+	"toffoli": {arity: 3, fixed: MatCCX},
+	"ccz":     {arity: 3, fixed: MatCCZ},
+	"cswap":   {arity: 3, fixed: MatCSWAP},
+}
+
+// gate looks a named gate up in the table. shared reports that u is the
+// table's own matrix. A wrong parameter count is an error; a
+// parameter-free gate still returns its matrix beside it.
+func gate(name string, params []float64) (u *linalg.Matrix, shared bool, err error) {
+	d, ok := gateTable[name]
+	if !ok {
+		return nil, false, fmt.Errorf("quantum: unknown gate %q", name)
+	}
+	if len(params) != d.params {
+		err = fmt.Errorf("quantum: gate %q wants %d params, got %d", name, d.params, len(params))
+	}
+	if d.fixed != nil {
+		return d.fixed, true, err
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	return d.build(params), false, nil
+}
+
 // GateUnitary returns the unitary for a named gate with the given
-// parameters. It returns an error for unknown names or wrong parameter
-// counts. Names are lowercase, matching the circuit IR.
+// parameters, as a matrix the caller owns. It returns an error for unknown
+// names or wrong parameter counts.
 func GateUnitary(name string, params []float64) (*linalg.Matrix, error) {
-	need := func(n int) error {
-		if len(params) != n {
-			return fmt.Errorf("quantum: gate %q wants %d params, got %d", name, n, len(params))
-		}
-		return nil
+	u, shared, err := gate(name, params)
+	if shared {
+		u = u.Clone()
 	}
-	switch name {
-	case "id":
-		return MatI.Clone(), need(0)
-	case "x":
-		return MatX.Clone(), need(0)
-	case "y":
-		return MatY.Clone(), need(0)
-	case "z":
-		return MatZ.Clone(), need(0)
-	case "h":
-		return MatH.Clone(), need(0)
-	case "s":
-		return MatS.Clone(), need(0)
-	case "sdg":
-		return MatSdg.Clone(), need(0)
-	case "t":
-		return MatT.Clone(), need(0)
-	case "tdg":
-		return MatTdg.Clone(), need(0)
-	case "sx":
-		return MatSX.Clone(), need(0)
-	case "rx":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return RX(params[0]), nil
-	case "ry":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return RY(params[0]), nil
-	case "rz":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return RZ(params[0]), nil
-	case "u1":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return U1(params[0]), nil
-	case "u2":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return U2(params[0], params[1]), nil
-	case "u3":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		return U3(params[0], params[1], params[2]), nil
-	case "cx":
-		return MatCX.Clone(), need(0)
-	case "cz":
-		return MatCZ.Clone(), need(0)
-	case "swap":
-		return MatSWAP.Clone(), need(0)
-	case "iswap":
-		return MatISWAP.Clone(), need(0)
-	case "cp", "cphase":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return CPhase(params[0]), nil
-	case "cu1":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return CPhase(params[0]), nil
-	case "crz":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return CRZ(params[0]), nil
-	case "ccx", "toffoli":
-		return MatCCX.Clone(), need(0)
-	case "ccz":
-		return MatCCZ.Clone(), need(0)
-	case "cswap":
-		return MatCSWAP.Clone(), need(0)
-	}
-	return nil, fmt.Errorf("quantum: unknown gate %q", name)
+	return u, err
+}
+
+// GateMatrix is GateUnitary without the copy, for callers that only read
+// the matrix: a parameter-free gate's matrix is the gate table's shared
+// instance and must not be modified.
+func GateMatrix(name string, params []float64) (*linalg.Matrix, error) {
+	u, _, err := gate(name, params)
+	return u, err
 }
 
 // GateArity returns the number of qubits a named gate acts on, or 0 if the
 // gate is unknown.
-func GateArity(name string) int {
-	switch name {
-	case "id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "rx", "ry", "rz", "u1", "u2", "u3":
-		return 1
-	case "cx", "cz", "swap", "iswap", "cp", "cphase", "cu1", "crz":
-		return 2
-	case "ccx", "toffoli", "ccz", "cswap":
-		return 3
-	}
-	return 0
-}
+func GateArity(name string) int { return gateTable[name].arity }
 
 // IsControlled reports whether the named gate has control qubit(s) leading
 // its operand list; used by the miner's edge labelling (§III-A).
